@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the jit-compiled kernels against the pure-Python backend.
+"""Benchmark the numeric kernels.
 
 Times ``poly_jet`` (value/gradient/Hessian of a dense polynomial) and
-``det`` (small-matrix determinant) in both forms inside one process.
-The jitted column only appears when numba is importable and
-CONDSYM_DISABLE_NUMBA is unset.
+``det`` (small-matrix determinant) inside one process.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--dim N] [--degree D]
@@ -44,19 +42,6 @@ def det_inputs(size, matrices, rng):
     return [(rng.uniform(-1.0, 1.0, (size, size)),) for _ in range(matrices)]
 
 
-def check_agreement(backends, poly_args, det_args):
-    """The backends must agree bitwise on every benchmark input."""
-    if len(backends) < 2:
-        return
-    (_, pj_a, det_a), (_, pj_b, det_b) = backends
-    for args in poly_args[:50]:
-        va, ga, ha = pj_a(*args)
-        vb, gb, hb = pj_b(*args)
-        assert va == vb and np.array_equal(ga, gb) and np.array_equal(ha, hb)
-    for args in det_args[:50]:
-        assert det_a(*args) == det_b(*args)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dim", type=int, default=4, help="polynomial variables")
@@ -72,37 +57,19 @@ def main(argv=None):
     poly_args = poly_inputs(args.dim, args.degree, args.points, rng)
     det_args = det_inputs(args.det_size, args.matrices, rng)
 
-    backends = [("python", _kernels.poly_jet_py, _kernels.det_py)]
-    if _kernels.NUMBA_ACTIVE:
-        backends.append(("numba", _kernels.poly_jet, _kernels.det))
-        # first call pays the compile cost; keep it out of the timings
-        _kernels.poly_jet(*poly_args[0])
-        _kernels.det(*det_args[0])
-    else:
-        print("numba backend inactive (not installed or disabled); "
-              "timing the pure-Python path only")
-
-    check_agreement(backends, poly_args, det_args)
-
     n_terms = poly_args[0][0].shape[0]
     print(f"poly_jet: dim={args.dim} degree={args.degree} "
           f"({n_terms} terms), {args.points} calls/pass")
     print(f"det:      {args.det_size}x{args.det_size}, "
           f"{args.matrices} calls/pass, best of {args.repeat}")
     print()
-    print(f"{'kernel':10s} {'backend':8s} {'us/call':>10s} {'speedup':>8s}")
-    for kernel, picker, calls in (
-        ("poly_jet", lambda b: b[1], poly_args),
-        ("det", lambda b: b[2], det_args),
+    print(f"{'kernel':10s} {'us/call':>10s}")
+    for kernel, fn, calls in (
+        ("poly_jet", _kernels.poly_jet, poly_args),
+        ("det", _kernels.det, det_args),
     ):
-        base = None
-        for backend in backends:
-            per_call = best_per_call(picker(backend), calls, args.repeat)
-            if base is None:
-                base = per_call
-            ratio = base / per_call
-            print(f"{kernel:10s} {backend[0]:8s} {per_call * 1e6:10.2f} "
-                  f"{ratio:7.1f}x")
+        per_call = best_per_call(fn, calls, args.repeat)
+        print(f"{kernel:10s} {per_call * 1e6:10.2f}")
     return 0
 
 

@@ -1,33 +1,9 @@
-"""Numeric hot loops: polynomial jet evaluation and small determinants.
-
-Both kernels exist in a pure-Python/numpy form (``poly_jet_py``,
-``det_py``) and, when numba is importable and not disabled, in a
-jit-compiled form.  The public names ``poly_jet`` and ``det`` point at
-whichever backend is active.  Set the environment variable
-``CONDSYM_DISABLE_NUMBA`` to a non-empty value other than ``0`` before
-import to force the pure-Python path.
-
-The two backends execute the same statements in the same order, so
-their float results agree bitwise.
-"""
-
-import os
+"""Numeric hot loops: polynomial jet evaluation and small determinants."""
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    njit = None
-    HAS_NUMBA = False
-
-NUMBA_DISABLED = os.environ.get("CONDSYM_DISABLE_NUMBA", "") not in ("", "0")
-NUMBA_ACTIVE = HAS_NUMBA and not NUMBA_DISABLED
-
-
-def poly_jet_py(powers, coeffs, coords):
+def poly_jet(powers, coeffs, coords):
     """Value, gradient and Hessian of ``sum_m coeffs[m] * prod_i coords[i]**powers[m, i]``.
 
     powers : (M, D) int64 array of non-negative exponents
@@ -90,7 +66,7 @@ def poly_jet_py(powers, coeffs, coords):
     return value, grad, hess
 
 
-def det_py(a):
+def det(a):
     """Determinant of a small square matrix.
 
     Sizes 1 to 3 use hard-coded cofactor expansion; larger sizes fall
@@ -133,11 +109,3 @@ def det_py(a):
     for k in range(n):
         det *= m[k, k]
     return det
-
-
-if NUMBA_ACTIVE:
-    poly_jet = njit(cache=True)(poly_jet_py)
-    det = njit(cache=True)(det_py)
-else:
-    poly_jet = poly_jet_py
-    det = det_py

@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from . import solutions
 from .errors import DimensionMismatch, DomainError
 from .fields import (
     ModelParams,
     Point,
+    ProfileFunction,
     RandomPolynomialField,
     parse_profile,
     random_polynomial_function,
@@ -28,10 +28,8 @@ from .fields import (
 from .operators import ResidualKind, diffusion_gcallback
 from .solutions import (
     DEFAULT_FAMILIES,
-    MAOnly,
     RatioPolynomial,
     SolutionField,
-    designated_residuals,
     default_grid,
     default_params,
 )
@@ -145,45 +143,33 @@ def _fmt_num(v):
     return repr(int(v)) if float(v) == int(v) else repr(float(v))
 
 
-def _parse_ma_phi(value):
+def _parse_ma_phi(key, value):
     if value.startswith("poly2:"):
         return _parse_poly2(value[len("poly2:"):])
-    return _to_profile("phi", value)
+    return _to_profile(key, value)
 
 
-_FAMILY_CONVERTERS = {
-    "one-dim-z0": {"c": _to_float, "q": _to_profile},
-    "one-dim-z1": {"c": _to_float, "q": _to_profile},
-    "one-dim-generic": {"q": _to_profile},
-    "radial-z1": {
-        "c": _to_float,
-        "e1": _to_float,
-        "e2": _to_float,
-        "n": _to_int,
-    },
-    "general-z": {
-        "c": _to_float,
-        "e1": _to_float,
-        "e2": _to_float,
-        "n": _to_int,
-        "z": _to_float,
-    },
-    "z0-sqrt": {"psi": _to_profile},
-    "z0-linear": {"psi1": _to_profile, "psi2": _to_profile},
-    "general-yphi": {
-        "c": _to_float,
-        "e1": _to_float,
-        "e2": _to_float,
-        "z": _to_float,
-        "phi1": _to_profile,
-        "phi2": _to_profile,
-    },
-    "ma-only": {"N": _to_int, "phi": None},
+# converter by dataclass field type, so every family's grammar follows
+# from its fields
+_CONVERTERS = {
+    float: _to_float,
+    int: _to_int,
+    ProfileFunction: _to_profile,
+    ProfileFunction | RatioPolynomial: _parse_ma_phi,
 }
 
 
+def _spec_key(field):
+    """The spec key of a family field: ``N`` for the spatial dimension."""
+    return "N" if field.name == "spatial_dim" else field.name
+
+
 def parse_family(spec):
-    """Parse ``name:key=value,...`` into a solution family."""
+    """Parse ``name:key=value,...`` into a solution family.
+
+    The keys are the family's dataclass field names, with ``N`` for
+    ``spatial_dim``.
+    """
     name, _, rest = spec.partition(":")
     name = name.lower()
     if name not in DEFAULT_FAMILIES:
@@ -193,18 +179,13 @@ def parse_family(spec):
     fam = DEFAULT_FAMILIES[name]
     if not rest:
         return fam
-    converters = _FAMILY_CONVERTERS[name]
+    fields = {_spec_key(f): f for f in dataclasses.fields(fam)}
     kwargs = {}
     for key, value in _split_kv(rest).items():
-        if key not in converters:
+        if key not in fields:
             raise CLIError(f"unknown key {key!r} for family {name!r}")
-        if name == "ma-only":
-            if key == "N":
-                kwargs["spatial_dim"] = _to_int(key, value)
-            else:
-                kwargs["phi"] = _parse_ma_phi(value)
-        else:
-            kwargs[key] = converters[key](key, value)
+        f = fields[key]
+        kwargs[f.name] = _CONVERTERS[f.type](key, value)
     try:
         return dataclasses.replace(fam, **kwargs)
     except (ValueError, DimensionMismatch) as exc:
@@ -217,7 +198,7 @@ def family_spec(name, fam=None):
     parts = []
     for f in dataclasses.fields(fam):
         value = getattr(fam, f.name)
-        key = "N" if f.name == "spatial_dim" else f.name
+        key = _spec_key(f)
         if isinstance(value, RatioPolynomial):
             parts.append(f"{key}={_format_poly2(value)}")
         elif hasattr(value, "spec"):
@@ -406,7 +387,7 @@ def _resolve_params(fam, z_flag, n_flag):
 def cmd_check(args):
     fam = parse_family(args.family)
     params = _resolve_params(fam, args.z, args.N)
-    kinds = parse_kinds(args.kinds) if args.kinds else designated_residuals(fam)
+    kinds = parse_kinds(args.kinds) if args.kinds else fam.designated
     grid = (
         parse_grid(args.grid, params.spatial_dim)
         if args.grid
@@ -431,7 +412,7 @@ def cmd_transform(args):
     fam = parse_family(args.family)
     element = parse_group(args.group)
     params = _resolve_params(fam, args.z, args.N)
-    kinds = parse_kinds(args.kinds) if args.kinds else designated_residuals(fam)
+    kinds = parse_kinds(args.kinds) if args.kinds else fam.designated
     grid = (
         parse_grid(args.grid, params.spatial_dim)
         if args.grid
@@ -466,7 +447,13 @@ def _identity_samples(seed, n_points, spatial_dim):
     return points
 
 
+def _require_points(args):
+    if args.points < 1:
+        raise CLIError(f"--points must be at least 1, got {args.points}")
+
+
 def cmd_identity(args):
+    _require_points(args)
     degree, seed, bound = parse_field_spec(args.field)
     if seed is None:
         seed = args.seed
@@ -560,6 +547,7 @@ def cmd_commutators(args):
 def cmd_fd_check(args):
     if (args.family is None) == (args.field is None):
         raise CLIError("give exactly one of --family or --field")
+    _require_points(args)
     if args.family:
         fam = parse_family(args.family)
         params = _resolve_params(fam, args.z, args.N)
@@ -572,7 +560,9 @@ def cmd_fd_check(args):
             seed = args.seed
         if seed is None:
             raise CLIError("random fields need a seed (--seed or seed= in --field)")
-        params = ModelParams(args.N, args.z if args.z is not None else 2.0)
+        params = ModelParams(
+            2 if args.N is None else args.N, 2.0 if args.z is None else args.z
+        )
         field = RandomPolynomialField(seed, params, degree, bound)
         target = args.field
     rng = np.random.default_rng(seed + 77)
@@ -612,15 +602,14 @@ def cmd_catalog(args):
     rows = []
     for name in sorted(DEFAULT_FAMILIES):
         fam = DEFAULT_FAMILIES[name]
-        need_z = solutions.required_z(fam)
         rows.append(
             {
                 "kind": "family",
                 "name": name,
                 "spec": family_spec(name),
-                "designated": ",".join(k.value for k in designated_residuals(fam)),
-                "N": solutions.required_spatial_dim(fam),
-                "z": "any" if need_z is None else _fmt_num(need_z),
+                "designated": ",".join(k.value for k in fam.designated),
+                "N": fam.spatial_dim,
+                "z": "any" if fam.z is None else _fmt_num(fam.z),
             }
         )
     for name, grammar in (
@@ -713,7 +702,7 @@ def build_parser():
     p.add_argument("--family", default=None)
     p.add_argument("--field", default=None)
     p.add_argument("--z", type=float, default=None)
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--N", type=int, default=None)
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)

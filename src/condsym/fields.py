@@ -162,7 +162,7 @@ class PolynomialFunction:
     """Multivariate polynomial with explicit monomial table.
 
     ``powers`` is an (M, dim) integer array of exponents, ``coeffs`` the
-    matching coefficients.  Evaluation runs through the compiled kernel.
+    matching coefficients.  Evaluation runs through ``poly_jet``.
     """
 
     def __init__(self, powers, coeffs):
@@ -235,11 +235,6 @@ class RandomPolynomialField(ScalarField):
         )
 
 
-def make_random_polynomial(seed, params, degree, coeff_bound=1.0):
-    """Factory matching the CLI's ``random:deg=...,seed=...`` grammar."""
-    return RandomPolynomialField(seed, params, degree, coeff_bound)
-
-
 class ProfileField(ScalarField):
     """Purely time-dependent field u(t, x) = q(t); useful on its own and
     as the translational part of explicit solutions."""
@@ -265,6 +260,5 @@ __all__ = [
     "monomial_table",
     "random_polynomial_function",
     "RandomPolynomialField",
-    "make_random_polynomial",
     "ProfileField",
 ]

@@ -9,7 +9,7 @@ Given the jet of a field u over (t, x_1..x_N), this module evaluates
 * ``monge_ampere``: determinant of the spatial Hessian block;
 
 and the residuals that combine them.  All determinants run through the
-compiled kernel (hard-coded cofactors up to 3x3, pivoted LU above).
+``det`` kernel (hard-coded cofactors up to 3x3, pivoted LU above).
 """
 
 import enum
@@ -219,11 +219,6 @@ class HarmonicPhi:
         return self.jet(jet2.seed(2, 0, w1_val), jet2.seed(2, 1, w2_val))
 
 
-def build_phi_from_harmonic(f, g, z):
-    """Construct the profile object; see :class:`HarmonicPhi`."""
-    return HarmonicPhi(f, g, z)
-
-
 def evaluate_residual(kind, jet, params, g=None):
     """Dispatch a single residual evaluation by kind."""
     if kind is ResidualKind.DIFFUSION:
@@ -274,7 +269,6 @@ __all__ = [
     "diffusion_gcallback",
     "reduced_residuals",
     "HarmonicPhi",
-    "build_phi_from_harmonic",
     "evaluate_residual",
     "residual_scale",
 ]

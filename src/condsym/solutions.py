@@ -1,9 +1,11 @@
 """Catalog of closed-form solution families.
 
-Each family is an immutable record evaluatable to a full second-order
-jet.  ``designated_residuals`` names the residual kinds a family must
-annihilate on its default grid; ``default_params`` and ``default_grid``
-give the canonical verification setup.
+Each family is an immutable record that owns its facts: ``spatial_dim``
+(the N it lives in), ``z`` (the exponent it needs, ``None`` when any z
+is admissible), ``designated`` (the residual kinds it must annihilate
+on its default grid) and ``jet`` (its second-order jet over arbitrary
+coordinate jets).  ``default_params`` and ``default_grid`` give the
+canonical verification setup.
 
 Domain guards (radicands, sector boundaries, coordinate poles) raise
 DomainError so that grid runners can count exclusions.
@@ -22,33 +24,103 @@ _COS_FLOOR = 1e-6
 _RADICAND_FLOOR = 1e-10
 _COORD_FLOOR = 1e-12
 
+_DIFFUSION = (ResidualKind.DIFFUSION,)
+_BOTH = (ResidualKind.DIFFUSION, ResidualKind.MONGE_AMPERE)
+
+
+def _check_positive_c(fam):
+    if fam.c <= 0.0:
+        raise ValueError("c must be positive")
+
+
+def _normalize_n(fam):
+    if fam.n != int(fam.n):
+        raise ValueError("n must be an integer")
+    object.__setattr__(fam, "n", int(fam.n))
+
+
+def _normalize_conical_z(fam):
+    object.__setattr__(fam, "z", float(fam.z))
+    if fam.z == 0.0:
+        raise ZeroDynamicalExponent("this family needs z != 0")
+    if fam.z == 1.0:
+        raise ValueError("z = 1 belongs to the radial family")
+
+
+def _power_shift(jt, e1, e2, n, z, jx):
+    """Apply X_a = x_a + e_a * t**((n+1)/z) to the two spatial jets."""
+    expo = (n + 1.0) / z
+    out = list(jx)
+    for i, coeff in enumerate((e1, e2)):
+        if coeff != 0.0:
+            out[i] = out[i] + coeff * jet2.power(jt, expo)
+    return out
+
+
+def _conical(c, z, xj, yj):
+    """2c * r * cos((1-z)*theta)**(1/(1-z)) over shifted coordinates."""
+    r2 = xj * xj + yj * yj
+    if r2.value <= _R2_FLOOR:
+        raise DomainError("too close to the profile axis r = 0")
+    theta = jet2.atan2_jet(yj, xj)
+    arg = jet2.cos((1.0 - z) * theta)
+    if arg.value <= _COS_FLOOR:
+        raise DomainError("outside the sector cos((1-z)*theta) > 0")
+    r = jet2.sqrt(r2)
+    return (2.0 * c) * r * jet2.power(arg, 1.0 / (1.0 - z))
+
 
 @dataclass(frozen=True)
 class OneDimZ0:
     """u = c * x * exp(-t) + q(t); N = 1, z = 0."""
 
+    spatial_dim = 1
+    z = 0.0
+    designated = _DIFFUSION
+
     c: float
     q: ProfileFunction
+
+    def jet(self, jt, jx):
+        return self.c * jx[0] * jet2.exp(-1.0 * jt) + self.q.jet(jt)
 
 
 @dataclass(frozen=True)
 class OneDimZ1:
     """u = c * x + q(t); N = 1, z = 1."""
 
+    spatial_dim = 1
+    z = 1.0
+    designated = _DIFFUSION
+
     c: float
     q: ProfileFunction
+
+    def jet(self, jt, jx):
+        return self.c * jx[0] + self.q.jet(jt)
 
 
 @dataclass(frozen=True)
 class OneDimGeneric:
     """u = q(t); N = 1, any z (q > 0 where exponents are fractional)."""
 
+    spatial_dim = 1
+    z = None
+    designated = _DIFFUSION
+
     q: ProfileFunction
+
+    def jet(self, jt, jx):
+        return self.q.jet(jt)
 
 
 @dataclass(frozen=True)
 class RadialZ1:
     """u = c * sqrt(X**2 + Y**2) with power-law shifts; N = 2, z = 1."""
+
+    spatial_dim = 2
+    z = 1.0
+    designated = _BOTH
 
     c: float
     e1: float
@@ -56,11 +128,15 @@ class RadialZ1:
     n: int
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-        if self.n != int(self.n):
-            raise ValueError("n must be an integer")
-        object.__setattr__(self, "n", int(self.n))
+        _check_positive_c(self)
+        _normalize_n(self)
+
+    def jet(self, jt, jx):
+        sx = _power_shift(jt, self.e1, self.e2, self.n, 1.0, jx)
+        r2 = sx[0] * sx[0] + sx[1] * sx[1]
+        if r2.value <= _R2_FLOOR:
+            raise DomainError("too close to the profile axis r = 0")
+        return self.c * jet2.sqrt(r2)
 
 
 @dataclass(frozen=True)
@@ -70,6 +146,9 @@ class GeneralZ:
     theta is the principal polar angle of (X, Y); N = 2, z not in {0, 1}.
     """
 
+    spatial_dim = 2
+    designated = _BOTH
+
     c: float
     e1: float
     e2: float
@@ -77,31 +156,49 @@ class GeneralZ:
     z: float
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-        if self.n != int(self.n):
-            raise ValueError("n must be an integer")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "z", float(self.z))
-        if self.z == 0.0:
-            raise ZeroDynamicalExponent("this family needs z != 0")
-        if self.z == 1.0:
-            raise ValueError("z = 1 belongs to the radial family")
+        _check_positive_c(self)
+        _normalize_n(self)
+        _normalize_conical_z(self)
+
+    def jet(self, jt, jx):
+        sx = _power_shift(jt, self.e1, self.e2, self.n, self.z, jx)
+        return _conical(self.c, self.z, sx[0], sx[1])
 
 
 @dataclass(frozen=True)
 class Z0Sqrt:
     """u = sqrt(psi(x1/x2) * x1**2 - 2t * (x1**2 + x2**2)); N = 2, z = 0."""
 
+    spatial_dim = 2
+    z = 0.0
+    designated = _BOTH
+
     psi: ProfileFunction
+
+    def jet(self, jt, jx):
+        x1, x2 = jx
+        if abs(x2.value) <= _COORD_FLOOR:
+            raise DomainError("ratio argument pole at x2 = 0")
+        ratio = jet2.div(x1, x2)
+        rad = self.psi.jet(ratio) * x1 * x1 - (2.0 * jt) * (x1 * x1 + x2 * x2)
+        if rad.value < _RADICAND_FLOOR:
+            raise DomainError("negative radicand")
+        return jet2.sqrt(rad)
 
 
 @dataclass(frozen=True)
 class Z0Linear:
     """u = x1 * psi1(t) + x2 * psi2(t); N = 2, z = 0."""
 
+    spatial_dim = 2
+    z = 0.0
+    designated = _BOTH
+
     psi1: ProfileFunction
     psi2: ProfileFunction
+
+    def jet(self, jt, jx):
+        return jx[0] * self.psi1.jet(jt) + jx[1] * self.psi2.jet(jt)
 
 
 @dataclass(frozen=True)
@@ -112,6 +209,9 @@ class GeneralYphi:
     Y = x2 + e2*phi2(t); N = 2, z not in {0, 1}.
     """
 
+    spatial_dim = 2
+    designated = _BOTH
+
     c: float
     e1: float
     e2: float
@@ -120,13 +220,13 @@ class GeneralYphi:
     phi2: ProfileFunction
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-        object.__setattr__(self, "z", float(self.z))
-        if self.z == 0.0:
-            raise ZeroDynamicalExponent("this family needs z != 0")
-        if self.z == 1.0:
-            raise ValueError("z = 1 belongs to the radial family")
+        _check_positive_c(self)
+        _normalize_conical_z(self)
+
+    def jet(self, jt, jx):
+        xj = jx[0] + self.e1 * self.phi1.jet(jt)
+        yj = jx[1] + self.e2 * self.phi2.jet(jt)
+        return _conical(self.c, self.z, xj, yj)
 
 
 @dataclass(frozen=True)
@@ -170,8 +270,11 @@ class MAOnly:
     """u = x1 * phi(x1/x2, ..., x1/xN): homogeneous of degree one, so the
     spatial Hessian is singular; N >= 2, any z."""
 
+    z = None
+    designated = (ResidualKind.MONGE_AMPERE,)
+
     spatial_dim: int
-    phi: object  # ProfileFunction (N = 2) or RatioPolynomial
+    phi: ProfileFunction | RatioPolynomial  # a ProfileFunction covers N = 2
 
     def __post_init__(self):
         if self.spatial_dim < 2:
@@ -190,6 +293,19 @@ class MAOnly:
         else:
             raise TypeError("phi must be a ProfileFunction or RatioPolynomial")
 
+    def jet(self, jt, jx):
+        x1 = jx[0]
+        ratios = []
+        for other in jx[1:]:
+            if abs(other.value) <= _COORD_FLOOR:
+                raise DomainError("ratio argument pole at x_j = 0")
+            ratios.append(jet2.div(x1, other))
+        if isinstance(self.phi, RatioPolynomial):
+            phi_jet = self.phi.jet(ratios)
+        else:
+            phi_jet = self.phi.jet(ratios[0])
+        return jet2.mul(x1, phi_jet)
+
 
 @dataclass(frozen=True)
 class ShiftedFamily:
@@ -205,135 +321,37 @@ class ShiftedFamily:
         if len(self.profiles) != len(self.e):
             raise DimensionMismatch("profiles and e must have equal length")
 
+    @property
+    def spatial_dim(self):
+        return self.base.spatial_dim
 
-_FAMILY_TYPES = (
-    OneDimZ0,
-    OneDimZ1,
-    OneDimGeneric,
-    RadialZ1,
-    GeneralZ,
-    Z0Sqrt,
-    Z0Linear,
-    GeneralYphi,
-    MAOnly,
-    ShiftedFamily,
-)
+    @property
+    def z(self):
+        return self.base.z
 
+    @property
+    def designated(self):
+        return self.base.designated
 
-def required_spatial_dim(fam):
-    if isinstance(fam, (OneDimZ0, OneDimZ1, OneDimGeneric)):
-        return 1
-    if isinstance(fam, MAOnly):
-        return fam.spatial_dim
-    if isinstance(fam, ShiftedFamily):
-        return required_spatial_dim(fam.base)
-    return 2
-
-
-def required_z(fam):
-    """The z a family demands, or None if any z is admissible."""
-    if isinstance(fam, (OneDimZ0, Z0Sqrt, Z0Linear)):
-        return 0.0
-    if isinstance(fam, (OneDimZ1, RadialZ1)):
-        return 1.0
-    if isinstance(fam, (GeneralZ, GeneralYphi)):
-        return fam.z
-    if isinstance(fam, ShiftedFamily):
-        return required_z(fam.base)
-    return None
+    def jet(self, jt, jx):
+        shifted = [
+            j + c * prof.jet(jt)
+            for j, c, prof in zip(jx, self.e, self.profiles)
+        ]
+        return self.base.jet(jt, shifted)
 
 
 def _check_family(fam, params):
-    if not isinstance(fam, _FAMILY_TYPES):
-        raise TypeError(f"not a solution family: {fam!r}")
-    need_n = required_spatial_dim(fam)
-    if params.spatial_dim != need_n:
+    if params.spatial_dim != fam.spatial_dim:
         raise DimensionMismatch(
-            f"{type(fam).__name__} needs N = {need_n}, params have "
+            f"{type(fam).__name__} needs N = {fam.spatial_dim}, params have "
             f"N = {params.spatial_dim}"
         )
-    need_z = required_z(fam)
-    if need_z is not None and params.z != need_z:
+    if fam.z is not None and params.z != fam.z:
         raise ValueError(
-            f"{type(fam).__name__} needs z = {need_z}, params have "
+            f"{type(fam).__name__} needs z = {fam.z}, params have "
             f"z = {params.z}"
         )
-
-
-def _power_shift(jt, e1, e2, n, z, jx):
-    """Apply X_a = x_a + e_a * t**((n+1)/z) to the two spatial jets."""
-    expo = (n + 1.0) / z
-    out = list(jx)
-    for i, coeff in enumerate((e1, e2)):
-        if coeff != 0.0:
-            out[i] = out[i] + coeff * jet2.power(jt, expo)
-    return out
-
-
-def _conical(c, z, xj, yj):
-    """2c * r * cos((1-z)*theta)**(1/(1-z)) over shifted coordinates."""
-    r2 = xj * xj + yj * yj
-    if r2.value <= _R2_FLOOR:
-        raise DomainError("too close to the profile axis r = 0")
-    theta = jet2.atan2_jet(yj, xj)
-    arg = jet2.cos((1.0 - z) * theta)
-    if arg.value <= _COS_FLOOR:
-        raise DomainError("outside the sector cos((1-z)*theta) > 0")
-    r = jet2.sqrt(r2)
-    return (2.0 * c) * r * jet2.power(arg, 1.0 / (1.0 - z))
-
-
-def _core(fam, params, jt, jx):
-    """Jet of the family over arbitrary coordinate jets (t, x...)."""
-    if isinstance(fam, OneDimZ0):
-        return fam.c * jx[0] * jet2.exp(-1.0 * jt) + fam.q.jet(jt)
-    if isinstance(fam, OneDimZ1):
-        return fam.c * jx[0] + fam.q.jet(jt)
-    if isinstance(fam, OneDimGeneric):
-        return fam.q.jet(jt)
-    if isinstance(fam, RadialZ1):
-        sx = _power_shift(jt, fam.e1, fam.e2, fam.n, 1.0, jx)
-        r2 = sx[0] * sx[0] + sx[1] * sx[1]
-        if r2.value <= _R2_FLOOR:
-            raise DomainError("too close to the profile axis r = 0")
-        return fam.c * jet2.sqrt(r2)
-    if isinstance(fam, GeneralZ):
-        sx = _power_shift(jt, fam.e1, fam.e2, fam.n, fam.z, jx)
-        return _conical(fam.c, fam.z, sx[0], sx[1])
-    if isinstance(fam, Z0Sqrt):
-        x1, x2 = jx
-        if abs(x2.value) <= _COORD_FLOOR:
-            raise DomainError("ratio argument pole at x2 = 0")
-        ratio = jet2.div(x1, x2)
-        rad = fam.psi.jet(ratio) * x1 * x1 - (2.0 * jt) * (x1 * x1 + x2 * x2)
-        if rad.value < _RADICAND_FLOOR:
-            raise DomainError("negative radicand")
-        return jet2.sqrt(rad)
-    if isinstance(fam, Z0Linear):
-        return jx[0] * fam.psi1.jet(jt) + jx[1] * fam.psi2.jet(jt)
-    if isinstance(fam, GeneralYphi):
-        xj = jx[0] + fam.e1 * fam.phi1.jet(jt)
-        yj = jx[1] + fam.e2 * fam.phi2.jet(jt)
-        return _conical(fam.c, fam.z, xj, yj)
-    if isinstance(fam, MAOnly):
-        x1 = jx[0]
-        ratios = []
-        for other in jx[1:]:
-            if abs(other.value) <= _COORD_FLOOR:
-                raise DomainError("ratio argument pole at x_j = 0")
-            ratios.append(jet2.div(x1, other))
-        if isinstance(fam.phi, RatioPolynomial):
-            phi_jet = fam.phi.jet(ratios)
-        else:
-            phi_jet = fam.phi.jet(ratios[0])
-        return jet2.mul(x1, phi_jet)
-    if isinstance(fam, ShiftedFamily):
-        shifted = [
-            j + c * prof.jet(jt)
-            for j, c, prof in zip(jx, fam.e, fam.profiles)
-        ]
-        return _core(fam.base, params, jt, shifted)
-    raise TypeError(f"not a solution family: {fam!r}")
 
 
 def evaluate_solution(fam, params, point):
@@ -347,7 +365,7 @@ def evaluate_solution(fam, params, point):
     d = params.jet_dim
     jt = jet2.seed(d, 0, point.t)
     jx = [jet2.seed(d, 1 + i, v) for i, v in enumerate(point.x)]
-    return _core(fam, params, jt, jx)
+    return fam.jet(jt, jx)
 
 
 class SolutionField(ScalarField):
@@ -363,19 +381,6 @@ class SolutionField(ScalarField):
         return f"SolutionField({self.family!r})"
 
 
-def designated_residuals(fam):
-    """The residual kinds the family is required to annihilate."""
-    if isinstance(fam, (OneDimZ0, OneDimZ1, OneDimGeneric)):
-        return (ResidualKind.DIFFUSION,)
-    if isinstance(fam, MAOnly):
-        return (ResidualKind.MONGE_AMPERE,)
-    if isinstance(fam, ShiftedFamily):
-        return designated_residuals(fam.base)
-    if isinstance(fam, _FAMILY_TYPES):
-        return (ResidualKind.DIFFUSION, ResidualKind.MONGE_AMPERE)
-    raise TypeError(f"not a solution family: {fam!r}")
-
-
 def shift_by_yphi(fam, profiles, e):
     """The family with x_a replaced by x_a + e_a * phi_a(t).
 
@@ -383,7 +388,7 @@ def shift_by_yphi(fam, profiles, e):
     negated shifts; with e = 0 it is the identity.  Defined for N = 2
     families.
     """
-    if required_spatial_dim(fam) != 2:
+    if fam.spatial_dim != 2:
         raise DimensionMismatch("shifts are defined for N = 2 families")
     profiles = tuple(profiles)
     e = tuple(float(c) for c in e)
@@ -416,20 +421,20 @@ def ansatz_profile(fam):
 
 def default_params(fam, z=None):
     """Canonical ModelParams for a family; ``z`` overrides where free."""
-    need_z = required_z(fam)
+    need_z = fam.z
     if need_z is None:
         need_z = 2.0 if z is None else float(z)
     elif z is not None and float(z) != need_z:
         raise ValueError(
             f"{type(fam).__name__} fixes z = {need_z}; cannot use z = {z}"
         )
-    return ModelParams(spatial_dim=required_spatial_dim(fam), z=need_z)
+    return ModelParams(spatial_dim=fam.spatial_dim, z=need_z)
 
 
 def default_grid(fam):
     """Default verification grid (counts chosen so that every family
     keeps at least 1000 admissible points after domain exclusions)."""
-    n = required_spatial_dim(fam)
+    n = fam.spatial_dim
     if n == 1:
         return GridSpec((0.5, 2.0, 42), ((-1.0, 1.0, 42),))
     if n == 2:
@@ -483,11 +488,8 @@ __all__ = [
     "RatioPolynomial",
     "MAOnly",
     "ShiftedFamily",
-    "required_spatial_dim",
-    "required_z",
     "evaluate_solution",
     "SolutionField",
-    "designated_residuals",
     "shift_by_yphi",
     "ansatz_profile",
     "default_params",

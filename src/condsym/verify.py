@@ -68,9 +68,9 @@ class ResidualReport:
 
     ``max_abs`` and ``rms`` are scale-normalized; the raw maximum is
     kept in ``raw_max_abs`` for diagnostics and is not serialized.
-    A report passes iff at least one point was evaluated, the normalized
-    maximum is within tolerance, and no more than half the grid was
-    excluded.
+    A report passes iff at least one point was evaluated, every evaluated
+    residual and scale is finite, the normalized maximum is within
+    tolerance, and no more than half the grid was excluded.
     """
 
     equation: str
@@ -115,6 +115,7 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
         max_raw = 0.0
         sumsq = 0.0
         worst = None
+        finite = True
         for pt in grid.points():
             if grid.exclusion is not None and grid.exclusion(pt):
                 excluded += 1
@@ -125,8 +126,10 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
             except DomainError:
                 excluded += 1
                 continue
-            norm = float(abs(raw)) / residual_scale(kind, jet, params)
+            scale = residual_scale(kind, jet, params)
+            norm = float(abs(raw)) / scale
             evaluated += 1
+            finite = finite and math.isfinite(raw) and math.isfinite(scale)
             sumsq += norm * norm
             if abs(raw) > max_raw:
                 max_raw = float(abs(raw))
@@ -135,7 +138,8 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
                 worst = pt
         total = evaluated + excluded
         ok = bool(
-            evaluated > 0
+            finite
+            and evaluated > 0
             and max_norm <= tol
             and excluded <= 0.5 * total
         )
@@ -158,7 +162,9 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
 
 
 def _rel(a, b):
-    return abs(a - b) / (1.0 + abs(b))
+    """Relative deviation; inf when either side is not finite."""
+    err = abs(a - b) / (1.0 + abs(b))
+    return err if math.isfinite(err) else math.inf
 
 
 def fd_crosscheck(field, params, points, h):
@@ -166,8 +172,9 @@ def fd_crosscheck(field, params, points, h):
 
     First derivatives use (f(p+h) - f(p-h)) / 2h; second derivatives the
     standard three-point and four-point (mixed) second-order stencils.
-    The relative error denominator is 1 + |jet entry|.  Stencil points
-    outside the field's domain raise DomainError.
+    The relative error denominator is 1 + |jet entry|.  A non-finite jet
+    entry or stencil value gives inf.  Stencil points outside the field's
+    domain raise DomainError.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")

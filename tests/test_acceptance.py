@@ -21,8 +21,8 @@ from condsym.fields import (
     random_polynomial_function,
 )
 from condsym.operators import (
+    HarmonicPhi,
     ResidualKind,
-    build_phi_from_harmonic,
     monge_ampere,
     reduced_residuals,
     residual_scale,
@@ -35,7 +35,6 @@ from condsym.solutions import (
     ansatz_profile,
     default_grid,
     default_params,
-    designated_residuals,
     evaluate_solution,
 )
 from condsym.symmetry import (
@@ -129,7 +128,7 @@ def test_criterion_1_catalog_families_pass_designated_residuals():
         params = default_params(fam)
         reports = run_residual_suite(
             SolutionField(fam),
-            designated_residuals(fam),
+            fam.designated,
             params,
             default_grid(fam),
             1e-8,
@@ -253,7 +252,7 @@ def test_criterion_5_reduction_chain():
     for z in (1.0, 2.0):
         for text, (lo1, hi1, lo2, hi2) in windows.items():
             f = parse_profile(text)
-            phi = build_phi_from_harmonic(f, f, z)
+            phi = HarmonicPhi(f, f, z)
             rng = np.random.default_rng(51)
             for _ in range(40):
                 a = float(rng.uniform(lo1, hi1))

@@ -1,6 +1,7 @@
 """Command-line interface: grammars, formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -69,6 +70,31 @@ def test_parse_family_errors():
 def test_family_spec_round_trips_catalog():
     for name in DEFAULT_FAMILIES:
         assert parse_family(family_spec(name)) == DEFAULT_FAMILIES[name]
+
+
+# a valid value for every field of every catalog family, each differing
+# from the catalog default
+_OVERRIDES = {
+    "one-dim-z0": "c=2,q=poly:1,2",
+    "one-dim-z1": "c=1.5,q=exp:1,-1",
+    "one-dim-generic": "q=poly:2,0,1",
+    "radial-z1": "c=2,e1=0.25,e2=0.1,n=2",
+    "general-z": "c=2,e1=0.5,e2=0.1,n=2,z=3",
+    "z0-sqrt": "psi=const:16",
+    "z0-linear": "psi1=sin:1,1,0,psi2=poly:0,1",
+    "general-yphi": "c=2,e1=0.3,e2=0.2,z=3,phi1=const:1,phi2=sin:1,1,0",
+    "ma-only": "N=2,phi=sin:1,1,0.5",
+}
+
+
+def test_parse_family_overrides_every_field():
+    assert set(_OVERRIDES) == set(DEFAULT_FAMILIES)
+    for name, overrides in _OVERRIDES.items():
+        fam = parse_family(f"{name}:{overrides}")
+        default = DEFAULT_FAMILIES[name]
+        for f in dataclasses.fields(fam):
+            assert getattr(fam, f.name) != getattr(default, f.name), (name, f.name)
+        assert parse_family(family_spec(name, fam)) == fam
 
 
 def test_parse_group_variants():
@@ -237,6 +263,27 @@ def test_fd_check_family(capsys):
     assert code == 0
     row = json.loads(out)[0]
     assert row["pass"] and row["points"] == 20
+
+
+def test_fd_check_takes_n_from_family(capsys):
+    code, out, _ = run_cli(capsys, "fd-check", "--family", "one-dim-z0")
+    assert code == 0
+    assert run_cli(capsys, "fd-check", "--family", "one-dim-z0", "--N", "1")[:2] == (
+        0,
+        out,
+    )
+    code, _, _ = run_cli(
+        capsys, "fd-check", "--family", "ma-only", "--points", "20"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [("identity", "--seed", "3"), ("fd-check", "--family", "radial-z1")]
+)
+def test_zero_points_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--points", "0")
+    assert code == 2 and out == "" and "--points" in err
 
 
 def test_fd_check_field_needs_seed(capsys):

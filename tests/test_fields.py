@@ -16,7 +16,6 @@ from condsym.fields import (
     RandomPolynomialField,
     constant_profile,
     evaluate,
-    make_random_polynomial,
     monomial_table,
     parse_profile,
     random_polynomial_function,
@@ -126,7 +125,7 @@ def test_random_field_shape_checks():
 
 def test_make_random_polynomial_coeff_bound():
     params = ModelParams(1, 2.0)
-    field = make_random_polynomial(3, params, 2, coeff_bound=0.25)
+    field = RandomPolynomialField(3, params, 2, coeff_bound=0.25)
     assert field.coeff_bound == 0.25
     assert field.seed == 3 and field.degree == 2
 

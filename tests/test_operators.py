@@ -13,7 +13,6 @@ from condsym.fields import ModelParams, parse_profile, random_polynomial_functio
 from condsym.operators import (
     HarmonicPhi,
     ResidualKind,
-    build_phi_from_harmonic,
     diffusion_gcallback,
     diffusion_residual,
     evaluate_residual,
@@ -145,7 +144,7 @@ def test_reduced_residuals_need_two_variables():
 )
 def test_harmonic_phi_kills_first_reduced_equation(z, text, w_window):
     f = parse_profile(text)
-    phi = build_phi_from_harmonic(f, f, z)
+    phi = HarmonicPhi(f, f, z)
     lo1, hi1, lo2, hi2 = w_window
     rng = np.random.default_rng(17)
     worst = 0.0

@@ -29,10 +29,7 @@ from condsym.solutions import (
     ansatz_profile,
     default_grid,
     default_params,
-    designated_residuals,
     evaluate_solution,
-    required_spatial_dim,
-    required_z,
     shift_by_yphi,
 )
 
@@ -170,17 +167,13 @@ def test_default_params_conflict():
 
 
 def test_required_metadata():
-    assert required_spatial_dim(DEFAULT_FAMILIES["one-dim-z0"]) == 1
-    assert required_spatial_dim(DEFAULT_FAMILIES["ma-only"]) == 3
-    assert required_z(DEFAULT_FAMILIES["one-dim-z1"]) == 1.0
-    assert required_z(DEFAULT_FAMILIES["z0-sqrt"]) == 0.0
-    assert required_z(DEFAULT_FAMILIES["one-dim-generic"]) is None
-    assert designated_residuals(DEFAULT_FAMILIES["ma-only"]) == (
-        ResidualKind.MONGE_AMPERE,
-    )
-    assert designated_residuals(DEFAULT_FAMILIES["one-dim-z0"]) == (
-        ResidualKind.DIFFUSION,
-    )
+    assert DEFAULT_FAMILIES["one-dim-z0"].spatial_dim == 1
+    assert DEFAULT_FAMILIES["ma-only"].spatial_dim == 3
+    assert DEFAULT_FAMILIES["one-dim-z1"].z == 1.0
+    assert DEFAULT_FAMILIES["z0-sqrt"].z == 0.0
+    assert DEFAULT_FAMILIES["one-dim-generic"].z is None
+    assert DEFAULT_FAMILIES["ma-only"].designated == (ResidualKind.MONGE_AMPERE,)
+    assert DEFAULT_FAMILIES["one-dim-z0"].designated == (ResidualKind.DIFFUSION,)
 
 
 def test_shift_by_yphi_preserves_solutions():
@@ -242,7 +235,7 @@ def test_ansatz_profile_only_for_general_z():
 def test_default_grids_are_admissible():
     for name, fam in DEFAULT_FAMILIES.items():
         grid = default_grid(fam)
-        assert grid.spatial_dim == required_spatial_dim(fam)
+        assert grid.spatial_dim == fam.spatial_dim
         assert grid.total_points >= 1000
         lo, hi, _ = grid.t_range
         assert lo > 0

@@ -42,6 +42,22 @@ class _HalfPlane(ScalarField):
         return jet2.add(jet2.mul(jt, j1), jet2.ln(j1))
 
 
+class _NaNAfter(ScalarField):
+    """``base`` for the first ``finite`` evaluations, all-NaN jets after."""
+
+    def __init__(self, base, finite):
+        self.base = base
+        self.left = finite
+
+    def evaluate(self, params, point):
+        self.left -= 1
+        if self.left >= 0:
+            return self.base.evaluate(params, point)
+        nan = math.nan
+        d = params.jet_dim
+        return jet2.Jet2(nan, [nan] * d, [[nan] * d] * d)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec((1.0, 0.5, 4), ((-1.0, 1.0, 4),))
@@ -135,6 +151,20 @@ def test_majority_exclusion_fails_even_if_accurate():
     assert not report.passed
 
 
+@pytest.mark.parametrize("finite, passed", [(10**6, True), (1, False), (0, False)])
+def test_non_finite_residual_fails(finite, passed):
+    # NaN after a finite first point used to pass: max(0.0, nan) is 0.0
+    fam = DEFAULT_FAMILIES["radial-z1"]
+    params = default_params(fam)
+    grid = GridSpec((0.8, 1.4, 3), ((0.2, 0.9, 4),) * 2)
+    field = _NaNAfter(SolutionField(fam), finite)
+    (report,) = run_residual_suite(
+        field, [ResidualKind.DIFFUSION], params, grid, 1e-8
+    )
+    assert report.points_evaluated == grid.total_points
+    assert report.passed is passed
+
+
 def test_grid_params_dim_mismatch():
     grid = GridSpec((0.5, 1.0, 2), ((0.0, 1.0, 2),))
     with pytest.raises(DimensionMismatch):
@@ -188,3 +218,11 @@ def test_fd_crosscheck_propagates_domain_errors():
     params = ModelParams(2, 2.0)
     with pytest.raises(DomainError):
         fd_crosscheck(_HalfPlane(), params, [Point(1.0, (1e-5, 0.0))], h=1e-4)
+
+
+@pytest.mark.parametrize("finite", [1, 0])
+def test_fd_crosscheck_non_finite_is_inf(finite):
+    params = ModelParams(2, 2.0)
+    field = _NaNAfter(RandomPolynomialField(6, params, 3), finite)
+    pts = [Point(1.0, (0.3, -0.4))]
+    assert fd_crosscheck(field, params, pts, h=1e-4) == math.inf
