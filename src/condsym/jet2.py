@@ -214,6 +214,24 @@ def power(a, p):
     return univariate(a, f0, f1, f2)
 
 
+def rpow(base, p):
+    """Real power of a plain float: the scalar twin of :func:`power`.
+
+    Same domain, but only an exact zero base is a pole (no near-zero
+    guard), and integer powers use ``float ** int`` rather than repeated
+    multiplication, so the last bits can differ from ``power(...).value``.
+    """
+    if p == int(p):
+        if base == 0.0 and p < 0.0:
+            raise DomainError("negative power of zero")
+        return float(base) ** int(p)
+    if base <= 0.0:
+        raise DomainError(
+            f"fractional power {p!r} of non-positive value {base!r}"
+        )
+    return float(base) ** p
+
+
 def _ipow(v, k):
     if k >= 0:
         out = 1.0

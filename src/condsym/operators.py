@@ -64,21 +64,6 @@ def monge_ampere(jet, params):
     return det(np.array(jet.hess[1:, 1:]))
 
 
-def _rpow(base, p):
-    """Real power of a plain float with the same domain rules as jets."""
-    if p == 0.0:
-        return 1.0
-    if p == int(p):
-        if base == 0.0 and p < 0.0:
-            raise DomainError("negative power of zero")
-        return float(base) ** int(p)
-    if base <= 0.0:
-        raise DomainError(
-            f"fractional power {p!r} of non-positive value {base!r}"
-        )
-    return float(base) ** p
-
-
 def diffusion_residual(jet, params):
     """w1 minus the divergence-form right-hand side.
 
@@ -91,8 +76,8 @@ def diffusion_residual(jet, params):
     n = params.spatial_dim
     coeff = 2.0 - params.z - n
     u = jet.value
-    p1 = _rpow(u, coeff)
-    p2 = _rpow(u, coeff - 1.0) if coeff != 0.0 else 0.0
+    p1 = jet2.rpow(u, coeff)
+    p2 = jet2.rpow(u, coeff - 1.0) if coeff != 0.0 else 0.0
     rhs = 0.0
     for a in range(1, n + 1):
         rhs += p1 * jet.hess[a, a]
@@ -125,7 +110,7 @@ def general_residual(jet, params, g):
     grads = np.array(jet.grad[1:])
     scaled_hess = u * np.array(jet.hess[1:, 1:])
     gval = float(g(grads, scaled_hess))
-    return w1(jet, params) - _rpow(u, 1.0 - params.z - n) * gval
+    return w1(jet, params) - jet2.rpow(u, 1.0 - params.z - n) * gval
 
 
 def diffusion_gcallback(params):

@@ -19,25 +19,14 @@ Conventions:
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import jet2
-from .errors import (
-    BranchError,
-    DimensionMismatch,
-    DomainError,
-    ZeroDynamicalExponent,
-)
+from .errors import BranchError, DimensionMismatch, ZeroDynamicalExponent
 from .fields import Point, ProfileFunction, ScalarField, evaluate
 from .operators import monge_ampere, w1
-
-
-def _tpow(t, k):
-    """t**k for integer k; the pole at t = 0 is a domain error."""
-    if t == 0.0 and k < 0:
-        raise DomainError("negative power of t = 0")
-    return float(t) ** int(k)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +125,7 @@ def _xn_generic_data(n, eps, z, t):
     to their dedicated forms first."""
     if z == 0.0:
         raise ZeroDynamicalExponent("the generic Xn formula needs z != 0")
-    s = 1.0 - z * n * eps * _tpow(t, n)
+    s = 1.0 - z * n * eps * jet2.rpow(t, n)
     if s <= 0.0:
         raise BranchError(
             f"outside the small-parameter branch: 1 - z*n*eps*t^n = {s!r}"
@@ -144,7 +133,7 @@ def _xn_generic_data(n, eps, z, t):
     beta = (n + 1.0) / (z * n)
     a_val = s ** (-beta)
     t_prime = t * s ** (-1.0 / n)
-    cn = n * (n + 1.0) * eps * _tpow(t, n - 1)
+    cn = n * (n + 1.0) * eps * jet2.rpow(t, n - 1)
     return t_prime, a_val, cn, z * n / (n + 1.0)
 
 
@@ -161,8 +150,8 @@ def _xn_data(g, params, t):
     if n == 0:
         return t * math.exp(z * eps), math.exp(eps), 0.0, 0.0
     if z == 0.0:
-        w = eps * _tpow(t, n)
-        return t, math.exp(w), eps * n * _tpow(t, n - 1), 0.0
+        w = eps * jet2.rpow(t, n)
+        return t, math.exp(w), eps * n * jet2.rpow(t, n - 1), 0.0
     return _xn_generic_data(n, eps, z, t)
 
 
@@ -184,7 +173,7 @@ def transform_point(g, params, p):
         xp = tuple(v * a_val for v in p.x)
         return Point(t_prime, xp), TransformFactors(a_val, t_prime, cn)
     if isinstance(g, Yk):
-        shift = _tpow(p.t, g.k)
+        shift = jet2.rpow(p.t, g.k)
         xp = tuple(x + c * shift for x, c in zip(p.x, g.v))
         return Point(p.t, xp), TransformFactors(1.0, p.t, 0.0)
     if isinstance(g, Yphi):
@@ -290,7 +279,36 @@ def pushforward_field(g, params, u):
     return PushforwardField(g, u)
 
 
-def derivative_law_gap(g, params, u, p):
+class XnTransport(NamedTuple):
+    """The jets of u at ``p`` (``base``) and of its Xn pushforward at the
+    image of ``p`` (``prime``), with the spatial scale A, the obstruction
+    coefficient C and the obstruction exponent E of :func:`_xn_data`."""
+
+    params: object
+    p: Point
+    base: object
+    prime: object
+    A: float
+    C: float
+    E: float
+
+
+def xn_transport(g, params, u, p):
+    """Transport ``u`` by ``g`` at ``p`` once; the derivative laws, the
+    determinant identity and the obstruction term are read from it."""
+    if not isinstance(g, Xn):
+        raise TypeError("the transport laws are stated for Xn elements")
+    if g.lam != 1.0:
+        raise ValueError("the transport laws assume the weight lam = 1")
+    _check_point(params, p)
+    t_prime, a_val, cn, e_obs = _xn_data(g, params, p.t)
+    q = Point(t_prime, tuple(v * a_val for v in p.x))
+    base = evaluate(u, params, p)
+    prime = evaluate(PushforwardField(g, u), params, q)
+    return XnTransport(params, p, base, prime, a_val, cn, e_obs)
+
+
+def derivative_law_gap(tr):
     """Deviation of the transported jet from the closed-form laws.
 
     With A = A(t), C = obstruction_coeff and E the obstruction exponent,
@@ -304,17 +322,10 @@ def derivative_law_gap(g, params, u, p):
 
     Returns the maximum absolute violation over all listed entries.
     """
-    if not isinstance(g, Xn):
-        raise TypeError("derivative laws are stated for Xn elements")
-    if g.lam != 1.0:
-        raise ValueError("derivative laws assume the weight lam = 1")
-    q, _ = transform_point(g, params, p)
-    _, a_val, cn, e_obs = _xn_data(g, params, p.t)
-    base = evaluate(u, params, p)
-    prime = evaluate(pushforward_field(g, params, u), params, q)
-    z = params.z
-    nsp = params.spatial_dim
-    x = np.array(p.x)
+    base, prime, a_val, cn, e_obs = tr.base, tr.prime, tr.A, tr.C, tr.E
+    z = tr.params.z
+    nsp = tr.params.spatial_dim
+    x = np.array(tr.p.x)
     xdot_grad = float(x @ base.grad[1:])
     gaps = [abs(prime.value - a_val * base.value)]
     pred_t = a_val ** (1.0 - z) * base.grad[0] + (
@@ -332,23 +343,18 @@ def derivative_law_gap(g, params, u, p):
     return float(max(gaps))
 
 
-def obstruction_term(g, params, u, p):
+def obstruction_term(tr):
     """The signed obstruction summand of the determinant identity."""
-    if not isinstance(g, Xn):
-        raise TypeError("obstruction term is defined for Xn elements")
-    _, a_val, cn, e_obs = _xn_data(g, params, p.t)
-    base = evaluate(u, params, p)
-    z = params.z
-    nsp = params.spatial_dim
+    nsp = tr.params.spatial_dim
     return float(
-        cn
-        * a_val ** (e_obs + 1.0 - nsp - z)
-        * base.value
-        * monge_ampere(base, params)
+        tr.C
+        * tr.A ** (tr.E + 1.0 - nsp - tr.params.z)
+        * tr.base.value
+        * monge_ampere(tr.base, tr.params)
     )
 
 
-def pushforward_identity_gap(g, params, u, p):
+def pushforward_identity_gap(tr):
     """Violation of the determinant identity under an Xn pushforward.
 
     The transported field's mixed determinant at the transformed point
@@ -356,24 +362,10 @@ def pushforward_identity_gap(g, params, u, p):
     :func:`obstruction_term`.  The returned gap is the absolute
     difference, without normalization.
     """
-    if not isinstance(g, Xn):
-        raise TypeError("the identity is stated for Xn elements")
-    if g.lam != 1.0:
-        raise ValueError("the identity assumes the weight lam = 1")
-    q, _ = transform_point(g, params, p)
-    _, a_val, cn, e_obs = _xn_data(g, params, p.t)
-    base = evaluate(u, params, p)
-    prime = evaluate(pushforward_field(g, params, u), params, q)
-    z = params.z
-    nsp = params.spatial_dim
-    lhs = w1(prime, params)
-    rhs = a_val ** (1.0 - z - nsp) * w1(base, params) + (
-        cn
-        * a_val ** (e_obs + 1.0 - nsp - z)
-        * base.value
-        * monge_ampere(base, params)
-    )
-    return float(abs(lhs - rhs))
+    params = tr.params
+    scale = tr.A ** (1.0 - params.z - params.spatial_dim)
+    rhs = scale * w1(tr.base, params) + obstruction_term(tr)
+    return float(abs(w1(tr.prime, params) - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +410,13 @@ def _gen_xi(gen, params, y):
     t = y[0]
     if isinstance(gen, GenXn):
         n = gen.n
-        tn = _tpow(t, n)
-        xi[0] = params.z * _tpow(t, n + 1)
+        tn = jet2.rpow(t, n)
+        xi[0] = params.z * jet2.rpow(t, n + 1)
         for a in range(1, nsp + 1):
             xi[a] = (n + 1) * tn * y[a]
         xi[nsp + 1] = (n + 1) * tn * y[nsp + 1]
     elif isinstance(gen, GenYk):
-        xi[gen.axis] = _tpow(t, gen.k)
+        xi[gen.axis] = jet2.rpow(t, gen.k)
     elif isinstance(gen, GenJab):
         xi[gen.b] = y[gen.a]
         xi[gen.a] = -y[gen.b]
@@ -442,8 +434,8 @@ def _gen_dxi(gen, params, y):
     t = y[0]
     if isinstance(gen, GenXn):
         n = gen.n
-        tn = _tpow(t, n)
-        tn1 = n * _tpow(t, n - 1) if n != 0 else 0.0
+        tn = jet2.rpow(t, n)
+        tn1 = n * jet2.rpow(t, n - 1) if n != 0 else 0.0
         dxi[0, 0] = params.z * (n + 1) * tn
         for a in range(1, nsp + 1):
             dxi[a, 0] = (n + 1) * tn1 * y[a]
@@ -451,7 +443,7 @@ def _gen_dxi(gen, params, y):
         dxi[nsp + 1, 0] = (n + 1) * tn1 * y[nsp + 1]
         dxi[nsp + 1, nsp + 1] = (n + 1) * tn
     elif isinstance(gen, GenYk):
-        dxi[gen.axis, 0] = gen.k * _tpow(t, gen.k - 1) if gen.k != 0 else 0.0
+        dxi[gen.axis, 0] = gen.k * jet2.rpow(t, gen.k - 1) if gen.k != 0 else 0.0
     elif isinstance(gen, GenJab):
         dxi[gen.b, gen.a] = 1.0
         dxi[gen.a, gen.b] = -1.0
@@ -460,13 +452,17 @@ def _gen_dxi(gen, params, y):
     return dxi
 
 
-class AppliedGenerator:
-    """The function gen(F) for a jet-evaluatable test function F.
+def _xi_dot_grad(gen, params, y, grad):
+    """The generator applied to a function with gradient ``grad`` at y."""
+    xi = _gen_xi(gen, params, y)
+    total = 0.0
+    for a in range(len(xi)):
+        total += xi[a] * grad[a]
+    return float(total)
 
-    Exposes value and gradient; applying a generator to an already
-    applied generator is supported one level deep, which is what nested
-    commutators need.
-    """
+
+class AppliedGenerator:
+    """The function gen(F) for a jet-evaluatable test function F."""
 
     def __init__(self, gen, params, base):
         self.gen = gen
@@ -475,24 +471,7 @@ class AppliedGenerator:
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        xi = _gen_xi(self.gen, self.params, y)
-        if hasattr(self.base, "jet"):
-            grad = self.base.jet(y).grad
-        else:
-            grad = self.base.grad(y)
-        total = 0.0
-        for a in range(len(xi)):
-            total += xi[a] * grad[a]
-        return float(total)
-
-    def grad(self, y):
-        y = np.asarray(y, dtype=float)
-        if not hasattr(self.base, "jet"):
-            raise TypeError("cannot take gradients of doubly applied generators")
-        j = self.base.jet(y)
-        xi = _gen_xi(self.gen, self.params, y)
-        dxi = _gen_dxi(self.gen, self.params, y)
-        return dxi.T @ j.grad + j.hess @ xi
+        return _xi_dot_grad(self.gen, self.params, y, self.base.jet(y).grad)
 
 
 def apply_generator(gen, params, f):
@@ -534,7 +513,7 @@ def commutator_gap(g1, g2, expected, params, f, y):
             lhs += (p + q) * j.hess[i, k]
     rhs = 0.0
     for coeff, gen in expected:
-        rhs += float(coeff) * apply_generator(gen, params, f).value(y)
+        rhs += float(coeff) * _xi_dot_grad(gen, params, y, j.grad)
     return float(abs(lhs - rhs))
 
 
@@ -607,6 +586,8 @@ __all__ = [
     "inverse_element",
     "PushforwardField",
     "pushforward_field",
+    "XnTransport",
+    "xn_transport",
     "derivative_law_gap",
     "obstruction_term",
     "pushforward_identity_gap",

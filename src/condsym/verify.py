@@ -100,7 +100,8 @@ class ResidualReport:
 
 
 def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
-    """One ResidualReport per kind; domain errors count as exclusions."""
+    """One ResidualReport per kind; domain errors count as exclusions,
+    overflows as non-finite evaluations."""
     if grid.spatial_dim != params.spatial_dim:
         raise DimensionMismatch(
             f"grid has {grid.spatial_dim} spatial axes, params expect "
@@ -123,10 +124,15 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
             try:
                 jet = evaluate(field, params, pt)
                 raw = evaluate_residual(kind, jet, params, g)
+                scale = residual_scale(kind, jet, params)
             except DomainError:
                 excluded += 1
                 continue
-            scale = residual_scale(kind, jet, params)
+            except OverflowError:
+                # a value past the float range is a non-finite result
+                evaluated += 1
+                finite = False
+                continue
             norm = float(abs(raw)) / scale
             evaluated += 1
             finite = finite and math.isfinite(raw) and math.isfinite(scale)

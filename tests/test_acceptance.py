@@ -52,6 +52,7 @@ from condsym.symmetry import (
     obstruction_term,
     pushforward_identity_gap,
     transform_point,
+    xn_transport,
 )
 from condsym.verify import run_residual_suite
 
@@ -98,12 +99,11 @@ def law_sweep():
                     idg = 0.0
                     witness = 0.0
                     for p in pts:
-                        law = max(law, derivative_law_gap(g, params, u, p))
-                        idg = max(idg, pushforward_identity_gap(g, params, u, p))
+                        tr = xn_transport(g, params, u, p)
+                        law = max(law, derivative_law_gap(tr))
+                        idg = max(idg, pushforward_identity_gap(tr))
                         if n not in (-1, 0):
-                            witness = max(
-                                witness, abs(obstruction_term(g, params, u, p))
-                            )
+                            witness = max(witness, abs(obstruction_term(tr)))
                     rows.append(
                         {
                             "N": spatial_dim,

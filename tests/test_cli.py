@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from condsym import cli
 from condsym.cli import (
     CLIError,
     family_spec,
@@ -241,6 +242,46 @@ def test_identity_runs(capsys):
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [-1, 0, 1]
     assert all(r["identity_gap"] < 1e-8 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "eps, code, points, passed",
+    [("0.2", 0, [50, 42, 30], [True, True, True]),
+     ("0.5", 1, [34, 11, 10], [True, False, False])],
+)
+def test_identity_excludes_out_of_branch_samples(capsys, eps, code, points, passed):
+    # 1 - z*n*eps*t^n <= 0 puts a sample outside the finite Xn's branch;
+    # a row fails once more than half of its samples are out of branch
+    got, out, err = run_cli(capsys, "identity", "--seed", "3", "--n=1..3", "--eps", eps)
+    assert got == code and "error" not in err
+    rows = json.loads(out)
+    assert [r["points"] for r in rows] == points
+    assert [r["pass"] for r in rows] == passed
+    assert all(r["identity_gap"] < 1e-8 and r["derivative_gap"] < 1e-8 for r in rows)
+
+
+def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
+    # one jet of u at p and one inside the pushforward per (n, point)
+    calls = []
+
+    class Counted(cli.RandomPolynomialField):
+        def evaluate(self, params, point):
+            calls.append(point)
+            return super().evaluate(params, point)
+
+    monkeypatch.setattr(cli, "RandomPolynomialField", Counted)
+    code, _, _ = run_cli(capsys, "identity", "--seed", "3", "--n=-2..3", "--points", "50")
+    assert code == 0
+    assert len(calls) == 6 * 50 * 2
+
+
+def test_check_overflow_fails_closed(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--family", "one-dim-generic:q=exp:1,800", "--z", "2"
+    )
+    assert code == 1 and "Traceback" not in err
+    (row,) = json.loads(out)
+    assert row["pass"] is False
 
 
 def test_commutators_runs(capsys):

@@ -213,3 +213,19 @@ def test_univariate_direct_derivatives():
 def test_dim_mismatch_rejected():
     with pytest.raises(Exception):
         jet2.add(jet2.seed(2, 0, 1.0), jet2.seed(3, 0, 1.0))
+
+
+def test_rpow_domain_rules():
+    # the scalar twin of power: integer powers of negative bases, an exact
+    # zero base as the only pole, fractional powers of positive bases only
+    assert jet2.rpow(-2.0, 3) == -8.0
+    assert jet2.rpow(0.0, 0) == 1.0
+    assert jet2.rpow(4.0, -0.5) == 0.5
+    # no near-zero guard, unlike power
+    assert jet2.rpow(1e-300, -1) == pytest.approx(1e300)
+    with pytest.raises(DomainError):
+        jet2.power(jet2.seed(1, 0, 1e-300), -1)
+    with pytest.raises(DomainError):
+        jet2.rpow(0.0, -1)
+    with pytest.raises(DomainError):
+        jet2.rpow(-1.0, 0.5)

@@ -34,6 +34,7 @@ from condsym.symmetry import (
     pushforward_field,
     pushforward_identity_gap,
     transform_point,
+    xn_transport,
 )
 
 P2 = ModelParams(2, 2.0)
@@ -174,14 +175,14 @@ def test_derivative_law_gap_small():
     u = RandomPolynomialField(9, P2, 3)
     p = Point(1.1, (0.5, -0.2))
     for n in (-2, -1, 0, 1, 2, 3):
-        assert derivative_law_gap(Xn(n, 0.015), P2, u, p) < 1e-11
+        assert derivative_law_gap(xn_transport(Xn(n, 0.015), P2, u, p)) < 1e-11
 
 
 def test_identity_gap_small():
     u = RandomPolynomialField(9, P2, 3)
     p = Point(1.1, (0.5, -0.2))
     for n in (-2, -1, 0, 1, 2, 3):
-        assert pushforward_identity_gap(Xn(n, 0.015), P2, u, p) < 1e-11
+        assert pushforward_identity_gap(xn_transport(Xn(n, 0.015), P2, u, p)) < 1e-11
 
 
 class _Paraboloid(ScalarField):
@@ -202,9 +203,10 @@ def test_obstruction_is_necessary():
     g = Xn(1, eps)
     base = evaluate(u, P2, p)
     assert monge_ampere(base, P2) == pytest.approx(4.0, abs=1e-13)
-    full_gap = pushforward_identity_gap(g, P2, u, p)
+    tr = xn_transport(g, P2, u, p)
+    full_gap = pushforward_identity_gap(tr)
     assert full_gap < 1e-12
-    obstruction = obstruction_term(g, P2, u, p)
+    obstruction = obstruction_term(tr)
     assert abs(obstruction) > 1e-3 * eps
     q, fac = transform_point(g, P2, p)
     prime = evaluate(pushforward_field(g, P2, u), P2, q)
@@ -217,17 +219,17 @@ def test_obstruction_is_necessary():
 def test_obstruction_vanishes_for_shift_and_dilate():
     u = _Paraboloid()
     p = Point(1.0, (0.6, -0.4))
-    assert obstruction_term(Xn(-1, 0.01), P2, u, p) == 0.0
-    assert obstruction_term(Xn(0, 0.01), P2, u, p) == 0.0
+    assert obstruction_term(xn_transport(Xn(-1, 0.01), P2, u, p)) == 0.0
+    assert obstruction_term(xn_transport(Xn(0, 0.01), P2, u, p)) == 0.0
 
 
 def test_law_gap_requires_xn():
     u = RandomPolynomialField(2, P2, 2)
     p = Point(1.0, (0.1, 0.1))
     with pytest.raises(TypeError):
-        derivative_law_gap(Yk(1, (0.1, 0.1)), P2, u, p)
+        xn_transport(Yk(1, (0.1, 0.1)), P2, u, p)
     with pytest.raises(ValueError):
-        derivative_law_gap(Xn(1, 0.01, lam=2.0), P2, u, p)
+        xn_transport(Xn(1, 0.01, lam=2.0), P2, u, p)
 
 
 def test_zero_z_general_branch_is_guarded():
