@@ -7,6 +7,10 @@ Times ``poly_jet`` (value/gradient/Hessian of a dense polynomial) and
 Usage:
     python3 benchmarks/bench_kernels.py [--dim N] [--degree D]
         [--points P] [--det-size S] [--matrices M] [--repeat R]
+
+Example: the test functions of a ``commutators --N 3`` table are cubics
+in dim 5 (t, x_1..x_3, u):
+    python3 benchmarks/bench_kernels.py --dim 5 --degree 3
 """
 
 import argparse

@@ -11,59 +11,51 @@ def poly_jet(powers, coeffs, coords):
     coords : (D,) float array
 
     Returns ``(value, grad, hess)`` with shapes ``()``, ``(D,)``,
-    ``(D, D)``.  The Hessian is symmetric by construction: the (i, j)
-    and (j, i) slots accumulate identical terms.
+    ``(D, D)``.  All monomials are evaluated at once, column by column,
+    in a fixed float order: per monomial, each entry is the coefficient
+    times the factors of the coordinates in ascending index order, and
+    the sum over monomials runs in table order starting from 0.0.  The
+    (i, j) and (j, i) Hessian slots get identical terms, so the Hessian
+    is exactly symmetric.
     """
-    M, D = powers.shape
-    value = 0.0
-    grad = np.zeros(D)
-    hess = np.zeros((D, D))
-    f = np.empty(D)
-    g = np.empty(D)
-    h = np.empty(D)
-    for m in range(M):
-        c = coeffs[m]
-        for i in range(D):
-            p = powers[m, i]
-            x = coords[i]
-            if p == 0:
-                f[i] = 1.0
-                g[i] = 0.0
-                h[i] = 0.0
-            elif p == 1:
-                f[i] = x
-                g[i] = 1.0
-                h[i] = 0.0
-            else:
-                xpm2 = 1.0
-                for _ in range(p - 2):
-                    xpm2 *= x
-                f[i] = xpm2 * x * x
-                g[i] = p * xpm2 * x
-                h[i] = p * (p - 1) * xpm2
-        term = c
-        for i in range(D):
-            term *= f[i]
-        value += term
-        for i in range(D):
-            gi = c * g[i]
-            for j in range(D):
-                if j != i:
-                    gi *= f[j]
-            grad[i] += gi
-            hii = c * h[i]
-            for j in range(D):
-                if j != i:
-                    hii *= f[j]
-            hess[i, i] += hii
-            for j in range(i + 1, D):
-                hij = c * g[i] * g[j]
-                for k in range(D):
-                    if k != i and k != j:
-                        hij *= f[k]
-                hess[i, j] += hij
-                hess[j, i] += hij
-    return value, grad, hess
+    p = np.asarray(powers)
+    c = np.asarray(coeffs, dtype=float)
+    x = np.asarray(coords, dtype=float)
+    M, D = p.shape
+    # x**(p - 2) by repeated multiplication, starting at 1.0
+    xpm2 = np.ones((M, D))
+    for r in range(int(p.max(initial=2)) - 2):
+        xpm2 = np.where(p - 2 > r, xpm2 * x, xpm2)
+    # factor, first and second derivative of each x_i**p in each monomial
+    f = np.where(p == 0, 1.0, np.where(p == 1, x, xpm2 * x * x))
+    g = np.where(p == 0, 0.0, np.where(p == 1, 1.0, p * xpm2 * x))
+    h = np.where(p >= 2, p * (p - 1) * xpm2, 0.0)
+
+    term = c
+    grad = c[:, None] * g
+    hess = grad[:, :, None] * g[:, None, :]
+    idx = np.arange(D)
+    hess[:, idx, idx] = c[:, None] * h
+    # below the diagonal, the product (c * g_i) * g_j taken with i < j
+    hess = np.where(idx[:, None] > idx, hess.transpose(0, 2, 1), hess)
+    # multiply in the factors of the other coordinates; a 1.0 stands in
+    # for the factors an entry skips, which leaves its value untouched
+    eye = idx[:, None] == idx
+    for k in range(D):
+        fk = f[:, k]
+        term = term * fk
+        grad = grad * np.where(eye[k], 1.0, fk[:, None])
+        hess = hess * np.where(eye[k][:, None] | eye[k][None, :], 1.0, fk[:, None, None])
+
+    # sum the monomials one after another from 0.0; np.add.accumulate
+    # keeps that order, where np.sum may add pairwise
+    terms = np.empty((M + 1, 1 + D + D * D))
+    terms[0] = 0.0
+    terms[1:, 0] = term
+    terms[1:, 1 : 1 + D] = grad
+    terms[1:, 1 + D :] = hess.reshape(M, D * D)
+    total = np.add.accumulate(terms, axis=0)[-1]
+    return total[0], total[1 : 1 + D], total[1 + D :].reshape(D, D)
 
 
 def det(a):

@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import re
 import sys
 
@@ -22,6 +23,7 @@ from .fields import (
     Point,
     ProfileFunction,
     RandomPolynomialField,
+    evaluate,
     parse_profile,
     random_polynomial_function,
 )
@@ -350,16 +352,35 @@ def _csv_cell(value):
     return str(value)
 
 
+def _json_value(value):
+    """``value`` with every non-finite float spelled as a JSON string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def emit(rows, fmt, out=None):
+    """JSON is strict RFC 8259: non-finite floats become the strings
+    "Infinity", "-Infinity" and "NaN"; CSV cells keep ``repr``."""
     out = sys.stdout if out is None else out
     if fmt == "json":
-        out.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(_json_value(rows), indent=2, sort_keys=True, allow_nan=False)
+        out.write(text + "\n")
         return
     fieldnames = sorted({key for row in rows for key in row})
     writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _csv_cell(row.get(k)) for k in fieldnames})
+
+
+def _worst(worst, gap):
+    """Running maximum of gaps that fails closed: a non-finite gap is inf."""
+    return max(worst, gap) if math.isfinite(gap) else math.inf
 
 
 def _summarize(rows, what):
@@ -464,19 +485,20 @@ def cmd_identity(args):
     params = ModelParams(args.N, args.z)
     field = RandomPolynomialField(seed, params, degree, bound)
     points = _identity_samples(seed, args.points, params.spatial_dim)
+    bases = [evaluate(field, params, p) for p in points]
     rows = []
     for n in range(n_lo, n_hi + 1):
         element = Xn(n, args.eps)
         id_gap = law_gap = obs_max = 0.0
         excluded = 0
-        for p in points:
+        for p, base in zip(points, bases):
             try:
-                tr = xn_transport(element, params, field, p)
+                tr = xn_transport(element, params, field, p, base)
             except BranchError:
                 excluded += 1
                 continue
-            id_gap = max(id_gap, pushforward_identity_gap(tr))
-            law_gap = max(law_gap, derivative_law_gap(tr))
+            id_gap = _worst(id_gap, pushforward_identity_gap(tr))
+            law_gap = _worst(law_gap, derivative_law_gap(tr))
             obs_max = max(obs_max, abs(obstruction_term(tr)))
         evaluated = len(points) - excluded
         enough = evaluated > 0 and excluded <= 0.5 * len(points)
@@ -530,15 +552,14 @@ def cmd_commutators(args):
         random_polynomial_function(seed, args.N + 2, 3)
         for seed in (101, 102, 103)
     ]
-    points = _commutator_points(args.N)
+    samples = [(f.jet(y), y) for f in funcs for y in _commutator_points(args.N)]
     rows = []
     for i, g1 in enumerate(gens):
         for g2 in gens[i + 1 :]:
             expected = expected_commutator(g1, g2, params)
             gap = 0.0
-            for f in funcs:
-                for y in points:
-                    gap = max(gap, commutator_gap(g1, g2, expected, params, f, y))
+            for jet, y in samples:
+                gap = _worst(gap, commutator_gap(g1, g2, expected, params, jet, y))
             rows.append(
                 {
                     "g1": _gen_label(g1),

@@ -293,9 +293,12 @@ class XnTransport(NamedTuple):
     E: float
 
 
-def xn_transport(g, params, u, p):
+def xn_transport(g, params, u, p, base):
     """Transport ``u`` by ``g`` at ``p`` once; the derivative laws, the
-    determinant identity and the obstruction term are read from it."""
+    determinant identity and the obstruction term are read from it.
+
+    ``base`` is the jet of ``u`` at ``p`` (``evaluate(u, params, p)``),
+    which the caller builds once for all elements it transports."""
     if not isinstance(g, Xn):
         raise TypeError("the transport laws are stated for Xn elements")
     if g.lam != 1.0:
@@ -303,7 +306,6 @@ def xn_transport(g, params, u, p):
     _check_point(params, p)
     t_prime, a_val, cn, e_obs = _xn_data(g, params, p.t)
     q = Point(t_prime, tuple(v * a_val for v in p.x))
-    base = evaluate(u, params, p)
     prime = evaluate(PushforwardField(g, u), params, q)
     return XnTransport(params, p, base, prime, a_val, cn, e_obs)
 
@@ -320,7 +322,8 @@ def derivative_law_gap(tr):
       u'_t'       = A**(1-z) u_t + (u - x_a u_a) * C * A**(1+E-z)
       u'_t'b'     = A**(-z) u_tb - (x_a u_ab) * C * A**(E-z)
 
-    Returns the maximum absolute violation over all listed entries.
+    Returns the maximum absolute violation over all listed entries, NaN
+    when any of them is NaN.
     """
     base, prime, a_val, cn, e_obs = tr.base, tr.prime, tr.A, tr.C, tr.E
     z = tr.params.z
@@ -340,7 +343,7 @@ def derivative_law_gap(tr):
             x @ base.hess[1:, a]
         ) * cn * a_val ** (e_obs - z)
         gaps.append(abs(prime.hess[0, a] - pred_tb))
-    return float(max(gaps))
+    return float(np.max(gaps))
 
 
 def obstruction_term(tr):
@@ -479,16 +482,17 @@ def apply_generator(gen, params, f):
     return AppliedGenerator(gen, params, f)
 
 
-def commutator_gap(g1, g2, expected, params, f, y):
+def commutator_gap(g1, g2, expected, params, j, y):
     """|([g1, g2] - expected) F| at the point y = (t, x_1..x_N, u).
 
-    The nested applications are expanded so that the symmetric-Hessian
-    contribution cancels pairwise in exact float arithmetic; a vanishing
-    bracket therefore yields a gap of exactly zero.  ``expected`` is an
-    iterable of (coefficient, generator) pairs.
+    ``j`` is the jet of the test function F at y (``F.jet(y)``), built
+    once by the caller for every bracket it checks there.  The nested
+    applications are expanded so that the symmetric-Hessian contribution
+    cancels pairwise in exact float arithmetic; a vanishing bracket
+    therefore yields a gap of exactly zero.  ``expected`` is an iterable
+    of (coefficient, generator) pairs.
     """
     y = np.asarray(y, dtype=float)
-    j = f.jet(y)
     if j.dim != params.spatial_dim + 2:
         raise DimensionMismatch(
             "test function must be a jet over (t, x_1..x_N, u)"

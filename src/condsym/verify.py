@@ -99,72 +99,99 @@ class ResidualReport:
         }
 
 
+class _Tally:
+    """Running aggregates of one residual kind, in grid order."""
+
+    def __init__(self):
+        self.evaluated = 0
+        self.excluded = 0
+        self.max_norm = 0.0
+        self.max_raw = 0.0
+        self.sumsq = 0.0
+        self.worst = None
+        self.finite = True
+
+    def overflowed(self):
+        # a value past the float range is a non-finite result
+        self.evaluated += 1
+        self.finite = False
+
+    def add(self, pt, raw, scale):
+        norm = float(abs(raw)) / scale
+        self.evaluated += 1
+        self.finite = self.finite and math.isfinite(raw) and math.isfinite(scale)
+        self.sumsq += norm * norm
+        if abs(raw) > self.max_raw:
+            self.max_raw = float(abs(raw))
+        if self.worst is None or norm > self.max_norm:
+            self.max_norm = norm
+            self.worst = pt
+
+    def report(self, equation, family, tol):
+        evaluated, excluded = self.evaluated, self.excluded
+        ok = bool(
+            self.finite
+            and evaluated > 0
+            and self.max_norm <= tol
+            and excluded <= 0.5 * (evaluated + excluded)
+        )
+        return ResidualReport(
+            equation=equation,
+            family=family,
+            points_evaluated=evaluated,
+            points_excluded=excluded,
+            max_abs=self.max_norm,
+            rms=math.sqrt(self.sumsq / evaluated) if evaluated else 0.0,
+            worst_point=self.worst,
+            tolerance=tol,
+            passed=ok,
+            raw_max_abs=self.max_raw,
+        )
+
+
 def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
     """One ResidualReport per kind; domain errors count as exclusions,
-    overflows as non-finite evaluations."""
+    overflows as non-finite evaluations.
+
+    The field is evaluated once per grid point and its jet shared by
+    every kind.  An error from the field counts for every kind, one from
+    a kind's residual or scale only for that kind.
+    """
     if grid.spatial_dim != params.spatial_dim:
         raise DimensionMismatch(
             f"grid has {grid.spatial_dim} spatial axes, params expect "
             f"{params.spatial_dim}"
         )
     fid = repr(field) if family_id is None else str(family_id)
-    reports = []
-    for kind in sorted(kinds, key=lambda k: k.value):
-        evaluated = 0
-        excluded = 0
-        max_norm = 0.0
-        max_raw = 0.0
-        sumsq = 0.0
-        worst = None
-        finite = True
-        for pt in grid.points():
-            if grid.exclusion is not None and grid.exclusion(pt):
-                excluded += 1
-                continue
+    kinds = sorted(kinds, key=lambda k: k.value)
+    tallies = [_Tally() for _ in kinds]
+    for pt in grid.points():
+        if grid.exclusion is not None and grid.exclusion(pt):
+            for tally in tallies:
+                tally.excluded += 1
+            continue
+        try:
+            jet = evaluate(field, params, pt)
+        except DomainError:
+            for tally in tallies:
+                tally.excluded += 1
+            continue
+        except OverflowError:
+            for tally in tallies:
+                tally.overflowed()
+            continue
+        for kind, tally in zip(kinds, tallies):
             try:
-                jet = evaluate(field, params, pt)
                 raw = evaluate_residual(kind, jet, params, g)
                 scale = residual_scale(kind, jet, params)
             except DomainError:
-                excluded += 1
+                tally.excluded += 1
                 continue
             except OverflowError:
-                # a value past the float range is a non-finite result
-                evaluated += 1
-                finite = False
+                tally.overflowed()
                 continue
-            norm = float(abs(raw)) / scale
-            evaluated += 1
-            finite = finite and math.isfinite(raw) and math.isfinite(scale)
-            sumsq += norm * norm
-            if abs(raw) > max_raw:
-                max_raw = float(abs(raw))
-            if worst is None or norm > max_norm:
-                max_norm = norm
-                worst = pt
-        total = evaluated + excluded
-        ok = bool(
-            finite
-            and evaluated > 0
-            and max_norm <= tol
-            and excluded <= 0.5 * total
-        )
-        rms = math.sqrt(sumsq / evaluated) if evaluated else 0.0
-        reports.append(
-            ResidualReport(
-                equation=kind.value,
-                family=fid,
-                points_evaluated=evaluated,
-                points_excluded=excluded,
-                max_abs=max_norm,
-                rms=rms,
-                worst_point=worst,
-                tolerance=tol,
-                passed=ok,
-                raw_max_abs=max_raw,
-            )
-        )
-    return reports
+            tally.add(pt, raw, scale)
+    return [tally.report(kind.value, fid, tol) for kind, tally in zip(kinds, tallies)]
 
 
 def _rel(a, b):

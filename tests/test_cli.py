@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from condsym import cli
+from condsym import cli, fields
 from condsym.cli import (
     CLIError,
     family_spec,
@@ -261,7 +261,7 @@ def test_identity_excludes_out_of_branch_samples(capsys, eps, code, points, pass
 
 
 def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
-    # one jet of u at p and one inside the pushforward per (n, point)
+    # one jet of u per point, then one inside the pushforward per (n, point)
     calls = []
 
     class Counted(cli.RandomPolynomialField):
@@ -272,7 +272,50 @@ def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "RandomPolynomialField", Counted)
     code, _, _ = run_cli(capsys, "identity", "--seed", "3", "--n=-2..3", "--points", "50")
     assert code == 0
-    assert len(calls) == 6 * 50 * 2
+    assert len(calls) == 50 + 6 * 50
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_identity_non_finite_gap_fails_closed(capsys):
+    # the mixed determinants overflow, so the identity gap is NaN; the row
+    # reports it as inf, and the JSON spells inf as a string
+    def no_bare_constants(name):
+        raise ValueError(f"bare {name} in JSON")
+
+    code, out, _ = run_cli(
+        capsys, "identity", "--seed", "3", "--field", "random:deg=3,bound=1e200",
+        "--n=1..1", "--points", "5",
+    )
+    assert code == 1
+    (row,) = json.loads(out, parse_constant=no_bare_constants)
+    assert row["identity_gap"] == "Infinity"
+    assert row["obstruction_max"] == "Infinity"
+    assert row["pass"] is False
+
+
+def test_emit_json_is_strict():
+    out = io.StringIO()
+    cli.emit([{"a": float("nan"), "b": [float("-inf"), 1.5], "c": {"d": float("inf")}}],
+             "json", out)
+    assert json.loads(out.getvalue()) == [
+        {"a": "NaN", "b": ["-Infinity", 1.5], "c": {"d": "Infinity"}}
+    ]
+
+
+def test_check_evaluates_field_once_per_point(capsys, monkeypatch):
+    # both designated kinds read the same jet at each of the 12**3 points
+    calls = []
+
+    class Counted(cli.SolutionField):
+        def evaluate(self, params, point):
+            calls.append(point)
+            return super().evaluate(params, point)
+
+    monkeypatch.setattr(cli, "SolutionField", Counted)
+    code, out, _ = run_cli(capsys, "check", "--family", "radial-z1")
+    assert code == 0
+    assert [r["points_evaluated"] for r in json.loads(out)] == [1728, 1728]
+    assert len(calls) == 1728
 
 
 def test_check_overflow_fails_closed(capsys):
@@ -295,6 +338,30 @@ def test_commutators_runs(capsys):
     assert all(r["pass"] for r in rows)
     yy = [r for r in rows if r["g1"].startswith("Y") and r["g2"].startswith("Y")]
     assert yy and all(r["gap"] == 0.0 for r in yy)
+
+
+def test_commutators_build_each_jet_once(capsys, monkeypatch):
+    # 3 test functions at 2 points, shared by all 190 brackets
+    calls = []
+    poly_jet = fields.poly_jet
+
+    def counted(*args):
+        calls.append(args)
+        return poly_jet(*args)
+
+    monkeypatch.setattr(fields, "poly_jet", counted)
+    code, out, _ = run_cli(capsys, "commutators", "--N", "3")
+    assert code == 0
+    assert len(json.loads(out)) == 190
+    assert len(calls) == 6
+
+
+def test_commutators_non_finite_gap_fails_closed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "commutator_gap", lambda *args: float("nan"))
+    code, out, _ = run_cli(capsys, "commutators", "--n=0..1", "--k=0..0", "--N", "1")
+    assert code == 1
+    rows = json.loads(out)
+    assert rows and all(r["gap"] == "Infinity" and r["pass"] is False for r in rows)
 
 
 def test_fd_check_family(capsys):

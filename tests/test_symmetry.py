@@ -174,15 +174,17 @@ def test_pushforward_by_yk_shifts_space():
 def test_derivative_law_gap_small():
     u = RandomPolynomialField(9, P2, 3)
     p = Point(1.1, (0.5, -0.2))
+    base = evaluate(u, P2, p)
     for n in (-2, -1, 0, 1, 2, 3):
-        assert derivative_law_gap(xn_transport(Xn(n, 0.015), P2, u, p)) < 1e-11
+        assert derivative_law_gap(xn_transport(Xn(n, 0.015), P2, u, p, base)) < 1e-11
 
 
 def test_identity_gap_small():
     u = RandomPolynomialField(9, P2, 3)
     p = Point(1.1, (0.5, -0.2))
+    base = evaluate(u, P2, p)
     for n in (-2, -1, 0, 1, 2, 3):
-        assert pushforward_identity_gap(xn_transport(Xn(n, 0.015), P2, u, p)) < 1e-11
+        assert pushforward_identity_gap(xn_transport(Xn(n, 0.015), P2, u, p, base)) < 1e-11
 
 
 class _Paraboloid(ScalarField):
@@ -203,7 +205,7 @@ def test_obstruction_is_necessary():
     g = Xn(1, eps)
     base = evaluate(u, P2, p)
     assert monge_ampere(base, P2) == pytest.approx(4.0, abs=1e-13)
-    tr = xn_transport(g, P2, u, p)
+    tr = xn_transport(g, P2, u, p, base)
     full_gap = pushforward_identity_gap(tr)
     assert full_gap < 1e-12
     obstruction = obstruction_term(tr)
@@ -219,17 +221,19 @@ def test_obstruction_is_necessary():
 def test_obstruction_vanishes_for_shift_and_dilate():
     u = _Paraboloid()
     p = Point(1.0, (0.6, -0.4))
-    assert obstruction_term(xn_transport(Xn(-1, 0.01), P2, u, p)) == 0.0
-    assert obstruction_term(xn_transport(Xn(0, 0.01), P2, u, p)) == 0.0
+    base = evaluate(u, P2, p)
+    assert obstruction_term(xn_transport(Xn(-1, 0.01), P2, u, p, base)) == 0.0
+    assert obstruction_term(xn_transport(Xn(0, 0.01), P2, u, p, base)) == 0.0
 
 
 def test_law_gap_requires_xn():
     u = RandomPolynomialField(2, P2, 2)
     p = Point(1.0, (0.1, 0.1))
+    base = evaluate(u, P2, p)
     with pytest.raises(TypeError):
-        xn_transport(Yk(1, (0.1, 0.1)), P2, u, p)
+        xn_transport(Yk(1, (0.1, 0.1)), P2, u, p, base)
     with pytest.raises(ValueError):
-        xn_transport(Xn(1, 0.01, lam=2.0), P2, u, p)
+        xn_transport(Xn(1, 0.01, lam=2.0), P2, u, p, base)
 
 
 def test_zero_z_general_branch_is_guarded():
@@ -287,10 +291,10 @@ def test_commutator_x0_x1_oracle():
     y = np.array([1.0, 1.0, 0.5, 1.0])
     expected = expected_commutator(GenXn(0), GenXn(1), P2)
     assert expected == ((2.0, GenXn(1)),)
-    assert commutator_gap(GenXn(0), GenXn(1), expected, P2, f, y) < 1e-13
+    assert commutator_gap(GenXn(0), GenXn(1), expected, P2, f.jet(y), y) < 1e-13
     # a wrong table entry is detected
     wrong = ((2.0, GenXn(0)),)
-    assert commutator_gap(GenXn(0), GenXn(1), wrong, P2, f, y) > 1e-3
+    assert commutator_gap(GenXn(0), GenXn(1), wrong, P2, f.jet(y), y) > 1e-3
 
 
 def test_y_brackets_vanish_exactly():
@@ -301,7 +305,7 @@ def test_y_brackets_vanish_exactly():
             for a1 in (1, 2):
                 for a2 in (1, 2):
                     gap = commutator_gap(
-                        GenYk(k1, a1), GenYk(k2, a2), (), P2, f, y
+                        GenYk(k1, a1), GenYk(k2, a2), (), P2, f.jet(y), y
                     )
                     assert gap == 0.0
 
@@ -331,16 +335,21 @@ def test_rotation_algebra_closes_in_3d():
     f = random_polynomial_function(12, 5, 3)
     y = np.array([1.1, 0.4, -0.3, 0.6, 0.9])
     expected = expected_commutator(GenJab(1, 2), GenJab(2, 3), params)
-    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, params, f, y) < 1e-13
+    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, params, f.jet(y), y) < 1e-13
 
 
 def test_generator_axis_bounds():
+    y = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
-        apply_generator(GenYk(1, 3), P2, _Monomial(4)).value(
-            np.array([1.0, 0.0, 0.0, 0.0])
-        )
+        apply_generator(GenYk(1, 3), P2, _Monomial(4)).value(y)
+    jet = random_polynomial_function(1, 4, 2).jet(y)
     with pytest.raises(DimensionMismatch):
-        commutator_gap(
-            GenJab(1, 3), GenJab(1, 2), (), P2, random_polynomial_function(1, 4, 2),
-            np.array([1.0, 0.0, 0.0, 0.0]),
-        )
+        commutator_gap(GenJab(1, 3), GenJab(1, 2), (), P2, jet, y)
+
+
+def test_commutator_gap_checks_jet_dim():
+    # a jet over (t, x_1, x_2) lacks the u slot the generators act on
+    y = np.array([1.0, 0.5, -0.5, 1.0])
+    jet = random_polynomial_function(1, 3, 2).jet(y[:3])
+    with pytest.raises(DimensionMismatch):
+        commutator_gap(GenXn(0), GenXn(1), (), P2, jet, y)
