@@ -17,7 +17,6 @@ from .symmetry import (
     Xn,
     Yk,
     Yphi,
-    apply_generator,
     pushforward_field,
     transform_point,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Yk",
     "Yphi",
     "ZeroDynamicalExponent",
-    "apply_generator",
     "constant",
     "evaluate_residual",
     "evaluate_solution",

@@ -217,12 +217,8 @@ def parse_group(spec):
     key = name.lower()
     if key == "xn":
         kv = _split_kv(rest)
-        _require_keys("Xn", kv, {"n", "eps"}, {"lam"})
-        return Xn(
-            _to_int("n", kv["n"]),
-            _to_float("eps", kv["eps"]),
-            _to_float("lam", kv.get("lam", "1")),
-        )
+        _require_keys("Xn", kv, {"n", "eps"}, set())
+        return Xn(_to_int("n", kv["n"]), _to_float("eps", kv["eps"]))
     if key == "yk":
         kv = _split_kv(rest)
         _require_keys("Yk", kv, {"k", "v"}, set())
@@ -314,15 +310,24 @@ def parse_grid(spec, spatial_dim):
         raise CLIError(f"bad grid: {exc}") from None
 
 
+# residuals of a field jet; the reduced kinds belong to a profile phi(w1, w2)
+_FIELD_KINDS = (
+    ResidualKind.DIFFUSION, ResidualKind.GENERAL_INVARIANT, ResidualKind.MONGE_AMPERE
+)
+
+
 def parse_kinds(spec):
+    known = ", ".join(k.value for k in _FIELD_KINDS)
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
         try:
-            out.append(ResidualKind(tok))
+            kind = ResidualKind(tok)
         except ValueError:
-            known = ", ".join(k.value for k in ResidualKind)
             raise CLIError(f"unknown residual kind {tok!r}; known: {known}") from None
+        if kind not in _FIELD_KINDS:
+            raise CLIError(f"{tok!r} is a residual of a profile phi(w1, w2), not of a field")
+        out.append(kind)
     return tuple(out)
 
 
@@ -499,7 +504,7 @@ def cmd_identity(args):
                 continue
             id_gap = _worst(id_gap, pushforward_identity_gap(tr))
             law_gap = _worst(law_gap, derivative_law_gap(tr))
-            obs_max = max(obs_max, abs(obstruction_term(tr)))
+            obs_max = _worst(obs_max, abs(obstruction_term(tr)))
         evaluated = len(points) - excluded
         enough = evaluated > 0 and excluded <= 0.5 * len(points)
         rows.append(
@@ -648,7 +653,7 @@ def cmd_catalog(args):
     ):
         rows.append({"kind": "profile", "name": name, "spec": grammar})
     for name, grammar in (
-        ("Xn", "Xn:n=1,eps=0.01[,lam=1]"),
+        ("Xn", "Xn:n=1,eps=0.01"),
         ("Yk", "Yk:k=1,v=0.5,0.0"),
         ("Yphi", "Yphi:e=1,0;profiles=sin:1,1,0|const:0"),
         ("rot", "rot:a=1,b=2,angle=0.3"),

@@ -154,10 +154,6 @@ def parse_profile(text):
     return ProfileFunction(kind, params)
 
 
-def constant_profile(c):
-    return ProfileFunction("const", (float(c),))
-
-
 class PolynomialFunction:
     """Multivariate polynomial with explicit monomial table.
 
@@ -235,19 +231,6 @@ class RandomPolynomialField(ScalarField):
         )
 
 
-class ProfileField(ScalarField):
-    """Purely time-dependent field u(t, x) = q(t); useful on its own and
-    as the translational part of explicit solutions."""
-
-    def __init__(self, profile):
-        self.profile = profile
-
-    def evaluate(self, params, point):
-        d = params.jet_dim
-        t_jet = jet2.seed(d, 0, point.t)
-        return self.profile.jet(t_jet)
-
-
 __all__ = [
     "ModelParams",
     "Point",
@@ -255,10 +238,8 @@ __all__ = [
     "evaluate",
     "ProfileFunction",
     "parse_profile",
-    "constant_profile",
     "PolynomialFunction",
     "monomial_table",
     "random_polynomial_function",
     "RandomPolynomialField",
-    "ProfileField",
 ]

@@ -5,7 +5,6 @@ Given the jet of a field u over (t, x_1..x_N), this module evaluates
 * ``w1``: determinant of the (N+1) x (N+1) matrix whose first row is
   (u_t, u_1, ..., u_N) and whose row a (a = 1..N) is
   (u_{t a}, u_{a 1}, ..., u_{a N});
-* ``w2``: determinant of the full space-time Hessian (u_tt corner first);
 * ``monge_ampere``: determinant of the spatial Hessian block;
 
 and the residuals that combine them.  All determinants run through the
@@ -28,7 +27,6 @@ class ResidualKind(enum.Enum):
     MONGE_AMPERE = "monge-ampere"
     REDUCED_FIRST = "reduced-first"
     REDUCED_SECOND = "reduced-second"
-    Z0_DIFFUSION = "z0-diffusion"
 
 
 def _require_dim(jet, params):
@@ -54,11 +52,6 @@ def w1(jet, params):
     return det(w1_matrix(jet))
 
 
-def w2(jet, params):
-    _require_dim(jet, params)
-    return det(np.array(jet.hess))
-
-
 def monge_ampere(jet, params):
     _require_dim(jet, params)
     return det(np.array(jet.hess[1:, 1:]))
@@ -69,8 +62,8 @@ def diffusion_residual(jet, params):
 
     The right side is sum_a [u**(2-z-N) u_aa + (2-z-N) u**(1-z-N) u_a**2].
     When the coefficient 2-z-N is zero the second summand is dropped
-    entirely, so for z = 0, N = 2 the result agrees exactly, float for
-    float, with :func:`z0_diffusion_residual`.
+    entirely, so for z = 0, N = 2 the result is exactly, float for
+    float, w1 minus the plain Laplacian.
     """
     _require_dim(jet, params)
     n = params.spatial_dim
@@ -84,16 +77,6 @@ def diffusion_residual(jet, params):
         if coeff != 0.0:
             ua = jet.grad[a]
             rhs += coeff * p2 * ua * ua
-    return w1(jet, params) - rhs
-
-
-def z0_diffusion_residual(jet, params):
-    """The z = 0, N = 2 form: w1 minus the plain Laplacian."""
-    _require_dim(jet, params)
-    n = params.spatial_dim
-    rhs = 0.0
-    for a in range(1, n + 1):
-        rhs += jet.hess[a, a]
     return w1(jet, params) - rhs
 
 
@@ -205,22 +188,16 @@ class HarmonicPhi:
 
 
 def evaluate_residual(kind, jet, params, g=None):
-    """Dispatch a single residual evaluation by kind."""
+    """Dispatch a residual of a field jet by kind."""
     if kind is ResidualKind.DIFFUSION:
         return diffusion_residual(jet, params)
-    if kind is ResidualKind.Z0_DIFFUSION:
-        return z0_diffusion_residual(jet, params)
     if kind is ResidualKind.MONGE_AMPERE:
         return monge_ampere(jet, params)
     if kind is ResidualKind.GENERAL_INVARIANT:
         if g is None:
             raise ValueError("general-invariant residual needs a callback g")
         return general_residual(jet, params, g)
-    if kind is ResidualKind.REDUCED_FIRST:
-        return reduced_residuals(jet, params.z)[0]
-    if kind is ResidualKind.REDUCED_SECOND:
-        return reduced_residuals(jet, params.z)[1]
-    raise ValueError(f"unknown residual kind {kind!r}")
+    raise ValueError(f"{kind!r} is not a residual of a field jet")
 
 
 def residual_scale(kind, jet, params):
@@ -246,10 +223,8 @@ __all__ = [
     "ResidualKind",
     "w1_matrix",
     "w1",
-    "w2",
     "monge_ampere",
     "diffusion_residual",
-    "z0_diffusion_residual",
     "general_residual",
     "diffusion_gcallback",
     "reduced_residuals",

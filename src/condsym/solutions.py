@@ -307,40 +307,6 @@ class MAOnly:
         return jet2.mul(x1, phi_jet)
 
 
-@dataclass(frozen=True)
-class ShiftedFamily:
-    """A base family with x_a replaced by x_a + e_a * phi_a(t)."""
-
-    base: object
-    profiles: tuple
-    e: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-        object.__setattr__(self, "e", tuple(float(c) for c in self.e))
-        if len(self.profiles) != len(self.e):
-            raise DimensionMismatch("profiles and e must have equal length")
-
-    @property
-    def spatial_dim(self):
-        return self.base.spatial_dim
-
-    @property
-    def z(self):
-        return self.base.z
-
-    @property
-    def designated(self):
-        return self.base.designated
-
-    def jet(self, jt, jx):
-        shifted = [
-            j + c * prof.jet(jt)
-            for j, c, prof in zip(jx, self.e, self.profiles)
-        ]
-        return self.base.jet(jt, shifted)
-
-
 def _check_family(fam, params):
     if params.spatial_dim != fam.spatial_dim:
         raise DimensionMismatch(
@@ -379,24 +345,6 @@ class SolutionField(ScalarField):
 
     def __repr__(self):
         return f"SolutionField({self.family!r})"
-
-
-def shift_by_yphi(fam, profiles, e):
-    """The family with x_a replaced by x_a + e_a * phi_a(t).
-
-    Matches the pushforward of the field by the translation element with
-    negated shifts; with e = 0 it is the identity.  Defined for N = 2
-    families.
-    """
-    if fam.spatial_dim != 2:
-        raise DimensionMismatch("shifts are defined for N = 2 families")
-    profiles = tuple(profiles)
-    e = tuple(float(c) for c in e)
-    if len(profiles) != 2 or len(e) != 2:
-        raise DimensionMismatch("need exactly two profiles and two shifts")
-    if e == (0.0, 0.0):
-        return fam
-    return ShiftedFamily(fam, profiles, e)
 
 
 def ansatz_profile(fam):
@@ -487,10 +435,8 @@ __all__ = [
     "GeneralYphi",
     "RatioPolynomial",
     "MAOnly",
-    "ShiftedFamily",
     "evaluate_solution",
     "SolutionField",
-    "shift_by_yphi",
     "ansatz_profile",
     "default_params",
     "default_grid",

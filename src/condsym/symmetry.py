@@ -8,10 +8,10 @@ module checks are the quantitative heart of the package.
 Conventions:
 
 * ``Xn`` scales time, space and the field; its finite form is defined on
-  the branch 1 - z*n*eps*t**n > 0 only.  ``lam`` (default 1) is the
-  field scaling weight: the field picks up the factor A**lam.
+  the branch 1 - z*n*eps*t**n > 0 only.  The field picks up the factor
+  A, the spatial scale.
 * At z = 0 an ``Xn`` with n not in {-1, 0} acts as the time-preserving
-  rescaling x' = x*exp(eps*t**n), factor exp(lam*eps*t**n).
+  rescaling x' = x*exp(eps*t**n), factor exp(eps*t**n).
 * ``Yk`` translates space by v_a * t**k with integer k.
 * Generator coefficients use the weight-1 normalization throughout.
 """
@@ -39,14 +39,12 @@ class Xn:
 
     n: int
     eps: float
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.n != int(self.n):
             raise ValueError("n must be an integer")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "lam", float(self.lam))
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ class Rot:
 class TransformFactors:
     """Multipliers attached to a point transformation.
 
-    ``A`` is the spatial scale (the field scales by A**lam);
+    ``A`` is the spatial scale (the field scales by A);
     ``obstruction_coeff`` is the coefficient that multiplies u * W_N^II
     in the determinant identity: n(n+1)*eps*t**(n-1) generically,
     n*eps*t**(n-1) in the z = 0 parametrization, 0 for n in {-1, 0} and
@@ -194,7 +192,7 @@ def transform_point(g, params, p):
 def inverse_element(g):
     """The inverse is the same variant with the parameter negated."""
     if isinstance(g, Xn):
-        return Xn(g.n, -g.eps, g.lam)
+        return Xn(g.n, -g.eps)
     if isinstance(g, Yk):
         return Yk(g.k, tuple(-c for c in g.v))
     if isinstance(g, Yphi):
@@ -252,12 +250,12 @@ class PushforwardField(ScalarField):
         if n == -1:
             return jt + (-z * eps), jx, None
         if n == 0:
-            factor = jet2.constant(d, math.exp(g.lam * eps))
+            factor = jet2.constant(d, math.exp(eps))
             return jt * math.exp(-z * eps), [j * math.exp(-eps) for j in jx], factor
         if z == 0.0:
             w = eps * jet2.power(jt, n)
             scale = jet2.exp(-1.0 * w)
-            return jt, [jet2.mul(j, scale) for j in jx], jet2.exp(g.lam * w)
+            return jt, [jet2.mul(j, scale) for j in jx], jet2.exp(w)
         # Inverse branch function 1 + z*n*eps*t^n; the forward factor at
         # the pulled-back time is its exact reciprocal power.
         s_jet = jet2.constant(d, 1.0) + (z * n * eps) * jet2.power(jt, n)
@@ -269,7 +267,7 @@ class PushforwardField(ScalarField):
         beta = (n + 1.0) / (z * n)
         scale = jet2.power(s_jet, -beta)
         new_t = jet2.mul(jt, jet2.power(s_jet, -1.0 / n))
-        factor = jet2.power(s_jet, g.lam * beta)
+        factor = jet2.power(s_jet, beta)
         return new_t, [jet2.mul(j, scale) for j in jx], factor
 
 
@@ -301,8 +299,6 @@ def xn_transport(g, params, u, p, base):
     which the caller builds once for all elements it transports."""
     if not isinstance(g, Xn):
         raise TypeError("the transport laws are stated for Xn elements")
-    if g.lam != 1.0:
-        raise ValueError("the transport laws assume the weight lam = 1")
     _check_point(params, p)
     t_prime, a_val, cn, e_obs = _xn_data(g, params, p.t)
     q = Point(t_prime, tuple(v * a_val for v in p.x))
@@ -404,82 +400,45 @@ def _gen_check(gen, params):
         raise DimensionMismatch(f"axes ({gen.a},{gen.b}) out of range for N={n}")
 
 
-def _gen_xi(gen, params, y):
-    """First-order coefficients of the generator at y = (t, x_1..x_N, u)."""
+def _gen_coeffs(gen, params, y):
+    """First-order coefficients xi of the generator at
+    y = (t, x_1..x_N, u) and their Jacobian dxi[A, B] = d xi^A / d y^B."""
     _gen_check(gen, params)
-    nsp = params.spatial_dim
-    d = nsp + 2
+    d = params.spatial_dim + 2
     xi = np.zeros(d)
-    t = y[0]
-    if isinstance(gen, GenXn):
-        n = gen.n
-        tn = jet2.rpow(t, n)
-        xi[0] = params.z * jet2.rpow(t, n + 1)
-        for a in range(1, nsp + 1):
-            xi[a] = (n + 1) * tn * y[a]
-        xi[nsp + 1] = (n + 1) * tn * y[nsp + 1]
-    elif isinstance(gen, GenYk):
-        xi[gen.axis] = jet2.rpow(t, gen.k)
-    elif isinstance(gen, GenJab):
-        xi[gen.b] = y[gen.a]
-        xi[gen.a] = -y[gen.b]
-    else:
-        raise TypeError(f"not an algebra generator: {gen!r}")
-    return xi
-
-
-def _gen_dxi(gen, params, y):
-    """Jacobian dxi[A, B] = d xi^A / d y^B at y."""
-    _gen_check(gen, params)
-    nsp = params.spatial_dim
-    d = nsp + 2
     dxi = np.zeros((d, d))
     t = y[0]
     if isinstance(gen, GenXn):
         n = gen.n
         tn = jet2.rpow(t, n)
         tn1 = n * jet2.rpow(t, n - 1) if n != 0 else 0.0
+        xi[0] = params.z * jet2.rpow(t, n + 1)
         dxi[0, 0] = params.z * (n + 1) * tn
-        for a in range(1, nsp + 1):
+        # the spatial slots and the u slot scale alike
+        for a in range(1, d):
+            xi[a] = (n + 1) * tn * y[a]
             dxi[a, 0] = (n + 1) * tn1 * y[a]
             dxi[a, a] = (n + 1) * tn
-        dxi[nsp + 1, 0] = (n + 1) * tn1 * y[nsp + 1]
-        dxi[nsp + 1, nsp + 1] = (n + 1) * tn
     elif isinstance(gen, GenYk):
+        xi[gen.axis] = jet2.rpow(t, gen.k)
         dxi[gen.axis, 0] = gen.k * jet2.rpow(t, gen.k - 1) if gen.k != 0 else 0.0
     elif isinstance(gen, GenJab):
+        xi[gen.b] = y[gen.a]
+        xi[gen.a] = -y[gen.b]
         dxi[gen.b, gen.a] = 1.0
         dxi[gen.a, gen.b] = -1.0
     else:
         raise TypeError(f"not an algebra generator: {gen!r}")
-    return dxi
+    return xi, dxi
 
 
 def _xi_dot_grad(gen, params, y, grad):
     """The generator applied to a function with gradient ``grad`` at y."""
-    xi = _gen_xi(gen, params, y)
+    xi, _ = _gen_coeffs(gen, params, y)
     total = 0.0
     for a in range(len(xi)):
         total += xi[a] * grad[a]
     return float(total)
-
-
-class AppliedGenerator:
-    """The function gen(F) for a jet-evaluatable test function F."""
-
-    def __init__(self, gen, params, base):
-        self.gen = gen
-        self.params = params
-        self.base = base
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        return _xi_dot_grad(self.gen, self.params, y, self.base.jet(y).grad)
-
-
-def apply_generator(gen, params, f):
-    """Apply a first-order generator to a test function."""
-    return AppliedGenerator(gen, params, f)
 
 
 def commutator_gap(g1, g2, expected, params, j, y):
@@ -497,10 +456,8 @@ def commutator_gap(g1, g2, expected, params, j, y):
         raise DimensionMismatch(
             "test function must be a jet over (t, x_1..x_N, u)"
         )
-    xi1 = _gen_xi(g1, params, y)
-    xi2 = _gen_xi(g2, params, y)
-    dxi1 = _gen_dxi(g1, params, y)
-    dxi2 = _gen_dxi(g2, params, y)
+    xi1, dxi1 = _gen_coeffs(g1, params, y)
+    xi2, dxi2 = _gen_coeffs(g2, params, y)
     d = len(xi1)
     lhs = 0.0
     for b in range(d):
@@ -598,8 +555,6 @@ __all__ = [
     "GenXn",
     "GenYk",
     "GenJab",
-    "AppliedGenerator",
-    "apply_generator",
     "commutator_gap",
     "expected_commutator",
 ]

@@ -19,14 +19,11 @@ from .operators import evaluate_residual, residual_scale
 class GridSpec:
     """Tensor grid over (t, x_1..x_N).
 
-    ``t_range`` and each entry of ``x_ranges`` are (lo, hi, count);
-    ``exclusion`` is an optional predicate Point -> bool marking points
-    to skip before evaluation (True = exclude).
+    ``t_range`` and each entry of ``x_ranges`` are (lo, hi, count).
     """
 
     t_range: tuple
     x_ranges: tuple
-    exclusion: object = None
 
     def __post_init__(self):
         t_range = tuple(self.t_range)
@@ -166,10 +163,6 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
     kinds = sorted(kinds, key=lambda k: k.value)
     tallies = [_Tally() for _ in kinds]
     for pt in grid.points():
-        if grid.exclusion is not None and grid.exclusion(pt):
-            for tally in tallies:
-                tally.excluded += 1
-            continue
         try:
             jet = evaluate(field, params, pt)
         except DomainError:

@@ -100,7 +100,7 @@ def test_parse_family_overrides_every_field():
 
 def test_parse_group_variants():
     assert parse_group("Xn:n=1,eps=0.01") == Xn(1, 0.01)
-    assert parse_group("Xn:n=-2,eps=0.01,lam=2") == Xn(-2, 0.01, 2.0)
+    assert parse_group("Xn:n=-2,eps=0.01") == Xn(-2, 0.01)
     assert parse_group("Yk:k=1,v=0.5,0.0") == Yk(1, (0.5, 0.0))
     g = parse_group("Yphi:e=1,0;profiles=sin:1,1,0|const:0")
     assert g == Yphi((parse_profile("sin:1,1,0"), parse_profile("const:0")), (1.0, 0.0))
@@ -112,6 +112,8 @@ def test_parse_group_errors():
         parse_group("Zz:n=1")
     with pytest.raises(CLIError):
         parse_group("Xn:n=1")  # missing eps
+    with pytest.raises(CLIError):
+        parse_group("Xn:n=1,eps=0.01,lam=2")  # the field weight is always 1
     with pytest.raises(CLIError):
         parse_group("Yphi:e=1,0;profiles=sin:1,1,0")  # one profile, two shifts
     with pytest.raises(CLIError):
@@ -139,6 +141,10 @@ def test_parse_kinds_and_range_and_field():
     assert [k.value for k in kinds] == ["diffusion", "monge-ampere"]
     with pytest.raises(CLIError):
         parse_kinds("diffusion,bogus")
+    with pytest.raises(CLIError, match="unknown residual kind"):
+        parse_kinds("z0-diffusion")  # diffusion at z = 0, N = 2 is the same residual
+    with pytest.raises(CLIError, match="not of a field"):
+        parse_kinds("reduced-first")  # a residual of phi(w1, w2), not of a field
     assert parse_range("-2..3") == (-2, 3)
     with pytest.raises(CLIError):
         parse_range("3..-2")
@@ -291,6 +297,19 @@ def test_identity_non_finite_gap_fails_closed(capsys):
     assert row["identity_gap"] == "Infinity"
     assert row["obstruction_max"] == "Infinity"
     assert row["pass"] is False
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_identity_nan_obstruction_reads_inf(capsys):
+    # for n in {-1, 0} the obstruction coefficient 0 meets an overflowed
+    # determinant, so the term is NaN; it reads inf, as plain max read 0.0
+    code, out, _ = run_cli(
+        capsys, "identity", "--seed", "3", "--field", "random:deg=3,bound=1e200",
+        "--n=-2..3", "--points", "20", "--format", "csv",
+    )
+    assert code == 1
+    rows = {int(r["n"]): r for r in csv.DictReader(io.StringIO(out))}
+    assert rows[-1]["obstruction_max"] == rows[0]["obstruction_max"] == "inf"
 
 
 def test_emit_json_is_strict():

@@ -12,9 +12,7 @@ from condsym.fields import (
     Point,
     PolynomialFunction,
     ProfileFunction,
-    ProfileField,
     RandomPolynomialField,
-    constant_profile,
     evaluate,
     monomial_table,
     parse_profile,
@@ -78,11 +76,6 @@ def test_profile_arity_checked():
         parse_profile("nope:1")
 
 
-def test_constant_profile():
-    prof = constant_profile(3.5)
-    assert prof(9.9) == (3.5, 0.0, 0.0)
-
-
 def test_monomial_table_counts():
     # dim 2, degree 3: C(2+3, 3) = 10 monomials
     table = monomial_table(2, 3)
@@ -128,11 +121,3 @@ def test_make_random_polynomial_coeff_bound():
     field = RandomPolynomialField(3, params, 2, coeff_bound=0.25)
     assert field.coeff_bound == 0.25
     assert field.seed == 3 and field.degree == 2
-
-
-def test_profile_field_ignores_space():
-    params = ModelParams(2, 0.0)
-    field = ProfileField(parse_profile("poly:1,2"))
-    j = evaluate(field, params, Point(1.5, (9.0, -9.0)))
-    assert j.value == 4.0
-    assert j.grad.tolist() == [2.0, 0.0, 0.0]

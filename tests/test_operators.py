@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condsym import jet2
+from condsym._kernels import det
 from condsym.errors import DomainError
 from condsym.fields import ModelParams, parse_profile, random_polynomial_function
 from condsym.operators import (
@@ -22,8 +23,6 @@ from condsym.operators import (
     residual_scale,
     w1,
     w1_matrix,
-    w2,
-    z0_diffusion_residual,
 )
 
 P1 = ModelParams(1, 2.0)
@@ -63,7 +62,8 @@ def test_w1_w2_ma_match_numpy_det(seed):
     y = rng.uniform(-1.0, 1.0, 3)
     j = f.jet(y)
     assert w1(j, P2) == pytest.approx(np.linalg.det(w1_matrix(j)), rel=1e-10, abs=1e-12)
-    assert w2(j, P2) == pytest.approx(np.linalg.det(j.hess), rel=1e-10, abs=1e-12)
+    # the full space-time Hessian
+    assert det(np.array(j.hess)) == pytest.approx(np.linalg.det(j.hess), rel=1e-10, abs=1e-12)
     assert monge_ampere(j, P2) == pytest.approx(
         np.linalg.det(j.hess[1:, 1:]), rel=1e-10, abs=1e-12
     )
@@ -79,14 +79,17 @@ def test_paraboloid_solves_z1_diffusion():
 
 
 def test_diffusion_equals_z0_form_exactly():
-    # with z = 0, N = 2 the exponent 2-z-N is 0 and the forms coincide
+    # with z = 0, N = 2 the exponent 2-z-N is 0: w1 minus the plain Laplacian
     params = ModelParams(2, 0.0)
     rng = np.random.default_rng(3)
     for seed in range(5):
         f = random_polynomial_function(seed, 3, 3)
         y = rng.uniform(0.5, 1.5, 3)
         j = f.jet(y)
-        assert diffusion_residual(j, params) == z0_diffusion_residual(j, params)
+        laplacian = 0.0
+        for a in (1, 2):
+            laplacian += j.hess[a, a]
+        assert diffusion_residual(j, params) == w1(j, params) - laplacian
 
 
 def test_general_residual_recovers_diffusion():
@@ -201,10 +204,10 @@ def test_residual_scale_values():
 def test_evaluate_residual_dispatch():
     f = random_polynomial_function(21, 3, 3)
     j = f.jet(np.array([1.0, 0.2, 0.8]))
-    for kind in (
-        ResidualKind.DIFFUSION,
-        ResidualKind.MONGE_AMPERE,
-        ResidualKind.Z0_DIFFUSION,
-    ):
+    for kind in (ResidualKind.DIFFUSION, ResidualKind.MONGE_AMPERE):
         val = evaluate_residual(kind, j, P2)
         assert isinstance(val, float) and math.isfinite(val)
+    # the reduced kinds are residuals of a profile jet, not of a field jet
+    for kind in (ResidualKind.REDUCED_FIRST, ResidualKind.REDUCED_SECOND):
+        with pytest.raises(ValueError):
+            evaluate_residual(kind, j, P2)

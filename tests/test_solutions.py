@@ -12,7 +12,6 @@ from condsym.operators import (
     ResidualKind,
     diffusion_residual,
     monge_ampere,
-    z0_diffusion_residual,
 )
 from condsym.solutions import (
     DEFAULT_FAMILIES,
@@ -22,7 +21,6 @@ from condsym.solutions import (
     OneDimZ0,
     RadialZ1,
     RatioPolynomial,
-    ShiftedFamily,
     SolutionField,
     Z0Linear,
     Z0Sqrt,
@@ -30,8 +28,8 @@ from condsym.solutions import (
     default_grid,
     default_params,
     evaluate_solution,
-    shift_by_yphi,
 )
+from condsym.symmetry import Yphi, pushforward_field
 
 
 def test_radial_distance_oracle():
@@ -177,20 +175,19 @@ def test_required_metadata():
 
 
 def test_shift_by_yphi_preserves_solutions():
+    # pushing forward by Yphi with negated shifts replaces x_a by
+    # x_a + e_a * phi_a(t), here with e = (0.3, -0.2)
     base = DEFAULT_FAMILIES["general-z"]
     profiles = (parse_profile("sin:1,1,0"), parse_profile("poly:0,0.5"))
-    shifted = shift_by_yphi(base, profiles, (0.3, -0.2))
-    assert isinstance(shifted, ShiftedFamily)
-    params = default_params(shifted)
+    params = default_params(base)
+    shifted = pushforward_field(Yphi(profiles, (-0.3, 0.2)), params, SolutionField(base))
     worst = 0.0
     count = 0
     for t in np.linspace(0.5, 2.0, 5):
         for x1 in np.linspace(0.3, 1.5, 5):
             for x2 in np.linspace(-0.5, 0.5, 5):
                 try:
-                    j = evaluate_solution(
-                        shifted, params, Point(float(t), (float(x1), float(x2)))
-                    )
+                    j = evaluate(shifted, params, Point(float(t), (float(x1), float(x2))))
                 except DomainError:
                     continue
                 count += 1
@@ -198,19 +195,6 @@ def test_shift_by_yphi_preserves_solutions():
                 worst = max(worst, abs(monge_ampere(j, params)))
     assert count > 50
     assert worst < 1e-10
-
-
-def test_shift_by_yphi_zero_shift_is_identity():
-    base = DEFAULT_FAMILIES["general-z"]
-    profiles = (parse_profile("const:1"), parse_profile("const:1"))
-    assert shift_by_yphi(base, profiles, (0.0, 0.0)) is base
-
-
-def test_shift_by_yphi_guards():
-    base = DEFAULT_FAMILIES["one-dim-z0"]
-    profiles = (parse_profile("const:1"), parse_profile("const:1"))
-    with pytest.raises(DimensionMismatch):
-        shift_by_yphi(base, profiles, (0.1, 0.1))
 
 
 def test_ansatz_profile_matches_field():

@@ -126,28 +126,26 @@ def test_domain_errors_count_as_exclusions():
 
 
 def test_fully_excluded_grid_fails():
-    grid = GridSpec((0.5, 1.0, 2), ((0.5, 1.0, 2), (0.5, 1.0, 2)))
-    excl = GridSpec(grid.t_range, grid.x_ranges, exclusion=lambda p: True)
+    grid = GridSpec((0.5, 1.0, 2), ((-1.0, -0.5, 2), (0.5, 1.0, 2)))
     (report,) = run_residual_suite(
-        _Paraboloid(), [ResidualKind.MONGE_AMPERE], P2, excl, 1e-8
+        _HalfPlane(), [ResidualKind.MONGE_AMPERE], P2, grid, 1e-8
     )
     assert report.points_evaluated == 0
+    assert report.points_excluded == 8
     assert not report.passed
     assert report.to_dict()["worst_point"] is None
 
 
 def test_majority_exclusion_fails_even_if_accurate():
-    grid = GridSpec(
-        (0.5, 1.0, 3),
-        ((-1.0, 1.0, 4), (-1.0, 1.0, 2)),
-        exclusion=lambda p: p.x[0] <= 0.5,
-    )
+    # x1 in {-1, -0.5, 0, 0.5}: three of every four points leave the domain
+    grid = GridSpec((0.5, 1.0, 3), ((-1.0, 0.5, 4), (-1.0, 1.0, 2)))
     (report,) = run_residual_suite(
         _HalfPlane(), [ResidualKind.MONGE_AMPERE], P2, grid, 1e-2
     )
     assert report.points_excluded > 0.5 * (
         report.points_excluded + report.points_evaluated
     )
+    assert report.max_abs <= 1e-2
     assert not report.passed
 
 
