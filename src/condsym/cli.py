@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import BranchError, DimensionMismatch, DomainError
+from .errors import BranchError, DomainError
 from .fields import (
     ModelParams,
     Point,
@@ -61,30 +61,19 @@ class CLIError(ValueError):
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 
 # graded-lexicographic exponent order for two ratio variables
-_POLY2_EXPONENTS = (
-    (0, 0),
-    (1, 0),
-    (0, 1),
-    (2, 0),
-    (1, 1),
-    (0, 2),
-    (3, 0),
-    (2, 1),
-    (1, 2),
-    (0, 3),
-)
+_POLY2_EXPONENTS = tuple((d - j, j) for d in range(4) for j in range(d + 1))
 _POLY2_SIZES = (1, 3, 6, 10)
 
 
-def _split_kv(text, sep=","):
+def _split_kv(text):
     """Split ``k1=v1,k2=v2`` where values may themselves contain commas;
     a token without a new ``key=`` prefix continues the previous value."""
     merged = []
-    for tok in text.split(sep):
+    for tok in text.split(","):
         if _KEY_RE.match(tok) or not merged:
             merged.append(tok)
         else:
-            merged[-1] += sep + tok
+            merged[-1] += "," + tok
     out = {}
     for tok in merged:
         key, eq, value = tok.partition("=")
@@ -115,6 +104,14 @@ def _to_profile(key, value):
         return parse_profile(value)
     except ValueError as exc:
         raise CLIError(f"bad profile for {key}: {exc}") from None
+
+
+def _to_floats(key, value):
+    return tuple(_to_float(key, tok) for tok in value.split(","))
+
+
+def _to_profiles(key, value):
+    return tuple(_to_profile(key, tok) for tok in value.split("|"))
 
 
 def _parse_poly2(value):
@@ -152,26 +149,55 @@ def _parse_ma_phi(key, value):
     return _to_profile(key, value)
 
 
-# converter by dataclass field type, so every family's grammar follows
-# from its fields
+# converter by dataclass field type, so the grammar of every family and
+# group element follows from its fields
 _CONVERTERS = {
     float: _to_float,
     int: _to_int,
     ProfileFunction: _to_profile,
     ProfileFunction | RatioPolynomial: _parse_ma_phi,
+    tuple[float, ...]: _to_floats,
+    tuple[ProfileFunction, ...]: _to_profiles,
 }
+
+_GROUP_ELEMENTS = {cls.__name__.lower(): cls for cls in (Xn, Yk, Yphi, Rot)}
 
 
 def _spec_key(field):
-    """The spec key of a family field: ``N`` for the spatial dimension."""
+    """The spec key of a record field: ``N`` for the spatial dimension."""
     return "N" if field.name == "spatial_dim" else field.name
+
+
+def _parse_record(what, cls, rest, defaults=None):
+    """Build a ``cls`` from ``key=value`` pairs separated by ``,`` or ``;``.
+
+    The keys are the dataclass fields of ``cls``, each value converted by
+    its field's type.  A key left out keeps its value in ``defaults``; with
+    no defaults every key is required.
+    """
+    fields = {_spec_key(f): f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in (_split_kv(rest.replace(";", ",")) if rest else {}).items():
+        if key not in fields:
+            raise CLIError(f"unknown key {key!r} for {what}")
+        f = fields[key]
+        kwargs[f.name] = _CONVERTERS[f.type](key, value)
+    missing = [k for k, f in fields.items() if f.name not in kwargs]
+    if defaults is None and missing:
+        raise CLIError(f"{what} is missing {', '.join(missing)}")
+    try:
+        if defaults is None:
+            return cls(**kwargs)
+        return dataclasses.replace(defaults, **kwargs)
+    except ValueError as exc:
+        raise CLIError(f"bad {what}: {exc}") from None
 
 
 def parse_family(spec):
     """Parse ``name:key=value,...`` into a solution family.
 
     The keys are the family's dataclass field names, with ``N`` for
-    ``spatial_dim``.
+    ``spatial_dim``; a key left out keeps its catalog default.
     """
     name, _, rest = spec.partition(":")
     name = name.lower()
@@ -180,19 +206,7 @@ def parse_family(spec):
             f"unknown family {name!r}; known: {', '.join(sorted(DEFAULT_FAMILIES))}"
         )
     fam = DEFAULT_FAMILIES[name]
-    if not rest:
-        return fam
-    fields = {_spec_key(f): f for f in dataclasses.fields(fam)}
-    kwargs = {}
-    for key, value in _split_kv(rest).items():
-        if key not in fields:
-            raise CLIError(f"unknown key {key!r} for family {name!r}")
-        f = fields[key]
-        kwargs[f.name] = _CONVERTERS[f.type](key, value)
-    try:
-        return dataclasses.replace(fam, **kwargs)
-    except (ValueError, DimensionMismatch) as exc:
-        raise CLIError(f"bad family parameters: {exc}") from None
+    return _parse_record(f"family {name!r}", type(fam), rest, fam)
 
 
 def family_spec(name, fam=None):
@@ -212,55 +226,14 @@ def family_spec(name, fam=None):
 
 
 def parse_group(spec):
-    """Parse a group element spec such as ``Xn:n=1,eps=0.01``."""
+    """Parse a group element spec such as ``Xn:n=1,eps=0.01``; the keys
+    are the element's dataclass fields, all required."""
     name, _, rest = spec.partition(":")
-    key = name.lower()
-    if key == "xn":
-        kv = _split_kv(rest)
-        _require_keys("Xn", kv, {"n", "eps"}, set())
-        return Xn(_to_int("n", kv["n"]), _to_float("eps", kv["eps"]))
-    if key == "yk":
-        kv = _split_kv(rest)
-        _require_keys("Yk", kv, {"k", "v"}, set())
-        v = tuple(_to_float("v", tok) for tok in kv["v"].split(","))
-        return Yk(_to_int("k", kv["k"]), v)
-    if key == "yphi":
-        kv = {}
-        for part in rest.split(";"):
-            k, eq, value = part.partition("=")
-            if not eq:
-                raise CLIError(f"expected key=value in Yphi spec, got {part!r}")
-            kv[k] = value
-        _require_keys("Yphi", kv, {"e", "profiles"}, set())
-        e = tuple(_to_float("e", tok) for tok in kv["e"].split(","))
-        profiles = tuple(
-            _to_profile("profiles", tok) for tok in kv["profiles"].split("|")
-        )
-        try:
-            return Yphi(profiles, e)
-        except (ValueError, DimensionMismatch) as exc:
-            raise CLIError(f"bad Yphi element: {exc}") from None
-    if key == "rot":
-        kv = _split_kv(rest)
-        _require_keys("rot", kv, {"a", "b", "angle"}, set())
-        try:
-            return Rot(
-                _to_int("a", kv["a"]),
-                _to_int("b", kv["b"]),
-                _to_float("angle", kv["angle"]),
-            )
-        except (ValueError, DimensionMismatch) as exc:
-            raise CLIError(f"bad rotation element: {exc}") from None
-    raise CLIError(f"unknown group element {name!r}; known: Xn, Yk, Yphi, rot")
-
-
-def _require_keys(what, kv, required, optional):
-    missing = required - kv.keys()
-    if missing:
-        raise CLIError(f"{what} spec is missing {', '.join(sorted(missing))}")
-    unknown = kv.keys() - required - optional
-    if unknown:
-        raise CLIError(f"{what} spec has unknown keys {', '.join(sorted(unknown))}")
+    cls = _GROUP_ELEMENTS.get(name.lower())
+    if cls is None:
+        known = ", ".join(c.__name__ for c in _GROUP_ELEMENTS.values())
+        raise CLIError(f"unknown group element {name!r}; known: {known}")
+    return _parse_record(f"group element {cls.__name__}", cls, rest)
 
 
 def parse_field_spec(spec):
@@ -269,7 +242,9 @@ def parse_field_spec(spec):
     if name.lower() != "random":
         raise CLIError(f"unknown field spec {name!r}; known: random")
     kv = _split_kv(rest) if rest else {}
-    _require_keys("random field", kv, set(), {"deg", "seed", "bound"})
+    unknown = kv.keys() - {"deg", "seed", "bound"}
+    if unknown:
+        raise CLIError(f"random field spec has unknown keys {', '.join(sorted(unknown))}")
     degree = _to_int("deg", kv.get("deg", "3"))
     seed = _to_int("seed", kv["seed"]) if "seed" in kv else None
     bound = _to_float("bound", kv.get("bound", "1"))
@@ -399,10 +374,7 @@ def _summarize(rows, what):
 
 
 def _resolve_params(fam, z_flag, n_flag):
-    try:
-        params = default_params(fam, z=z_flag)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    params = default_params(fam, z=z_flag)
     if n_flag is not None and n_flag != params.spatial_dim:
         raise CLIError(
             f"--N {n_flag} does not match the family's spatial dimension "
@@ -412,56 +384,24 @@ def _resolve_params(fam, z_flag, n_flag):
 
 
 def cmd_check(args):
+    """The family's residuals on a grid; ``transform`` runs the same check
+    on the field pushed forward by the group element ``args.group``."""
     fam = parse_family(args.family)
+    element = None if args.group is None else parse_group(args.group)
     params = _resolve_params(fam, args.z, args.N)
     kinds = parse_kinds(args.kinds) if args.kinds else fam.designated
-    grid = (
-        parse_grid(args.grid, params.spatial_dim)
-        if args.grid
-        else default_grid(fam)
-    )
+    grid = parse_grid(args.grid, params.spatial_dim) if args.grid else default_grid(fam)
+    field, family_id = SolutionField(fam), args.family
+    if element is not None:
+        field = pushforward_field(element, params, field)
+        family_id = f"{args.family} via {args.group}"
     g = diffusion_gcallback(params) if ResidualKind.GENERAL_INVARIANT in kinds else None
     reports = run_residual_suite(
-        SolutionField(fam),
-        kinds,
-        params,
-        grid,
-        args.tol,
-        g=g,
-        family_id=args.family,
+        field, kinds, params, grid, args.tol, g=g, family_id=family_id
     )
     rows = [r.to_dict() for r in reports]
     emit(rows, args.format)
-    return _summarize(rows, "check")
-
-
-def cmd_transform(args):
-    fam = parse_family(args.family)
-    element = parse_group(args.group)
-    params = _resolve_params(fam, args.z, args.N)
-    kinds = parse_kinds(args.kinds) if args.kinds else fam.designated
-    grid = (
-        parse_grid(args.grid, params.spatial_dim)
-        if args.grid
-        else default_grid(fam)
-    )
-    try:
-        field = pushforward_field(element, params, SolutionField(fam))
-    except DimensionMismatch as exc:
-        raise CLIError(str(exc)) from None
-    g = diffusion_gcallback(params) if ResidualKind.GENERAL_INVARIANT in kinds else None
-    reports = run_residual_suite(
-        field,
-        kinds,
-        params,
-        grid,
-        args.tol,
-        g=g,
-        family_id=f"{args.family} via {args.group}",
-    )
-    rows = [r.to_dict() for r in reports]
-    emit(rows, args.format)
-    return _summarize(rows, "transform")
+    return _summarize(rows, "check" if element is None else "transform")
 
 
 def _identity_samples(seed, n_points, spatial_dim):
@@ -479,16 +419,21 @@ def _require_points(args):
         raise CLIError(f"--points must be at least 1, got {args.points}")
 
 
-def cmd_identity(args):
-    _require_points(args)
+def _random_field(args, params):
+    """The ``--field`` test field and its seed: ``seed=`` in the spec,
+    else ``--seed``."""
     degree, seed, bound = parse_field_spec(args.field)
-    if seed is None:
-        seed = args.seed
+    seed = args.seed if seed is None else seed
     if seed is None:
         raise CLIError("random fields need a seed (--seed or seed= in --field)")
-    n_lo, n_hi = parse_range(args.n)
+    return RandomPolynomialField(seed, params, degree, bound), seed
+
+
+def cmd_identity(args):
+    _require_points(args)
     params = ModelParams(args.N, args.z)
-    field = RandomPolynomialField(seed, params, degree, bound)
+    field, seed = _random_field(args, params)
+    n_lo, n_hi = parse_range(args.n)
     points = _identity_samples(seed, args.points, params.spatial_dim)
     bases = [evaluate(field, params, p) for p in points]
     rows = []
@@ -588,15 +533,10 @@ def cmd_fd_check(args):
         seed = args.seed if args.seed is not None else 2026
         target = args.family
     else:
-        degree, seed, bound = parse_field_spec(args.field)
-        if seed is None:
-            seed = args.seed
-        if seed is None:
-            raise CLIError("random fields need a seed (--seed or seed= in --field)")
         params = ModelParams(
             2 if args.N is None else args.N, 2.0 if args.z is None else args.z
         )
-        field = RandomPolynomialField(seed, params, degree, bound)
+        field, seed = _random_field(args, params)
         target = args.field
     rng = np.random.default_rng(seed + 77)
     accepted = 0
@@ -669,8 +609,9 @@ def cmd_catalog(args):
 # parser
 
 
-def _add_common(p, tol):
-    p.add_argument("--tol", type=float, default=tol, help="pass tolerance")
+def _add_common(p, tol=None):
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol, help="pass tolerance")
     p.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
@@ -687,26 +628,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("check", help="run residuals for a solution family")
-    p.add_argument("--family", required=True, help="family spec (see catalog)")
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--kinds", default=None, help="comma-separated residual kinds")
-    p.add_argument("--grid", default=None, help="t=lo:hi:n,x=lo:hi:n")
-    _add_common(p, 1e-8)
-    p.set_defaults(func=cmd_check)
-
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, help="family spec (see catalog)")
+    family.add_argument("--z", type=float, default=None)
+    family.add_argument("--N", type=int, default=None)
+    family.add_argument("--kinds", default=None, help="comma-separated residual kinds")
+    family.add_argument("--grid", default=None, help="t=lo:hi:n,x=lo:hi:n")
+    _add_common(family, 1e-8)
+    p = sub.add_parser("check", parents=[family], help="run residuals for a solution family")
+    p.set_defaults(func=cmd_check, group=None)
     p = sub.add_parser(
-        "transform", help="push a family through a group element, then re-check"
+        "transform",
+        parents=[family],
+        help="push a family through a group element, then re-check",
     )
-    p.add_argument("--family", required=True)
     p.add_argument("--group", required=True, help="group element spec (see catalog)")
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--kinds", default=None)
-    p.add_argument("--grid", default=None)
-    _add_common(p, 1e-8)
-    p.set_defaults(func=cmd_transform)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
         "identity", help="scan the derivative laws and determinant identity over n"
@@ -743,7 +680,7 @@ def build_parser():
     p.set_defaults(func=cmd_fd_check)
 
     p = sub.add_parser("catalog", help="list families, profiles and elements")
-    _add_common(p, 1e-8)
+    _add_common(p)
     p.set_defaults(func=cmd_catalog)
 
     return parser
@@ -759,10 +696,9 @@ def main(argv=None):
             return 0
         return 2
     try:
-        return args.func(args)
-    except (CLIError, DomainError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a non-finite value is reported in its row, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

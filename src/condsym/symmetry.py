@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jet2
-from .errors import BranchError, DimensionMismatch, ZeroDynamicalExponent
+from .errors import BranchError, DimensionMismatch
 from .fields import Point, ProfileFunction, ScalarField, evaluate
 from .operators import monge_ampere, w1
 
@@ -52,7 +52,7 @@ class Yk:
     """Space translation by v_a * t**k, k integer."""
 
     k: int
-    v: tuple
+    v: tuple[float, ...]
 
     def __post_init__(self):
         if self.k != int(self.k):
@@ -65,8 +65,8 @@ class Yk:
 class Yphi:
     """Space translation by e_a * phi_a(t) with smooth profiles."""
 
-    profiles: tuple
-    e: tuple
+    profiles: tuple[ProfileFunction, ...]
+    e: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "profiles", tuple(self.profiles))
@@ -94,22 +94,6 @@ class Rot:
             raise DimensionMismatch("need distinct 1-based axes a != b")
 
 
-@dataclass(frozen=True)
-class TransformFactors:
-    """Multipliers attached to a point transformation.
-
-    ``A`` is the spatial scale (the field scales by A);
-    ``obstruction_coeff`` is the coefficient that multiplies u * W_N^II
-    in the determinant identity: n(n+1)*eps*t**(n-1) generically,
-    n*eps*t**(n-1) in the z = 0 parametrization, 0 for n in {-1, 0} and
-    for all non-Xn elements.
-    """
-
-    A: float
-    t_prime: float
-    obstruction_coeff: float
-
-
 def _check_point(params, p):
     if len(p.x) != params.spatial_dim:
         raise DimensionMismatch(
@@ -118,11 +102,24 @@ def _check_point(params, p):
         )
 
 
-def _xn_generic_data(n, eps, z, t):
-    """The generic-n branch; callers must route n in {-1, 0} and z = 0
-    to their dedicated forms first."""
+def _xn_data(g, params, t):
+    """Return (t_prime, A, obstruction_coeff, obstruction_exponent).
+
+    The obstruction coefficient multiplies u * W_N^II in the determinant
+    identity: n(n+1)*eps*t**(n-1) generically, n*eps*t**(n-1) in the
+    z = 0 parametrization and 0 for n in {-1, 0}.  The obstruction
+    exponent is the extra power of A (z*n/(n+1) generically, 0 in the
+    special cases) carried by the obstruction terms of the derivative
+    laws and the determinant identity.
+    """
+    n, eps, z = g.n, g.eps, params.z
+    if n == -1:
+        return t + z * eps, 1.0, 0.0, 0.0
+    if n == 0:
+        return t * math.exp(z * eps), math.exp(eps), 0.0, 0.0
     if z == 0.0:
-        raise ZeroDynamicalExponent("the generic Xn formula needs z != 0")
+        w = eps * jet2.rpow(t, n)
+        return t, math.exp(w), eps * n * jet2.rpow(t, n - 1), 0.0
     s = 1.0 - z * n * eps * jet2.rpow(t, n)
     if s <= 0.0:
         raise BranchError(
@@ -135,24 +132,6 @@ def _xn_generic_data(n, eps, z, t):
     return t_prime, a_val, cn, z * n / (n + 1.0)
 
 
-def _xn_data(g, params, t):
-    """Return (t_prime, A, obstruction_coeff, obstruction_exponent).
-
-    The obstruction exponent is the extra power of A (z*n/(n+1)
-    generically, 0 in the special cases) carried by the obstruction
-    terms of the derivative laws and the determinant identity.
-    """
-    n, eps, z = g.n, g.eps, params.z
-    if n == -1:
-        return t + z * eps, 1.0, 0.0, 0.0
-    if n == 0:
-        return t * math.exp(z * eps), math.exp(eps), 0.0, 0.0
-    if z == 0.0:
-        w = eps * jet2.rpow(t, n)
-        return t, math.exp(w), eps * n * jet2.rpow(t, n - 1), 0.0
-    return _xn_generic_data(n, eps, z, t)
-
-
 def _check_element(g, params):
     if isinstance(g, Yk) and len(g.v) != params.spatial_dim:
         raise DimensionMismatch("translation vector length must equal N")
@@ -163,29 +142,29 @@ def _check_element(g, params):
 
 
 def transform_point(g, params, p):
-    """Apply a group element to a point; also return the scale factors."""
+    """Apply a group element to a point; also return the spatial scale A
+    (the field scales by A; 1 for every element but Xn)."""
     _check_point(params, p)
     _check_element(g, params)
     if isinstance(g, Xn):
-        t_prime, a_val, cn, _ = _xn_data(g, params, p.t)
-        xp = tuple(v * a_val for v in p.x)
-        return Point(t_prime, xp), TransformFactors(a_val, t_prime, cn)
+        t_prime, a_val, _, _ = _xn_data(g, params, p.t)
+        return Point(t_prime, tuple(v * a_val for v in p.x)), a_val
     if isinstance(g, Yk):
         shift = jet2.rpow(p.t, g.k)
         xp = tuple(x + c * shift for x, c in zip(p.x, g.v))
-        return Point(p.t, xp), TransformFactors(1.0, p.t, 0.0)
+        return Point(p.t, xp), 1.0
     if isinstance(g, Yphi):
         xp = tuple(
             x + c * prof(p.t)[0] for x, c, prof in zip(p.x, g.e, g.profiles)
         )
-        return Point(p.t, xp), TransformFactors(1.0, p.t, 0.0)
+        return Point(p.t, xp), 1.0
     if isinstance(g, Rot):
         c, s = math.cos(g.angle), math.sin(g.angle)
         x = list(p.x)
         xa, xb = x[g.a - 1], x[g.b - 1]
         x[g.a - 1] = c * xa - s * xb
         x[g.b - 1] = s * xa + c * xb
-        return Point(p.t, tuple(x)), TransformFactors(1.0, p.t, 0.0)
+        return Point(p.t, tuple(x)), 1.0
     raise TypeError(f"not a group element: {g!r}")
 
 
@@ -542,7 +521,6 @@ __all__ = [
     "Yk",
     "Yphi",
     "Rot",
-    "TransformFactors",
     "transform_point",
     "inverse_element",
     "PushforwardField",

@@ -386,21 +386,21 @@ def test_criterion_8_group_laws_all_variants():
     for make, params in variants:
         for p in pts:
             for e1, e2 in ((0.02, 0.013), (-0.015, 0.007)):
-                q1, f1 = transform_point(make(e1), params, p)
-                q2, f2 = transform_point(make(e2), params, q1)
-                q12, f12 = transform_point(make(e1 + e2), params, p)
+                q1, a1 = transform_point(make(e1), params, p)
+                q2, a2 = transform_point(make(e2), params, q1)
+                q12, a12 = transform_point(make(e1 + e2), params, p)
                 worst = max(worst, abs(q2.t - q12.t))
                 worst = max(
                     worst,
                     max(abs(a - b) for a, b in zip(q2.x, q12.x)),
                 )
-                worst = max(worst, abs(f1.A * f2.A - f12.A))
+                worst = max(worst, abs(a1 * a2 - a12))
             g = make(0.05)
-            q, fac = transform_point(g, params, p)
-            back, fac_inv = transform_point(inverse_element(g), params, q)
+            q, A = transform_point(g, params, p)
+            back, a_inv = transform_point(inverse_element(g), params, q)
             worst = max(worst, abs(back.t - p.t))
             worst = max(worst, max(abs(a - b) for a, b in zip(back.x, p.x)))
-            worst = max(worst, abs(fac.A * fac_inv.A - 1.0))
+            worst = max(worst, abs(A * a_inv - 1.0))
     _verdict(
         "criterion 8 (group laws)",
         worst < 1e-10,

@@ -105,6 +105,9 @@ def test_parse_group_variants():
     g = parse_group("Yphi:e=1,0;profiles=sin:1,1,0|const:0")
     assert g == Yphi((parse_profile("sin:1,1,0"), parse_profile("const:0")), (1.0, 0.0))
     assert parse_group("rot:a=1,b=2,angle=0.3") == Rot(1, 2, 0.3)
+    # "," separates keys as ";" does, and element names ignore case
+    assert parse_group("Yphi:e=1,0,profiles=sin:1,1,0|const:0") == g
+    assert parse_group("XN:n=1,eps=0.01") == Xn(1, 0.01)
 
 
 def test_parse_group_errors():
@@ -118,6 +121,14 @@ def test_parse_group_errors():
         parse_group("Yphi:e=1,0;profiles=sin:1,1,0")  # one profile, two shifts
     with pytest.raises(CLIError):
         parse_group("rot:a=1,b=1,angle=0.3")
+    with pytest.raises(CLIError, match="duplicate key 'e'"):
+        parse_group("Yphi:e=0.1,-0.1;e=5,5;profiles=sin:1,1,0|const:1")
+    with pytest.raises(CLIError, match="unknown key 'w'"):
+        parse_group("Yk:k=1,v=0.5,0.0,w=1")
+    with pytest.raises(CLIError, match="missing angle"):
+        parse_group("rot:a=1,b=2")
+    with pytest.raises(CLIError, match="bad number for v"):
+        parse_group("Yk:k=1,v=0.5,x")
 
 
 def test_parse_grid():
@@ -235,6 +246,17 @@ def test_transform_group_mismatch(capsys):
     assert code == 2
 
 
+def test_usage_errors_print_one_line(capsys):
+    code, out, err = run_cli(capsys, "catalog", "--tol", "1e-3")
+    assert code == 2 and out == ""
+    # the rotation axis 3 exceeds N = 2; main reports the mismatch itself
+    code, out, err = run_cli(
+        capsys, "transform", "--family", "radial-z1", "--group", "rot:a=1,b=3,angle=0.1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: rotation axes exceed spatial dimension\n"
+
+
 def test_identity_requires_seed(capsys):
     code, _, err = run_cli(capsys, "identity")
     assert code == 2 and "seed" in err
@@ -281,7 +303,6 @@ def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
     assert len(calls) == 50 + 6 * 50
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_identity_non_finite_gap_fails_closed(capsys):
     # the mixed determinants overflow, so the identity gap is NaN; the row
     # reports it as inf, and the JSON spells inf as a string
@@ -299,15 +320,14 @@ def test_identity_non_finite_gap_fails_closed(capsys):
     assert row["pass"] is False
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_identity_nan_obstruction_reads_inf(capsys):
     # for n in {-1, 0} the obstruction coefficient 0 meets an overflowed
     # determinant, so the term is NaN; it reads inf, as plain max read 0.0
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "identity", "--seed", "3", "--field", "random:deg=3,bound=1e200",
         "--n=-2..3", "--points", "20", "--format", "csv",
     )
-    assert code == 1
+    assert code == 1 and err == "identity: 0/6 passed\n"  # no numpy warnings
     rows = {int(r["n"]): r for r in csv.DictReader(io.StringIO(out))}
     assert rows[-1]["obstruction_max"] == rows[0]["obstruction_max"] == "inf"
 
@@ -435,6 +455,9 @@ def test_catalog_lists_everything(capsys):
     assert kinds == {"family", "profile", "group", "field"}
     families = [r for r in rows if r["kind"] == "family"]
     assert {r["name"] for r in families} == set(DEFAULT_FAMILIES)
+    for row in rows:
+        if row["kind"] == "group":
+            parse_group(row["spec"])
 
 
 def test_byte_determinism(capsys):

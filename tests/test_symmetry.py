@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from condsym import jet2
-from condsym.errors import BranchError, DimensionMismatch, ZeroDynamicalExponent
+from condsym.errors import BranchError, DimensionMismatch
 from condsym.fields import (
     ModelParams,
     Point,
@@ -42,36 +42,38 @@ P2 = ModelParams(2, 2.0)
 
 def test_xn_generic_transform_oracle():
     # z=2, n=1, eps=0.1 at t=1: s = 0.8, t' = 1/0.8 = 1.25, A = 0.8^-1
-    q, fac = transform_point(Xn(1, 0.1), P2, Point(1.0, (0.4, -0.2)))
-    assert fac.t_prime == pytest.approx(1.25, abs=1e-14)
-    assert fac.A == pytest.approx(1.25, abs=1e-14)
+    q, A = transform_point(Xn(1, 0.1), P2, Point(1.0, (0.4, -0.2)))
+    assert A == pytest.approx(1.25, abs=1e-14)
     assert q.t == pytest.approx(1.25, abs=1e-14)
     assert q.x[0] == pytest.approx(0.5, abs=1e-14)
     assert q.x[1] == pytest.approx(-0.25, abs=1e-14)
 
 
 def test_xn_time_translation():
-    q, fac = transform_point(Xn(-1, 0.3), P2, Point(1.0, (0.5, 0.5)))
+    q, A = transform_point(Xn(-1, 0.3), P2, Point(1.0, (0.5, 0.5)))
     assert q.t == pytest.approx(1.6, abs=1e-14)  # t + z*eps
-    assert fac.A == 1.0
+    assert A == 1.0
     assert q.x == (0.5, 0.5)
 
 
 def test_xn_dilatation():
-    q, fac = transform_point(Xn(0, 0.2), P2, Point(1.0, (1.0, -1.0)))
+    q, A = transform_point(Xn(0, 0.2), P2, Point(1.0, (1.0, -1.0)))
     assert q.t == pytest.approx(math.exp(0.4), abs=1e-14)
-    assert fac.A == pytest.approx(math.exp(0.2), abs=1e-14)
+    assert A == pytest.approx(math.exp(0.2), abs=1e-14)
     assert q.x[0] == pytest.approx(math.exp(0.2), abs=1e-14)
 
 
 def test_xn_z0_branch():
     params = ModelParams(2, 0.0)
-    q, fac = transform_point(Xn(2, 0.1), params, Point(1.5, (1.0, 2.0)))
+    p = Point(1.5, (1.0, 2.0))
+    q, A = transform_point(Xn(2, 0.1), params, p)
     s = math.exp(0.1 * 1.5**2)
     assert q.t == 1.5
-    assert fac.A == pytest.approx(s, abs=1e-14)
+    assert A == pytest.approx(s, abs=1e-14)
     assert q.x[0] == pytest.approx(s, abs=1e-14)
-    assert fac.obstruction_coeff == pytest.approx(0.1 * 2 * 1.5, abs=1e-14)
+    u = RandomPolynomialField(4, params, 3)
+    tr = xn_transport(Xn(2, 0.1), params, u, p, evaluate(u, params, p))
+    assert tr.C == pytest.approx(0.1 * 2 * 1.5, abs=1e-14)
 
 
 def test_branch_error_outside_window():
@@ -82,8 +84,8 @@ def test_branch_error_outside_window():
 
 def test_rot_moves_axes():
     g = Rot(1, 2, math.pi / 2)
-    q, fac = transform_point(g, P2, Point(1.0, (1.0, 0.0)))
-    assert fac.A == 1.0
+    q, A = transform_point(g, P2, Point(1.0, (1.0, 0.0)))
+    assert A == 1.0
     assert q.x[0] == pytest.approx(0.0, abs=1e-15)
     assert q.x[1] == pytest.approx(1.0, abs=1e-15)
 
@@ -119,23 +121,23 @@ def _group_elements():
 def test_composition_is_additive(label, make, params):
     p = Point(0.9, (0.7, -0.3))
     e1, e2 = 0.02, 0.013
-    q1, f1 = transform_point(make(e1), params, p)
-    q2, f2 = transform_point(make(e2), params, q1)
-    q12, f12 = transform_point(make(e1 + e2), params, p)
+    q1, a1 = transform_point(make(e1), params, p)
+    q2, a2 = transform_point(make(e2), params, q1)
+    q12, a12 = transform_point(make(e1 + e2), params, p)
     assert q2.t == pytest.approx(q12.t, abs=1e-10)
     assert np.asarray(q2.x) == pytest.approx(np.asarray(q12.x), abs=1e-10)
-    assert f1.A * f2.A == pytest.approx(f12.A, abs=1e-10)
+    assert a1 * a2 == pytest.approx(a12, abs=1e-10)
 
 
 @pytest.mark.parametrize("label,make,params", _group_elements())
 def test_inverse_round_trip(label, make, params):
     p = Point(0.9, (0.7, -0.3))
     g = make(0.05)
-    q, fac = transform_point(g, params, p)
-    back, fac_inv = transform_point(inverse_element(g), params, q)
+    q, A = transform_point(g, params, p)
+    back, a_inv = transform_point(inverse_element(g), params, q)
     assert back.t == pytest.approx(p.t, abs=1e-10)
     assert np.asarray(back.x) == pytest.approx(np.asarray(p.x), abs=1e-10)
-    assert fac.A * fac_inv.A == pytest.approx(1.0, abs=1e-10)
+    assert A * a_inv == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pushforward_defining_relation():
@@ -143,10 +145,10 @@ def test_pushforward_defining_relation():
     u = RandomPolynomialField(4, P2, 3)
     g = Xn(1, 0.02)
     p = Point(0.8, (0.4, -0.6))
-    q, fac = transform_point(g, P2, p)
+    q, A = transform_point(g, P2, p)
     pushed = pushforward_field(g, P2, u)
     lhs = evaluate(pushed, P2, q).value
-    rhs = fac.A * evaluate(u, P2, p).value
+    rhs = A * evaluate(u, P2, p).value
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
@@ -200,10 +202,10 @@ def test_obstruction_is_necessary():
     assert full_gap < 1e-12
     obstruction = obstruction_term(tr)
     assert abs(obstruction) > 1e-3 * eps
-    q, fac = transform_point(g, P2, p)
+    q, A = transform_point(g, P2, p)
     prime = evaluate(pushforward_field(g, P2, u), P2, q)
     naive = abs(
-        w1(prime, P2) - fac.A ** (1.0 - P2.z - 2) * w1(base, P2)
+        w1(prime, P2) - A ** (1.0 - P2.z - 2) * w1(base, P2)
     )
     assert naive > 1e-3 * eps
 
@@ -225,12 +227,8 @@ def test_law_gap_requires_xn():
 
 
 def test_zero_z_general_branch_is_guarded():
-    # the public dispatch routes z = 0 to its own branch; the generic
-    # formula itself refuses z = 0 rather than dividing by it
-    from condsym.symmetry import _xn_generic_data
-
-    with pytest.raises(ZeroDynamicalExponent):
-        _xn_generic_data(1, 0.01, 0.0, 1.0)
+    # the dispatch routes z = 0 to its own branch before the generic
+    # formula, which would divide by z
     q, _ = transform_point(Xn(1, 0.01), ModelParams(2, 0.0), Point(1.0, (0.5, 0.5)))
     assert q.t == 1.0
 
