@@ -302,6 +302,8 @@ def parse_kinds(spec):
             raise CLIError(f"unknown residual kind {tok!r}; known: {known}") from None
         if kind not in _FIELD_KINDS:
             raise CLIError(f"{tok!r} is a residual of a profile phi(w1, w2), not of a field")
+        if kind in out:
+            raise CLIError(f"duplicate residual kind {tok!r}")
         out.append(kind)
     return tuple(out)
 
@@ -389,7 +391,7 @@ def cmd_check(args):
     fam = parse_family(args.family)
     element = None if args.group is None else parse_group(args.group)
     params = _resolve_params(fam, args.z, args.N)
-    kinds = parse_kinds(args.kinds) if args.kinds else fam.designated
+    kinds = fam.designated if args.kinds is None else parse_kinds(args.kinds)
     grid = parse_grid(args.grid, params.spatial_dim) if args.grid else default_grid(fam)
     field, family_id = SolutionField(fam), args.family
     if element is not None:

@@ -59,13 +59,19 @@ class ScalarField(abc.ABC):
         """Return the Jet2 of the field at ``point`` in dim N + 1."""
 
 
-def evaluate(field, params, point):
-    """Evaluate ``field`` after validating dimensions."""
+def check_point(params, point):
+    """Raise :class:`DimensionMismatch` unless ``point`` has N spatial
+    coordinates."""
     if len(point.x) != params.spatial_dim:
         raise DimensionMismatch(
-            f"point has {len(point.x)} spatial coordinates, params expect "
+            f"point has {len(point.x)} spatial coordinates, expected "
             f"{params.spatial_dim}"
         )
+
+
+def evaluate(field, params, point):
+    """Evaluate ``field`` after validating dimensions."""
+    check_point(params, point)
     jet = field.evaluate(params, point)
     if jet.dim != params.jet_dim:
         raise DimensionMismatch(
@@ -235,6 +241,7 @@ __all__ = [
     "ModelParams",
     "Point",
     "ScalarField",
+    "check_point",
     "evaluate",
     "ProfileFunction",
     "parse_profile",

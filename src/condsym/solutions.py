@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import jet2
 from .errors import DimensionMismatch, DomainError, ZeroDynamicalExponent
-from .fields import ModelParams, ProfileFunction, ScalarField
+from .fields import ModelParams, ProfileFunction, ScalarField, check_point
 from .operators import ResidualKind
 from .verify import GridSpec
 
@@ -323,11 +323,7 @@ def _check_family(fam, params):
 def evaluate_solution(fam, params, point):
     """Full second-order jet of the family at a point."""
     _check_family(fam, params)
-    if len(point.x) != params.spatial_dim:
-        raise DimensionMismatch(
-            f"point has {len(point.x)} spatial coordinates, expected "
-            f"{params.spatial_dim}"
-        )
+    check_point(params, point)
     d = params.jet_dim
     jt = jet2.seed(d, 0, point.t)
     jx = [jet2.seed(d, 1 + i, v) for i, v in enumerate(point.x)]

@@ -5,6 +5,15 @@ generators act on test functions over (t, x_1..x_N, u).  The closed-form
 derivative transformation laws and the determinant identity that this
 module checks are the quantitative heart of the package.
 
+Each group element ``g`` writes its map once, as
+``g.act(params, t, x) -> (t', x', A)``: the image of the point and the
+factor A by which the field scales.  ``act`` runs on floats, where it
+moves a point (:func:`transform_point`, :func:`xn_transport`), and on the
+seed jets of a query point, where ``g.inverse().act`` gives the pullback
+of the pushforward field (:class:`PushforwardField`).  ``g.inverse()`` is
+the same element with its parameter negated; ``g.check(params)`` rejects
+an element that does not fit the spatial dimension N.
+
 Conventions:
 
 * ``Xn`` scales time, space and the field; its finite form is defined on
@@ -25,12 +34,32 @@ import numpy as np
 
 from . import jet2
 from .errors import BranchError, DimensionMismatch
-from .fields import Point, ProfileFunction, ScalarField, evaluate
+from .fields import Point, ProfileFunction, ScalarField, check_point, evaluate
+from .jet2 import Jet2
 from .operators import monge_ampere, w1
 
 
 # ---------------------------------------------------------------------------
 # group elements
+
+# ``act`` takes floats or jets; these are the only steps that tell them
+# apart.  A pole (t = 0 under a negative power) is a DomainError on both.
+
+
+def _pow(v, p):
+    return jet2.power(v, p) if isinstance(v, Jet2) else jet2.rpow(v, p)
+
+
+def _exp(v):
+    return jet2.exp(v) if isinstance(v, Jet2) else math.exp(v)
+
+
+def _profile(prof, t):
+    return prof.jet(t) if isinstance(t, Jet2) else prof(t)[0]
+
+
+def _value(v):
+    return v.value if isinstance(v, Jet2) else v
 
 
 @dataclass(frozen=True)
@@ -46,6 +75,32 @@ class Xn:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "eps", float(self.eps))
 
+    def inverse(self):
+        return Xn(self.n, -self.eps)
+
+    def check(self, params):
+        """Xn acts in every spatial dimension."""
+
+    def act(self, params, t, x):
+        n, eps, z = self.n, self.eps, params.z
+        if n == -1:
+            return t + z * eps, tuple(x), 1.0
+        if n == 0:
+            a = math.exp(eps)
+            return t * math.exp(z * eps), tuple(v * a for v in x), a
+        if z == 0.0:
+            a = _exp(eps * _pow(t, n))
+            return t, tuple(v * a for v in x), a
+        s = 1.0 - z * n * eps * _pow(t, n)
+        branch = _value(s)
+        if branch <= 0.0:
+            raise BranchError(
+                f"outside the small-parameter branch: 1 - z*n*eps*t^n = {branch!r}"
+            )
+        beta = (n + 1.0) / (z * n)
+        a = _pow(s, -beta)
+        return t * _pow(s, -1.0 / n), tuple(v * a for v in x), a
+
 
 @dataclass(frozen=True)
 class Yk:
@@ -59,6 +114,17 @@ class Yk:
             raise ValueError("k must be an integer")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "v", tuple(float(c) for c in self.v))
+
+    def inverse(self):
+        return Yk(self.k, tuple(-c for c in self.v))
+
+    def check(self, params):
+        if len(self.v) != params.spatial_dim:
+            raise DimensionMismatch("translation vector length must equal N")
+
+    def act(self, params, t, x):
+        shift = _pow(t, self.k)
+        return t, tuple(v + c * shift for v, c in zip(x, self.v)), 1.0
 
 
 @dataclass(frozen=True)
@@ -77,6 +143,17 @@ class Yphi:
             if not isinstance(p, ProfileFunction):
                 raise TypeError("profiles must be ProfileFunction instances")
 
+    def inverse(self):
+        return Yphi(self.profiles, tuple(-c for c in self.e))
+
+    def check(self, params):
+        if len(self.e) != params.spatial_dim:
+            raise DimensionMismatch("shift vector length must equal N")
+
+    def act(self, params, t, x):
+        shifted = zip(x, self.e, self.profiles)
+        return t, tuple(v + c * _profile(prof, t) for v, c, prof in shifted), 1.0
+
 
 @dataclass(frozen=True)
 class Rot:
@@ -93,17 +170,68 @@ class Rot:
         if self.a < 1 or self.b < 1 or self.a == self.b:
             raise DimensionMismatch("need distinct 1-based axes a != b")
 
+    def inverse(self):
+        return Rot(self.a, self.b, -self.angle)
 
-def _check_point(params, p):
-    if len(p.x) != params.spatial_dim:
-        raise DimensionMismatch(
-            f"point has {len(p.x)} spatial coordinates, expected "
-            f"{params.spatial_dim}"
-        )
+    def check(self, params):
+        if self.a > params.spatial_dim or self.b > params.spatial_dim:
+            raise DimensionMismatch("rotation axes exceed spatial dimension")
+
+    def act(self, params, t, x):
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        x = list(x)
+        xa, xb = x[self.a - 1], x[self.b - 1]
+        x[self.a - 1] = c * xa - s * xb
+        x[self.b - 1] = s * xa + c * xb
+        return t, tuple(x), 1.0
 
 
-def _xn_data(g, params, t):
-    """Return (t_prime, A, obstruction_coeff, obstruction_exponent).
+def transform_point(g, params, p):
+    """Apply a group element to a point; also return the spatial scale A
+    (the field scales by A; 1 for every element but Xn)."""
+    check_point(params, p)
+    g.check(params)
+    t, x, a_val = g.act(params, p.t, p.x)
+    return Point(t, x), a_val
+
+
+class PushforwardField(ScalarField):
+    """Field transported by a group element.
+
+    Evaluation at a query point q runs the inverse element's map on the
+    seed jets of q, reads the base field at the image, composes the jets
+    through that coordinate change and divides by the inverse's factor
+    (the forward factor at the source point).
+    """
+
+    def __init__(self, element, base):
+        self.element = element
+        self.inverse = element.inverse()
+        self.base = base
+
+    def evaluate(self, params, point):
+        check_point(params, point)
+        self.element.check(params)
+        d = params.jet_dim
+        jt = jet2.seed(d, 0, point.t)
+        jx = [jet2.seed(d, 1 + a, v) for a, v in enumerate(point.x)]
+        jt, jx, a_inv = self.inverse.act(params, jt, jx)
+        source = Point(jt.value, tuple(j.value for j in jx))
+        base_jet = evaluate(self.base, params, source)
+        out = jet2.compose(base_jet, (jt,) + jx)
+        if isinstance(a_inv, Jet2) or a_inv != 1.0:
+            out = out / a_inv
+        return out
+
+
+def pushforward_field(g, params, u):
+    """Transport ``u`` by the group element ``g``."""
+    g.check(params)
+    return PushforwardField(g, u)
+
+
+def _xn_obstruction(g, params, t):
+    """Return (obstruction_coeff, obstruction_exponent) of ``g`` at ``t``.
 
     The obstruction coefficient multiplies u * W_N^II in the determinant
     identity: n(n+1)*eps*t**(n-1) generically, n*eps*t**(n-1) in the
@@ -113,153 +241,18 @@ def _xn_data(g, params, t):
     laws and the determinant identity.
     """
     n, eps, z = g.n, g.eps, params.z
-    if n == -1:
-        return t + z * eps, 1.0, 0.0, 0.0
-    if n == 0:
-        return t * math.exp(z * eps), math.exp(eps), 0.0, 0.0
+    if n in (-1, 0):
+        return 0.0, 0.0
     if z == 0.0:
-        w = eps * jet2.rpow(t, n)
-        return t, math.exp(w), eps * n * jet2.rpow(t, n - 1), 0.0
-    s = 1.0 - z * n * eps * jet2.rpow(t, n)
-    if s <= 0.0:
-        raise BranchError(
-            f"outside the small-parameter branch: 1 - z*n*eps*t^n = {s!r}"
-        )
-    beta = (n + 1.0) / (z * n)
-    a_val = s ** (-beta)
-    t_prime = t * s ** (-1.0 / n)
-    cn = n * (n + 1.0) * eps * jet2.rpow(t, n - 1)
-    return t_prime, a_val, cn, z * n / (n + 1.0)
-
-
-def _check_element(g, params):
-    if isinstance(g, Yk) and len(g.v) != params.spatial_dim:
-        raise DimensionMismatch("translation vector length must equal N")
-    if isinstance(g, Yphi) and len(g.e) != params.spatial_dim:
-        raise DimensionMismatch("shift vector length must equal N")
-    if isinstance(g, Rot) and (g.a > params.spatial_dim or g.b > params.spatial_dim):
-        raise DimensionMismatch("rotation axes exceed spatial dimension")
-
-
-def transform_point(g, params, p):
-    """Apply a group element to a point; also return the spatial scale A
-    (the field scales by A; 1 for every element but Xn)."""
-    _check_point(params, p)
-    _check_element(g, params)
-    if isinstance(g, Xn):
-        t_prime, a_val, _, _ = _xn_data(g, params, p.t)
-        return Point(t_prime, tuple(v * a_val for v in p.x)), a_val
-    if isinstance(g, Yk):
-        shift = jet2.rpow(p.t, g.k)
-        xp = tuple(x + c * shift for x, c in zip(p.x, g.v))
-        return Point(p.t, xp), 1.0
-    if isinstance(g, Yphi):
-        xp = tuple(
-            x + c * prof(p.t)[0] for x, c, prof in zip(p.x, g.e, g.profiles)
-        )
-        return Point(p.t, xp), 1.0
-    if isinstance(g, Rot):
-        c, s = math.cos(g.angle), math.sin(g.angle)
-        x = list(p.x)
-        xa, xb = x[g.a - 1], x[g.b - 1]
-        x[g.a - 1] = c * xa - s * xb
-        x[g.b - 1] = s * xa + c * xb
-        return Point(p.t, tuple(x)), 1.0
-    raise TypeError(f"not a group element: {g!r}")
-
-
-def inverse_element(g):
-    """The inverse is the same variant with the parameter negated."""
-    if isinstance(g, Xn):
-        return Xn(g.n, -g.eps)
-    if isinstance(g, Yk):
-        return Yk(g.k, tuple(-c for c in g.v))
-    if isinstance(g, Yphi):
-        return Yphi(g.profiles, tuple(-c for c in g.e))
-    if isinstance(g, Rot):
-        return Rot(g.a, g.b, -g.angle)
-    raise TypeError(f"not a group element: {g!r}")
-
-
-class PushforwardField(ScalarField):
-    """Field transported by a group element.
-
-    Evaluation at a query point q applies the inverse point map, reads
-    the base field there, composes the jets through the coordinate
-    change and multiplies by the field factor.
-    """
-
-    def __init__(self, element, base):
-        self.element = element
-        self.base = base
-
-    def evaluate(self, params, point):
-        _check_point(params, point)
-        _check_element(self.element, params)
-        d = params.jet_dim
-        jt = jet2.seed(d, 0, point.t)
-        jx = [jet2.seed(d, 1 + a, point.x[a]) for a in range(params.spatial_dim)]
-        g = self.element
-        factor = None
-        if isinstance(g, Xn):
-            jt, jx, factor = self._xn_inverse_jets(g, params, jt, jx)
-        elif isinstance(g, Yk):
-            shift = jet2.power(jt, g.k)
-            jx = [j - c * shift for j, c in zip(jx, g.v)]
-        elif isinstance(g, Yphi):
-            jx = [j - c * prof.jet(jt) for j, c, prof in zip(jx, g.e, g.profiles)]
-        elif isinstance(g, Rot):
-            c, s = math.cos(g.angle), math.sin(g.angle)
-            ja, jb = jx[g.a - 1], jx[g.b - 1]
-            jx[g.a - 1] = c * ja + s * jb
-            jx[g.b - 1] = -s * ja + c * jb
-        else:
-            raise TypeError(f"not a group element: {g!r}")
-        source = Point(jt.value, tuple(j.value for j in jx))
-        base_jet = evaluate(self.base, params, source)
-        out = jet2.compose(base_jet, [jt] + jx)
-        if factor is not None:
-            out = jet2.mul(out, factor)
-        return out
-
-    @staticmethod
-    def _xn_inverse_jets(g, params, jt, jx):
-        n, eps, z = g.n, g.eps, params.z
-        d = jt.dim
-        if n == -1:
-            return jt + (-z * eps), jx, None
-        if n == 0:
-            factor = jet2.constant(d, math.exp(eps))
-            return jt * math.exp(-z * eps), [j * math.exp(-eps) for j in jx], factor
-        if z == 0.0:
-            w = eps * jet2.power(jt, n)
-            scale = jet2.exp(-1.0 * w)
-            return jt, [jet2.mul(j, scale) for j in jx], jet2.exp(w)
-        # Inverse branch function 1 + z*n*eps*t^n; the forward factor at
-        # the pulled-back time is its exact reciprocal power.
-        s_jet = jet2.constant(d, 1.0) + (z * n * eps) * jet2.power(jt, n)
-        if s_jet.value <= 0.0:
-            raise BranchError(
-                "outside the small-parameter branch: "
-                f"1 + z*n*eps*t^n = {s_jet.value!r}"
-            )
-        beta = (n + 1.0) / (z * n)
-        scale = jet2.power(s_jet, -beta)
-        new_t = jet2.mul(jt, jet2.power(s_jet, -1.0 / n))
-        factor = jet2.power(s_jet, beta)
-        return new_t, [jet2.mul(j, scale) for j in jx], factor
-
-
-def pushforward_field(g, params, u):
-    """Transport ``u`` by the group element ``g``."""
-    _check_element(g, params)
-    return PushforwardField(g, u)
+        return eps * n * jet2.rpow(t, n - 1), 0.0
+    return n * (n + 1.0) * eps * jet2.rpow(t, n - 1), z * n / (n + 1.0)
 
 
 class XnTransport(NamedTuple):
     """The jets of u at ``p`` (``base``) and of its Xn pushforward at the
-    image of ``p`` (``prime``), with the spatial scale A, the obstruction
-    coefficient C and the obstruction exponent E of :func:`_xn_data`."""
+    image of ``p`` (``prime``), with the spatial scale A of ``Xn.act``
+    and the obstruction coefficient C and exponent E of
+    :func:`_xn_obstruction`."""
 
     params: object
     p: Point
@@ -278,9 +271,8 @@ def xn_transport(g, params, u, p, base):
     which the caller builds once for all elements it transports."""
     if not isinstance(g, Xn):
         raise TypeError("the transport laws are stated for Xn elements")
-    _check_point(params, p)
-    t_prime, a_val, cn, e_obs = _xn_data(g, params, p.t)
-    q = Point(t_prime, tuple(v * a_val for v in p.x))
+    q, a_val = transform_point(g, params, p)
+    cn, e_obs = _xn_obstruction(g, params, p.t)
     prime = evaluate(PushforwardField(g, u), params, q)
     return XnTransport(params, p, base, prime, a_val, cn, e_obs)
 
@@ -522,7 +514,6 @@ __all__ = [
     "Yphi",
     "Rot",
     "transform_point",
-    "inverse_element",
     "PushforwardField",
     "pushforward_field",
     "XnTransport",

@@ -48,7 +48,6 @@ from condsym.symmetry import (
     commutator_gap,
     derivative_law_gap,
     expected_commutator,
-    inverse_element,
     obstruction_term,
     pushforward_identity_gap,
     transform_point,
@@ -397,7 +396,7 @@ def test_criterion_8_group_laws_all_variants():
                 worst = max(worst, abs(a1 * a2 - a12))
             g = make(0.05)
             q, A = transform_point(g, params, p)
-            back, a_inv = transform_point(inverse_element(g), params, q)
+            back, a_inv = transform_point(g.inverse(), params, q)
             worst = max(worst, abs(back.t - p.t))
             worst = max(worst, max(abs(a - b) for a, b in zip(back.x, p.x)))
             worst = max(worst, abs(A * a_inv - 1.0))

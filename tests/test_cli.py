@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from condsym.cli import (
 from condsym.fields import parse_profile
 from condsym.solutions import DEFAULT_FAMILIES, GeneralZ, MAOnly, Z0Linear
 from condsym.symmetry import Rot, Xn, Yk, Yphi
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +160,10 @@ def test_parse_kinds_and_range_and_field():
         parse_kinds("z0-diffusion")  # diffusion at z = 0, N = 2 is the same residual
     with pytest.raises(CLIError, match="not of a field"):
         parse_kinds("reduced-first")  # a residual of phi(w1, w2), not of a field
+    with pytest.raises(CLIError, match="duplicate residual kind"):
+        parse_kinds("diffusion,diffusion")
+    with pytest.raises(CLIError, match="unknown residual kind"):
+        parse_kinds("")
     assert parse_range("-2..3") == (-2, 3)
     with pytest.raises(CLIError):
         parse_range("3..-2")
@@ -196,6 +204,10 @@ def test_check_usage_cases(capsys):
     assert code == 2  # family fixes z = 1
     code, _, err = run_cli(capsys, "check", "--family", "radial-z1", "--N", "3")
     assert code == 2
+    # an empty or repeated --kinds is a usage error, not the designated kinds
+    for kinds in ("", "diffusion, ", "diffusion,diffusion"):
+        code, out, err = run_cli(capsys, "check", "--family", "one-dim-z1", "--kinds", kinds)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_check_custom_grid_and_kinds(capsys):
@@ -237,6 +249,23 @@ def test_transform_pass(capsys):
     rows = json.loads(out)
     assert all(r["pass"] for r in rows)
     assert "via Xn" in rows[0]["family"]
+
+
+def test_transform_excludes_pole_samples(capsys):
+    # Yk with k = -1 has a pole at t = 0: the grid's t = 0 slice is excluded
+    code, out, _ = run_cli(
+        capsys,
+        "transform",
+        "--family",
+        "radial-z1",
+        "--group",
+        "Yk:k=-1,v=0.1,0.1",
+        "--grid",
+        "t=0:1:3,x=-1:1:3",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["points_evaluated"], r["points_excluded"]) for r in rows] == [(18, 9)] * 2
 
 
 def test_transform_group_mismatch(capsys):
@@ -476,4 +505,24 @@ def test_help_exits_zero(capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+    capsys.readouterr()
+
+
+def _readme_block(heading, lang):
+    text = README.read_text()
+    section = text[text.index(heading):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("```", start)]
+
+
+def test_readme_examples_run(capsys):
+    exec(_readme_block("## Library in one minute", "python"), {})
+    lines = [
+        shlex.split(line, comments=True)
+        for line in _readme_block("## Command line", "sh").splitlines()
+        if line.startswith("condsym ")
+    ]
+    assert len(lines) == 7
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
     capsys.readouterr()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from condsym import jet2
-from condsym.errors import BranchError, DimensionMismatch
+from condsym.errors import BranchError, DimensionMismatch, DomainError
 from condsym.fields import (
     ModelParams,
     Point,
@@ -29,7 +29,6 @@ from condsym.symmetry import (
     commutator_gap,
     derivative_law_gap,
     expected_commutator,
-    inverse_element,
     obstruction_term,
     pushforward_field,
     pushforward_identity_gap,
@@ -134,22 +133,33 @@ def test_inverse_round_trip(label, make, params):
     p = Point(0.9, (0.7, -0.3))
     g = make(0.05)
     q, A = transform_point(g, params, p)
-    back, a_inv = transform_point(inverse_element(g), params, q)
+    back, a_inv = transform_point(g.inverse(), params, q)
     assert back.t == pytest.approx(p.t, abs=1e-10)
     assert np.asarray(back.x) == pytest.approx(np.asarray(p.x), abs=1e-10)
     assert A * a_inv == pytest.approx(1.0, abs=1e-10)
 
 
-def test_pushforward_defining_relation():
-    # u'(g p) = A * u(p)
-    u = RandomPolynomialField(4, P2, 3)
-    g = Xn(1, 0.02)
+@pytest.mark.parametrize("label,make,params", _group_elements())
+def test_pushforward_defining_relation(label, make, params):
+    # u'(g p) = A * u(p): the pushforward pulls back by the inverse of the
+    # map that transform_point applies
+    u = RandomPolynomialField(4, params, 3)
+    g = make(0.02)
     p = Point(0.8, (0.4, -0.6))
-    q, A = transform_point(g, P2, p)
-    pushed = pushforward_field(g, P2, u)
-    lhs = evaluate(pushed, P2, q).value
-    rhs = A * evaluate(u, P2, p).value
+    q, A = transform_point(g, params, p)
+    pushed = pushforward_field(g, params, u)
+    lhs = evaluate(pushed, params, q).value
+    rhs = A * evaluate(u, params, p).value
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("g", [Yk(-1, (0.1, 0.1)), Xn(-2, 0.01)])
+def test_pole_at_zero_time_is_domain_error(g):
+    p = Point(0.0, (0.5, 0.5))
+    with pytest.raises(DomainError):
+        transform_point(g, P2, p)
+    with pytest.raises(DomainError):
+        evaluate(pushforward_field(g, P2, RandomPolynomialField(4, P2, 3)), P2, p)
 
 
 def test_pushforward_by_yk_shifts_space():
