@@ -392,7 +392,10 @@ def cmd_check(args):
     element = None if args.group is None else parse_group(args.group)
     params = _resolve_params(fam, args.z, args.N)
     kinds = fam.designated if args.kinds is None else parse_kinds(args.kinds)
-    grid = parse_grid(args.grid, params.spatial_dim) if args.grid else default_grid(fam)
+    if args.grid is None:
+        grid = default_grid(fam)
+    else:
+        grid = parse_grid(args.grid, params.spatial_dim)
     field, family_id = SolutionField(fam), args.family
     if element is not None:
         field = pushforward_field(element, params, field)

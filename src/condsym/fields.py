@@ -6,7 +6,6 @@ is the time slot, indices 1..N the spatial slots.
 
 import abc
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,20 @@ class ScalarField(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, params, point):
         """Return the Jet2 of the field at ``point`` in dim N + 1."""
+
+    def evaluate_many(self, params, coords):
+        """Return the batched Jet2 of the field at the rows (t, x_1..x_N)
+        of ``coords``, an array of shape (P, N + 1).
+
+        This default stacks :func:`evaluate` row by row, in row order.
+        """
+        points = (Point(row[0], tuple(row[1:])) for row in coords)
+        jets = [evaluate(self, params, p) for p in points]
+        return Jet2(
+            [j.value for j in jets],
+            np.stack([j.grad for j in jets]),
+            np.stack([j.hess for j in jets]),
+        )
 
 
 def check_point(params, point):
@@ -109,18 +122,20 @@ class ProfileFunction:
             )
 
     def __call__(self, t):
-        """Return (value, first derivative, second derivative) at ``t``."""
+        """Return (value, first derivative, second derivative) at ``t``, a
+        float or an array of times."""
         p = self.params
         if self.kind == "const":
             return p[0], 0.0, 0.0
+        m = jet2.mathlib(t)
         if self.kind == "exp":
             a, b = p
-            e = a * math.exp(b * t)
+            e = a * m.exp(b * t)
             return e, b * e, b * b * e
         if self.kind == "sin":
             a, b, c = p
-            s = math.sin(b * t + c)
-            co = math.cos(b * t + c)
+            s = m.sin(b * t + c)
+            co = m.cos(b * t + c)
             return a * s, a * b * co, -a * b * b * s
         value = _horner(p, t)
         d1 = _horner([i * c for i, c in enumerate(p)][1:], t)
@@ -128,7 +143,8 @@ class ProfileFunction:
         return value, d1, d2
 
     def jet(self, t_jet):
-        """Chain the profile through a jet of its argument."""
+        """Chain the profile through a jet of its argument, unbatched or
+        batched."""
         f0, f1, f2 = self(t_jet.value)
         return jet2.univariate(t_jet, f0, f1, f2)
 

@@ -7,14 +7,18 @@ on its default grid) and ``jet`` (its second-order jet over arbitrary
 coordinate jets).  ``default_params`` and ``default_grid`` give the
 canonical verification setup.
 
-Domain guards (radicands, sector boundaries, coordinate poles) raise
-DomainError so that grid runners can count exclusions.
+Every ``jet`` takes unbatched or batched coordinate jets alike.  Domain
+guards (radicands, sector boundaries, coordinate poles) go through
+``jet2.guard`` and raise DomainError if any point is outside, so that
+grid runners can count exclusions.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jet2
-from .errors import DimensionMismatch, DomainError, ZeroDynamicalExponent
+from .errors import DimensionMismatch, ZeroDynamicalExponent
 from .fields import ModelParams, ProfileFunction, ScalarField, check_point
 from .operators import ResidualKind
 from .verify import GridSpec
@@ -60,12 +64,10 @@ def _power_shift(jt, e1, e2, n, z, jx):
 def _conical(c, z, xj, yj):
     """2c * r * cos((1-z)*theta)**(1/(1-z)) over shifted coordinates."""
     r2 = xj * xj + yj * yj
-    if r2.value <= _R2_FLOOR:
-        raise DomainError("too close to the profile axis r = 0")
+    jet2.guard(r2.value <= _R2_FLOOR, "too close to the profile axis r = 0")
     theta = jet2.atan2_jet(yj, xj)
     arg = jet2.cos((1.0 - z) * theta)
-    if arg.value <= _COS_FLOOR:
-        raise DomainError("outside the sector cos((1-z)*theta) > 0")
+    jet2.guard(arg.value <= _COS_FLOOR, "outside the sector cos((1-z)*theta) > 0")
     r = jet2.sqrt(r2)
     return (2.0 * c) * r * jet2.power(arg, 1.0 / (1.0 - z))
 
@@ -134,8 +136,7 @@ class RadialZ1:
     def jet(self, jt, jx):
         sx = _power_shift(jt, self.e1, self.e2, self.n, 1.0, jx)
         r2 = sx[0] * sx[0] + sx[1] * sx[1]
-        if r2.value <= _R2_FLOOR:
-            raise DomainError("too close to the profile axis r = 0")
+        jet2.guard(r2.value <= _R2_FLOOR, "too close to the profile axis r = 0")
         return self.c * jet2.sqrt(r2)
 
 
@@ -177,12 +178,10 @@ class Z0Sqrt:
 
     def jet(self, jt, jx):
         x1, x2 = jx
-        if abs(x2.value) <= _COORD_FLOOR:
-            raise DomainError("ratio argument pole at x2 = 0")
+        jet2.guard(abs(x2.value) <= _COORD_FLOOR, "ratio argument pole at x2 = 0")
         ratio = jet2.div(x1, x2)
         rad = self.psi.jet(ratio) * x1 * x1 - (2.0 * jt) * (x1 * x1 + x2 * x2)
-        if rad.value < _RADICAND_FLOOR:
-            raise DomainError("negative radicand")
+        jet2.guard(rad.value < _RADICAND_FLOOR, "negative radicand")
         return jet2.sqrt(rad)
 
 
@@ -297,8 +296,9 @@ class MAOnly:
         x1 = jx[0]
         ratios = []
         for other in jx[1:]:
-            if abs(other.value) <= _COORD_FLOOR:
-                raise DomainError("ratio argument pole at x_j = 0")
+            jet2.guard(
+                abs(other.value) <= _COORD_FLOOR, "ratio argument pole at x_j = 0"
+            )
             ratios.append(jet2.div(x1, other))
         if isinstance(self.phi, RatioPolynomial):
             phi_jet = self.phi.jet(ratios)
@@ -324,9 +324,14 @@ def evaluate_solution(fam, params, point):
     """Full second-order jet of the family at a point."""
     _check_family(fam, params)
     check_point(params, point)
-    d = params.jet_dim
-    jt = jet2.seed(d, 0, point.t)
-    jx = [jet2.seed(d, 1 + i, v) for i, v in enumerate(point.x)]
+    return _seeded_jet(fam, params.jet_dim, (point.t,) + point.x)
+
+
+def _seeded_jet(fam, d, coords):
+    """The family's jet over the seed jets of ``coords``: d floats, or d
+    columns of a batch."""
+    jt = jet2.seed(d, 0, coords[0])
+    jx = [jet2.seed(d, 1 + i, v) for i, v in enumerate(coords[1:])]
     return fam.jet(jt, jx)
 
 
@@ -338,6 +343,16 @@ class SolutionField(ScalarField):
 
     def evaluate(self, params, point):
         return evaluate_solution(self.family, params, point)
+
+    def evaluate_many(self, params, coords):
+        """All rows of ``coords`` as one batch through the family's jet."""
+        _check_family(self.family, params)
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2 or coords.shape[1] != params.jet_dim:
+            raise DimensionMismatch(
+                f"coords have shape {coords.shape}, expected (P, {params.jet_dim})"
+            )
+        return _seeded_jet(self.family, params.jet_dim, coords.T)
 
     def __repr__(self):
         return f"SolutionField({self.family!r})"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .fields import Point, evaluate
+from .fields import Point, check_point, evaluate
 from .operators import evaluate_residual, residual_scale
 
 
@@ -188,9 +188,27 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
 
 
 def _rel(a, b):
-    """Relative deviation; inf when either side is not finite."""
-    err = abs(a - b) / (1.0 + abs(b))
-    return err if math.isfinite(err) else math.inf
+    """Relative deviations; inf where either side is not finite."""
+    err = np.abs(a - b) / (1.0 + np.abs(b))
+    err[~np.isfinite(err)] = math.inf
+    return err
+
+
+def _stencil_steps(d):
+    """The FD stencil in dimension d: its row count and the (row, axis,
+    sign) of each step, as arrays.  Row 0 is the base point, then come +h
+    and -h on each axis, then the (++, +-, --, -+) corners of each axis
+    pair in ``np.triu_indices`` order."""
+    steps = []
+    for i in range(d):
+        steps += [(1 + 2 * i, i, 1.0), (2 + 2 * i, i, -1.0)]
+    row = 1 + 2 * d
+    for i, j in itertools.combinations(range(d), 2):
+        for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
+            steps += [(row, i, si), (row, j, sj)]
+            row += 1
+    rows, axes, signs = zip(*steps)
+    return row, np.array(rows), np.array(axes), np.array(signs)
 
 
 def fd_crosscheck(field, params, points, h):
@@ -198,49 +216,47 @@ def fd_crosscheck(field, params, points, h):
 
     First derivatives use (f(p+h) - f(p-h)) / 2h; second derivatives the
     standard three-point and four-point (mixed) second-order stencils.
-    The relative error denominator is 1 + |jet entry|.  A non-finite jet
-    entry or stencil value gives inf.  Stencil points outside the field's
-    domain raise DomainError.
+    The relative error denominator is 1 + |jet entry|.  The whole stencil
+    of each point, the point itself first, is evaluated as one batch by
+    ``field.evaluate_many``; the jet is the batch's first row.  Points are
+    not batched together, which keeps a batch at 1 + 2*(N+1)**2 rows.  A
+    non-finite jet entry or stencil value, or an overflow, gives inf.
+    Stencil points outside the field's domain raise DomainError.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-
-    def value_at(coords):
-        return evaluate(field, params, Point(coords[0], tuple(coords[1:]))).value
-
+    d = params.jet_dim
+    n_rows, rows, axes, signs = _stencil_steps(d)
+    steps = signs * h
+    iu = np.triu_indices(d, 1)
     worst = 0.0
-    for p in points:
-        jet = evaluate(field, params, p)
-        base = [p.t] + list(p.x)
-        d = len(base)
-        f0 = jet.value
-        plus = [0.0] * d
-        minus = [0.0] * d
-        for i in range(d):
-            stepped = list(base)
-            stepped[i] = base[i] + h
-            plus[i] = value_at(stepped)
-            stepped[i] = base[i] - h
-            minus[i] = value_at(stepped)
-            fd1 = (plus[i] - minus[i]) / (2.0 * h)
-            worst = max(worst, _rel(fd1, jet.grad[i]))
-            fd2 = (plus[i] - 2.0 * f0 + minus[i]) / (h * h)
-            worst = max(worst, _rel(fd2, jet.hess[i, i]))
-        for i in range(d):
-            for j in range(i + 1, d):
-                stepped = list(base)
-                stepped[i] = base[i] + h
-                stepped[j] = base[j] + h
-                fpp = value_at(stepped)
-                stepped[j] = base[j] - h
-                fpm = value_at(stepped)
-                stepped[i] = base[i] - h
-                fmm = value_at(stepped)
-                stepped[j] = base[j] + h
-                fmp = value_at(stepped)
-                fd2 = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-                worst = max(worst, _rel(fd2, jet.hess[i, j]))
-    return float(worst)
+    with np.errstate(all="ignore"):
+        for p in points:
+            check_point(params, p)
+            coords = np.empty((n_rows, d))
+            coords[:] = p.coords()
+            coords[rows, axes] += steps
+            try:
+                jets = field.evaluate_many(params, coords)
+            except OverflowError:
+                worst = math.inf
+                continue
+            if jets.dim != params.jet_dim:
+                raise DimensionMismatch(
+                    f"field returned dim {jets.dim}, expected {params.jet_dim}"
+                )
+            f = jets.value
+            f0, hess = f[0], jets.hess[0]
+            plus, minus = f[1 : 2 * d + 1 : 2], f[2 : 2 * d + 2 : 2]
+            fpp, fpm, fmm, fmp = f[2 * d + 1 :].reshape(-1, 4).T
+            fd = np.concatenate((
+                (plus - minus) / (2.0 * h),
+                (plus - 2.0 * f0 + minus) / (h * h),
+                (fpp - fpm - fmp + fmm) / (4.0 * h * h),
+            ))
+            exact = np.concatenate((jets.grad[0], np.diagonal(hess), hess[iu]))
+            worst = max(worst, float(_rel(fd, exact).max()))
+    return worst
 
 
 __all__ = ["GridSpec", "ResidualReport", "run_residual_suite", "fd_crosscheck"]

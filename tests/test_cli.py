@@ -208,6 +208,9 @@ def test_check_usage_cases(capsys):
     for kinds in ("", "diffusion, ", "diffusion,diffusion"):
         code, out, err = run_cli(capsys, "check", "--family", "one-dim-z1", "--kinds", kinds)
         assert code == 2 and out == "" and err.startswith("error: ")
+    # an empty --grid is a usage error, not the default grid
+    code, out, err = run_cli(capsys, "check", "--family", "one-dim-z1", "--grid=")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_check_custom_grid_and_kinds(capsys):
@@ -439,6 +442,18 @@ def test_fd_check_family(capsys):
     assert code == 0
     row = json.loads(out)[0]
     assert row["pass"] and row["points"] == 20
+
+
+def test_fd_check_overflow_fails_closed(capsys):
+    code, out, err = run_cli(
+        capsys, "fd-check", "--family", "one-dim-generic:q=exp:1,800", "--z", "2",
+        "--points", "3",
+    )
+    assert code == 1 and "Traceback" not in err
+    assert err == "fd-check: 0/1 passed\n"
+    (row,) = json.loads(out)
+    assert row["max_rel_err"] == "Infinity" and row["pass"] is False
+    assert row["points"] == 3
 
 
 def test_fd_check_takes_n_from_family(capsys):

@@ -229,3 +229,168 @@ def test_rpow_domain_rules():
         jet2.rpow(0.0, -1)
     with pytest.raises(DomainError):
         jet2.rpow(-1.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# batched jets: a leading point axis gives, point for point, the unbatched
+# result
+
+
+def _stack(jets):
+    return jet2.Jet2(
+        [j.value for j in jets],
+        np.stack([j.grad for j in jets]),
+        np.stack([j.hess for j in jets]),
+    )
+
+
+def _curved(x, y):
+    """Jets with non-zero gradient and Hessian at the points (x, y)."""
+    jx, jy = jet2.seed(2, 0, x), jet2.seed(2, 1, y)
+    return jx * jy + jx * jx * 0.5 + 1.5 - jy * 0.25, jx - jy * jy
+
+
+def _linear(x, y):
+    """Jets with zero Hessian, so that each output entry is one product and
+    a last-bit difference in f0, f1 or f2 stays within a few ulps."""
+    jx, jy = jet2.seed(2, 0, x), jet2.seed(2, 1, y)
+    return jx * 0.75 + jy * 0.25 + 0.125, jy * 0.5 - jx * 0.25
+
+
+def _pairs(rng, n=40):
+    x = rng.uniform(0.3, 1.7, n)
+    y = rng.uniform(-1.2, 1.2, n)
+    return x, y
+
+
+def _ulps(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    diff = np.abs(a - b)
+    return float(np.max(np.where(diff == 0.0, 0.0, diff / np.spacing(np.abs(b)))))
+
+
+_BITWISE = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "rdiv": lambda a, b: 2.0 / b,
+    "sqrt": lambda a, b: jet2.sqrt(a),
+    "sin": lambda a, b: jet2.sin(b),
+    "cos": lambda a, b: jet2.cos(b),
+    "power3": lambda a, b: jet2.power(b, 3),
+    "power-2": lambda a, b: jet2.power(a, -2),
+    "power0": lambda a, b: jet2.power(a, 0) * b,
+    "compose": lambda a, b: jet2.compose(jet2.mul(a, b), [a, b]),
+}
+
+_NUMPY_ELEMENTARY = {
+    "exp": lambda a, b: jet2.exp(b),
+    "ln": lambda a, b: jet2.ln(a),
+    "atan": lambda a, b: jet2.atan(b),
+    "atan2": lambda a, b: jet2.atan2_jet(b, a),
+    "power0.5": lambda a, b: jet2.power(a, 0.5),
+    "power-1.5": lambda a, b: jet2.power(a, -1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BITWISE))
+def test_batched_combinator_is_pointwise_bitwise(name):
+    op = _BITWISE[name]
+    x, y = _pairs(np.random.default_rng(11))
+    batch = op(*_curved(x, y))
+    scalar = [op(*_curved(xi, yi)) for xi, yi in zip(x, y)]
+    assert batch.value.shape == (len(x),)
+    assert batch.grad.shape == (len(x), 2) and batch.hess.shape == (len(x), 2, 2)
+    assert np.array_equal(batch.value, [s.value for s in scalar])
+    assert np.array_equal(batch.grad, np.stack([s.grad for s in scalar]))
+    assert np.array_equal(batch.hess, np.stack([s.hess for s in scalar]))
+
+
+@pytest.mark.parametrize("name", sorted(_NUMPY_ELEMENTARY))
+def test_batched_elementary_function_within_4_ulps(name):
+    # numpy's exp, log, arctan, arctan2 and fractional pow may differ from
+    # math's in the last bit; the unbatched path keeps math
+    op = _NUMPY_ELEMENTARY[name]
+    x, y = _pairs(np.random.default_rng(12), 400)
+    batch = op(*_linear(x, y))
+    scalar = [op(*_linear(xi, yi)) for xi, yi in zip(x, y)]
+    assert _ulps(batch.value, [s.value for s in scalar]) <= 4
+    assert _ulps(batch.grad, np.stack([s.grad for s in scalar])) <= 4
+    assert _ulps(batch.hess, np.stack([s.hess for s in scalar])) <= 4
+
+
+def test_unbatched_jets_keep_float_values():
+    a, b = _curved(0.7, -0.4)
+    ops = (a * b, a / b, jet2.exp(a), jet2.atan2_jet(a, b), jet2.power(a, 0.5))
+    for j in (a, b) + ops:
+        assert type(j.value) is float
+        assert j.grad.shape == (2,) and j.hess.shape == (2, 2)
+
+
+def test_batched_jets_are_immutable():
+    a = jet2.seed(2, 0, np.array([1.0, 2.0]))
+    b = jet2.mul(a, a)
+    for arr in (a.value, a.grad, a.hess, b.value, b.grad, b.hess):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+
+
+def test_seed_copies_a_batch():
+    column = np.array([1.0, 2.0])
+    a = jet2.seed(2, 0, column)
+    column[0] = 5.0
+    assert a.value.tolist() == [1.0, 2.0]
+    assert column.flags.writeable
+
+
+def test_constructor_checks_batch_shapes():
+    jet2.Jet2([1.0, 2.0], np.zeros((2, 3)), np.zeros((2, 3, 3)))
+    with pytest.raises(DimensionMismatch):
+        jet2.Jet2([1.0, 2.0], np.zeros(3), np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        jet2.Jet2([1.0, 2.0], np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        jet2.Jet2(1.0, np.zeros((2, 3)), np.zeros((2, 3, 3)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a: jet2.ln(a),
+        lambda a: jet2.sqrt(a),
+        lambda a: jet2.power(a, 0.5),
+        lambda a: jet2.power(a, -2),
+        lambda a: jet2.atan2_jet(a, a),
+    ],
+)
+def test_one_bad_point_fails_the_batch(build):
+    values = np.array([0.5, 1.0, 0.0, 2.0])
+    with pytest.raises(DomainError):
+        build(jet2.seed(1, 0, values))
+    build(jet2.seed(1, 0, values[values != 0.0]))
+
+
+def test_one_zero_denominator_fails_the_batch():
+    with pytest.raises(ZeroDivisionError):
+        jet2.div(jet2.constant(1, 1.0), jet2.seed(1, 0, np.array([1.0, 0.0])))
+
+
+def test_nan_passes_the_guards_batched_as_unbatched():
+    # a NaN compares false, so no guard fires; the NaN reaches the result
+    for value in (math.nan, np.array([1.0, math.nan])):
+        a = jet2.seed(1, 0, value)
+        with np.errstate(invalid="ignore"):
+            for j in (jet2.ln(a), jet2.sqrt(a), jet2.power(a, 0.5), jet2.power(a, -1),
+                      jet2.div(a, a), jet2.atan2_jet(a, a)):
+                assert np.isnan(j.value).any()
+
+
+def test_guard_fires_on_any_point():
+    jet2.guard(False, "never")
+    jet2.guard(np.array([False, False]), "never")
+    with pytest.raises(DomainError, match="bad"):
+        jet2.guard(np.array([False, True]), "bad")
+    with pytest.raises(ZeroDivisionError):
+        jet2.guard(True, "bad", ZeroDivisionError)

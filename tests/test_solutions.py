@@ -232,3 +232,82 @@ def test_solution_field_adapter():
     j = evaluate(field, params, Point(1.0, (0.6, 0.8)))
     assert j.dim == 3
     assert "radial" in repr(field).lower() or "RadialZ1" in repr(field)
+
+
+# families whose jets use only + - * /, sqrt, sin, cos and integer powers;
+# the others also call exp or atan2, which numpy may round differently
+_EXACT_FAMILIES = ("one-dim-z1", "one-dim-generic", "radial-z1", "z0-sqrt", "ma-only")
+
+
+def _interior_coords(fam, params, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < count:
+        row = np.concatenate(
+            ([rng.uniform(0.6, 1.9)], rng.uniform(-0.9, 0.9, params.spatial_dim))
+        )
+        try:
+            evaluate_solution(fam, params, Point(row[0], tuple(row[1:])))
+        except DomainError:
+            continue
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_FAMILIES))
+def test_evaluate_many_matches_pointwise_evaluate(name):
+    fam = DEFAULT_FAMILIES[name]
+    params = default_params(fam)
+    coords = _interior_coords(fam, params, 200, 31)
+    batch = SolutionField(fam).evaluate_many(params, coords)
+    d = params.jet_dim
+    assert batch.value.shape == (200,) and batch.hess.shape == (200, d, d)
+    for k, row in enumerate(coords):
+        jet = evaluate_solution(fam, params, Point(row[0], tuple(row[1:])))
+        got = (batch.value[k], batch.grad[k], batch.hess[k])
+        for a, b in zip(got, (jet.value, jet.grad, jet.hess)):
+            if name in _EXACT_FAMILIES:
+                assert np.array_equal(a, b)
+            else:
+                # a last-bit difference in exp or atan2 grows through the
+                # family's later steps (cos near the sector edge): measured
+                # up to 46 ulps of the largest entry over 3,000 points
+                scale = 1.0 + np.max(np.abs(b))
+                assert np.max(np.abs(a - b)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize(
+    "name, outside",
+    [
+        ("radial-z1", (1.0, -0.5, 0.0)),  # on the shifted axis r = 0
+        ("general-z", (1.0, -1.5, 0.5)),  # outside the sector
+        ("z0-sqrt", (1.0, 0.5, 0.0)),  # ratio pole x2 = 0
+        ("ma-only", (1.0, 0.5, 0.0, 0.3)),  # ratio pole x2 = 0
+    ],
+)
+def test_evaluate_many_fails_if_any_row_is_outside(name, outside):
+    fam = DEFAULT_FAMILIES[name]
+    params = default_params(fam)
+    field = SolutionField(fam)
+    coords = _interior_coords(fam, params, 4, 32)
+    with pytest.raises(DomainError):
+        evaluate_solution(fam, params, Point(outside[0], outside[1:]))
+    field.evaluate_many(params, coords)
+    with pytest.raises(DomainError):
+        field.evaluate_many(params, np.vstack([coords[:2], [outside], coords[2:]]))
+
+
+def test_evaluate_many_lets_nan_through_as_evaluate_does():
+    fam = DEFAULT_FAMILIES["radial-z1"]
+    params = default_params(fam)
+    coords = np.array([[1.0, 0.4, 0.3], [1.0, math.nan, 0.3]])
+    batch = SolutionField(fam).evaluate_many(params, coords)
+    jet = evaluate_solution(fam, params, Point(1.0, (math.nan, 0.3)))
+    assert math.isnan(jet.value) and math.isnan(batch.value[1])
+    assert math.isfinite(batch.value[0])
+
+
+def test_evaluate_many_checks_shapes():
+    fam = DEFAULT_FAMILIES["radial-z1"]
+    with pytest.raises(DimensionMismatch):
+        SolutionField(fam).evaluate_many(default_params(fam), np.ones((3, 2)))

@@ -13,10 +13,16 @@ from condsym.fields import (
     Point,
     RandomPolynomialField,
     ScalarField,
+    evaluate,
     parse_profile,
 )
 from condsym.operators import ResidualKind
-from condsym.solutions import DEFAULT_FAMILIES, SolutionField, default_params
+from condsym.solutions import (
+    DEFAULT_FAMILIES,
+    OneDimGeneric,
+    SolutionField,
+    default_params,
+)
 from condsym.verify import GridSpec, fd_crosscheck, run_residual_suite
 
 P2 = ModelParams(2, 2.0)
@@ -220,7 +226,121 @@ def test_fd_crosscheck_propagates_domain_errors():
 
 @pytest.mark.parametrize("finite", [1, 0])
 def test_fd_crosscheck_non_finite_is_inf(finite):
+    # _NaNAfter has only a scalar evaluate: its stencils go through the
+    # stacking default of evaluate_many, base row first
     params = ModelParams(2, 2.0)
     field = _NaNAfter(RandomPolynomialField(6, params, 3), finite)
     pts = [Point(1.0, (0.3, -0.4))]
     assert fd_crosscheck(field, params, pts, h=1e-4) == math.inf
+
+
+def _fd_crosscheck_scalar_loop(field, params, points, h):
+    """The reference: one scalar jet per stencil point, differences in the
+    float order that ``fd_crosscheck`` keeps on its batch."""
+
+    def value_at(coords):
+        return field.evaluate(params, Point(coords[0], tuple(coords[1:]))).value
+
+    def rel(a, b):
+        err = abs(a - b) / (1.0 + abs(b))
+        return err if math.isfinite(err) else math.inf
+
+    worst = 0.0
+    for p in points:
+        jet = field.evaluate(params, p)
+        base = [p.t] + list(p.x)
+        d = len(base)
+        f0 = jet.value
+        plus = [0.0] * d
+        minus = [0.0] * d
+        for i in range(d):
+            stepped = list(base)
+            stepped[i] = base[i] + h
+            plus[i] = value_at(stepped)
+            stepped[i] = base[i] - h
+            minus[i] = value_at(stepped)
+            fd1 = (plus[i] - minus[i]) / (2.0 * h)
+            worst = max(worst, rel(fd1, jet.grad[i]))
+            fd2 = (plus[i] - 2.0 * f0 + minus[i]) / (h * h)
+            worst = max(worst, rel(fd2, jet.hess[i, i]))
+        for i in range(d):
+            for j in range(i + 1, d):
+                stepped = list(base)
+                stepped[i] = base[i] + h
+                stepped[j] = base[j] + h
+                fpp = value_at(stepped)
+                stepped[j] = base[j] - h
+                fpm = value_at(stepped)
+                stepped[i] = base[i] - h
+                fmm = value_at(stepped)
+                stepped[j] = base[j] + h
+                fmp = value_at(stepped)
+                fd2 = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+                worst = max(worst, rel(fd2, jet.hess[i, j]))
+    return float(worst)
+
+
+def _fd_points(params, count, seed, field):
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        x = tuple(rng.uniform(-0.9, 0.9, params.spatial_dim))
+        p = Point(rng.uniform(0.6, 1.9), x)
+        try:
+            fd_crosscheck(field, params, [p], 1e-4)
+        except DomainError:
+            continue
+        points.append(p)
+    return points
+
+
+@pytest.mark.parametrize("which", ["random-N2", "random-N3", "radial-z1"])
+def test_fd_crosscheck_matches_scalar_loop_bitwise(which):
+    if which == "radial-z1":
+        fam = DEFAULT_FAMILIES["radial-z1"]
+        params = default_params(fam)
+        field = SolutionField(fam)
+    else:
+        params = ModelParams(int(which[-1]), 2.0)
+        field = RandomPolynomialField(8, params, 4)
+    for k, p in enumerate(_fd_points(params, 25, 9, field)):
+        for h in (1e-4, 1e-2):
+            got = fd_crosscheck(field, params, [p], h)
+            assert got == _fd_crosscheck_scalar_loop(field, params, [p], h), (k, h)
+
+
+class _HessianOffBy(ScalarField):
+    """``base`` with Hessian entry (1, 2) and its mirror moved by ``delta``."""
+
+    def __init__(self, base, delta):
+        self.base = base
+        self.delta = delta
+
+    def evaluate(self, params, point):
+        raise AssertionError("the FD check evaluates stencils as one batch")
+
+    def evaluate_many(self, params, coords):
+        jets = self.base.evaluate_many(params, coords)
+        hess = jets.hess.copy()
+        hess[:, 1, 2] += self.delta
+        hess[:, 2, 1] += self.delta
+        return jet2.Jet2(jets.value, jets.grad, hess)
+
+
+def test_fd_crosscheck_rejects_a_perturbed_hessian_entry():
+    fam = DEFAULT_FAMILIES["radial-z1"]
+    params = default_params(fam)
+    pts = [Point(1.0, (0.5, 0.2)), Point(1.5, (0.8, -0.3))]
+    exact = _HessianOffBy(SolutionField(fam), 0.0)
+    assert fd_crosscheck(exact, params, pts, 1e-4) < 1e-5
+    perturbed = _HessianOffBy(SolutionField(fam), 1e-3)
+    assert fd_crosscheck(perturbed, params, pts, 1e-4) > 1e-4
+
+
+def test_fd_crosscheck_overflow_is_inf():
+    fam = OneDimGeneric(q=parse_profile("exp:1,800"))
+    params = default_params(fam)
+    pts = [Point(1.0, (0.2,))]
+    with pytest.raises(OverflowError):
+        evaluate(SolutionField(fam), params, pts[0])
+    assert fd_crosscheck(SolutionField(fam), params, pts, 1e-4) == math.inf
