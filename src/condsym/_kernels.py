@@ -59,11 +59,8 @@ def poly_jet(powers, coeffs, coords):
 
 
 def det(a):
-    """Determinant of a small square matrix.
-
-    Sizes 1 to 3 use hard-coded cofactor expansion; larger sizes fall
-    back to LU elimination with partial pivoting on a local copy.
-    """
+    """Determinant of a small square matrix: hard-coded cofactor expansion
+    for sizes 1 to 3, ``np.linalg.det`` above."""
     n = a.shape[0]
     if n == 1:
         return a[0, 0]
@@ -75,29 +72,4 @@ def det(a):
             - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
             + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
         )
-    m = a.copy()
-    det = 1.0
-    for k in range(n - 1):
-        piv = k
-        best = abs(m[k, k])
-        for r in range(k + 1, n):
-            v = abs(m[r, k])
-            if v > best:
-                best = v
-                piv = r
-        if best == 0.0:
-            return 0.0
-        if piv != k:
-            for c in range(n):
-                tmp = m[k, c]
-                m[k, c] = m[piv, c]
-                m[piv, c] = tmp
-            det = -det
-        for r in range(k + 1, n):
-            factor = m[r, k] / m[k, k]
-            m[r, k] = 0.0
-            for c in range(k + 1, n):
-                m[r, c] -= factor * m[k, c]
-    for k in range(n):
-        det *= m[k, k]
-    return det
+    return np.linalg.det(a)

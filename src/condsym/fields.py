@@ -150,7 +150,7 @@ class ProfileFunction:
 
     def spec(self):
         """Canonical text form accepted by :func:`parse_profile`."""
-        return self.kind + ":" + ",".join(_fmt(v) for v in self.params)
+        return self.kind + ":" + ",".join(fmt_num(v) for v in self.params)
 
 
 def _horner(coeffs, t):
@@ -160,8 +160,9 @@ def _horner(coeffs, t):
     return out
 
 
-def _fmt(v):
-    return repr(int(v)) if v == int(v) else repr(v)
+def fmt_num(v):
+    """Spec text of a number: ``2`` for 2.0, ``repr`` of the float otherwise."""
+    return repr(int(v)) if float(v) == int(v) else repr(float(v))
 
 
 def parse_profile(text):

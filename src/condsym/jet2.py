@@ -207,8 +207,7 @@ def mul(a, b):
     cross = _outer(a.grad, b.grad)
     hess = ah * b.hess
     hess += bh * a.hess
-    hess += cross
-    hess += cross.mT
+    hess += cross + cross.mT
     return _make(a.value * b.value, grad, hess)
 
 
@@ -280,7 +279,7 @@ def power(a, p):
     p = float(p)
     v = a.value
     if p == 0.0:
-        return constant(a.dim, 1.0)
+        return univariate(a, 1.0, 0.0, 0.0)
     is_int = p == int(p)
     if not is_int:
         guard(v <= 0.0, "fractional power of a non-positive base")

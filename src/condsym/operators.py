@@ -8,7 +8,7 @@ Given the jet of a field u over (t, x_1..x_N), this module evaluates
 * ``monge_ampere``: determinant of the spatial Hessian block;
 
 and the residuals that combine them.  All determinants run through the
-``det`` kernel (hard-coded cofactors up to 3x3, pivoted LU above).
+``det`` kernel (hard-coded cofactors up to 3x3, ``np.linalg.det`` above).
 """
 
 import enum

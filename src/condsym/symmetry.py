@@ -1,9 +1,9 @@
 """Finite group transformations and the generator algebra.
 
 Group elements act on space-time points and on scalar fields; algebra
-generators act on test functions over (t, x_1..x_N, u).  The closed-form
-derivative transformation laws and the determinant identity that this
-module checks are the quantitative heart of the package.
+generators are first-order vector fields over (t, x_1..x_N, u).  The
+closed-form derivative transformation laws and the determinant identity
+that this module checks are the quantitative heart of the package.
 
 Each group element ``g`` writes its map once, as
 ``g.act(params, t, x) -> (t', x', A)``: the image of the point and the
@@ -13,6 +13,12 @@ seed jets of a query point, where ``g.inverse().act`` gives the pullback
 of the pushforward field (:class:`PushforwardField`).  ``g.inverse()`` is
 the same element with its parameter negated; ``g.check(params)`` rejects
 an element that does not fit the spatial dimension N.
+
+Each generator writes its vector field once, as
+``gen.coeffs(params, y) -> (xi, dxi)``: the coefficients at
+y = (t, x_1..x_N, u) and their Jacobian.  :func:`commutator_gap` compares
+the bracket of two such fields with the structure-constant table of
+:func:`expected_commutator`, coefficient by coefficient.
 
 Conventions:
 
@@ -339,22 +345,63 @@ def pushforward_identity_gap(tr):
 
 
 # ---------------------------------------------------------------------------
-# algebra generators
+# algebra generators: dxi[A, B] = d xi^A / d y^B
+
+
+def _zero_field(params, *axes):
+    """Zero (xi, dxi) over (t, x_1..x_N, u), once every 1-based spatial
+    axis in ``axes`` is known to exist."""
+    n = params.spatial_dim
+    if not all(1 <= a <= n for a in axes):
+        raise DimensionMismatch(f"axes {axes} out of range for N={n}")
+    return np.zeros(n + 2), np.zeros((n + 2, n + 2))
 
 
 @dataclass(frozen=True)
 class GenXn:
+    """X_n = z t^(n+1) d_t + (n+1) t^n (x_a d_a + u d_u)."""
+
     n: int
+
+    def __str__(self):
+        return f"X({self.n})"
+
+    def coeffs(self, params, y):
+        xi, dxi = _zero_field(params)
+        n, t = self.n, y[0]
+        tn = jet2.rpow(t, n)
+        tn1 = n * jet2.rpow(t, n - 1) if n != 0 else 0.0
+        xi[0] = params.z * jet2.rpow(t, n + 1)
+        dxi[0, 0] = params.z * (n + 1) * tn
+        # the spatial slots and the u slot scale alike
+        xi[1:] = (n + 1) * tn * y[1:]
+        dxi[1:, 0] = (n + 1) * tn1 * y[1:]
+        np.fill_diagonal(dxi[1:, 1:], (n + 1) * tn)
+        return xi, dxi
 
 
 @dataclass(frozen=True)
 class GenYk:
+    """Y_k = t^k d_axis."""
+
     k: int
     axis: int  # 1-based spatial axis
+
+    def __str__(self):
+        return f"Y({self.k},axis={self.axis})"
+
+    def coeffs(self, params, y):
+        xi, dxi = _zero_field(params, self.axis)
+        k, t = self.k, y[0]
+        xi[self.axis] = jet2.rpow(t, k)
+        dxi[self.axis, 0] = k * jet2.rpow(t, k - 1) if k != 0 else 0.0
+        return xi, dxi
 
 
 @dataclass(frozen=True)
 class GenJab:
+    """J_ab = x_a d_b - x_b d_a."""
+
     a: int
     b: int
 
@@ -362,128 +409,70 @@ class GenJab:
         if self.a < 1 or self.b < 1 or self.a == self.b:
             raise DimensionMismatch("need distinct 1-based axes a != b")
 
+    def __str__(self):
+        return f"J({self.a},{self.b})"
 
-def _gen_check(gen, params):
-    n = params.spatial_dim
-    if isinstance(gen, GenYk) and not 1 <= gen.axis <= n:
-        raise DimensionMismatch(f"axis {gen.axis} out of range for N={n}")
-    if isinstance(gen, GenJab) and (gen.a > n or gen.b > n):
-        raise DimensionMismatch(f"axes ({gen.a},{gen.b}) out of range for N={n}")
-
-
-def _gen_coeffs(gen, params, y):
-    """First-order coefficients xi of the generator at
-    y = (t, x_1..x_N, u) and their Jacobian dxi[A, B] = d xi^A / d y^B."""
-    _gen_check(gen, params)
-    d = params.spatial_dim + 2
-    xi = np.zeros(d)
-    dxi = np.zeros((d, d))
-    t = y[0]
-    if isinstance(gen, GenXn):
-        n = gen.n
-        tn = jet2.rpow(t, n)
-        tn1 = n * jet2.rpow(t, n - 1) if n != 0 else 0.0
-        xi[0] = params.z * jet2.rpow(t, n + 1)
-        dxi[0, 0] = params.z * (n + 1) * tn
-        # the spatial slots and the u slot scale alike
-        for a in range(1, d):
-            xi[a] = (n + 1) * tn * y[a]
-            dxi[a, 0] = (n + 1) * tn1 * y[a]
-            dxi[a, a] = (n + 1) * tn
-    elif isinstance(gen, GenYk):
-        xi[gen.axis] = jet2.rpow(t, gen.k)
-        dxi[gen.axis, 0] = gen.k * jet2.rpow(t, gen.k - 1) if gen.k != 0 else 0.0
-    elif isinstance(gen, GenJab):
-        xi[gen.b] = y[gen.a]
-        xi[gen.a] = -y[gen.b]
-        dxi[gen.b, gen.a] = 1.0
-        dxi[gen.a, gen.b] = -1.0
-    else:
-        raise TypeError(f"not an algebra generator: {gen!r}")
-    return xi, dxi
+    def coeffs(self, params, y):
+        a, b = self.a, self.b
+        xi, dxi = _zero_field(params, a, b)
+        xi[b] = y[a]
+        xi[a] = -y[b]
+        dxi[b, a] = 1.0
+        dxi[a, b] = -1.0
+        return xi, dxi
 
 
-def _xi_dot_grad(gen, params, y, grad):
-    """The generator applied to a function with gradient ``grad`` at y."""
-    xi, _ = _gen_coeffs(gen, params, y)
-    total = 0.0
-    for a in range(len(xi)):
-        total += xi[a] * grad[a]
-    return float(total)
+def commutator_gap(g1, g2, expected, params, y):
+    """Largest coefficient of [g1, g2] - expected at y = (t, x_1..x_N, u).
 
-
-def commutator_gap(g1, g2, expected, params, j, y):
-    """|([g1, g2] - expected) F| at the point y = (t, x_1..x_N, u).
-
-    ``j`` is the jet of the test function F at y (``F.jet(y)``), built
-    once by the caller for every bracket it checks there.  The nested
-    applications are expanded so that the symmetric-Hessian contribution
-    cancels pairwise in exact float arithmetic; a vanishing bracket
-    therefore yields a gap of exactly zero.  ``expected`` is an iterable
-    of (coefficient, generator) pairs.
+    The bracket of two vector fields is the vector field
+    [xi1, xi2] = dxi2 . xi1 - dxi1 . xi2 (Olver, *Applications of Lie
+    Groups to Differential Equations*, section 1.4); ``expected`` is an
+    iterable of (coefficient, generator) pairs.  A translation's xi has
+    no t slot and its dxi only a t column, so a [Y, Y] gap is a maximum
+    of exact zeros.  A NaN coefficient gives a NaN gap.
     """
     y = np.asarray(y, dtype=float)
-    if j.dim != params.spatial_dim + 2:
-        raise DimensionMismatch(
-            "test function must be a jet over (t, x_1..x_N, u)"
-        )
-    xi1, dxi1 = _gen_coeffs(g1, params, y)
-    xi2, dxi2 = _gen_coeffs(g2, params, y)
-    d = len(xi1)
-    lhs = 0.0
-    for b in range(d):
-        c1 = 0.0
-        c2 = 0.0
-        for a in range(d):
-            c1 += xi1[a] * dxi2[b, a]
-            c2 += xi2[a] * dxi1[b, a]
-        lhs += (c1 - c2) * j.grad[b]
-    for i in range(d):
-        for k in range(i + 1, d):
-            p = xi1[i] * xi2[k] - xi2[i] * xi1[k]
-            q = xi1[k] * xi2[i] - xi2[k] * xi1[i]
-            lhs += (p + q) * j.hess[i, k]
-    rhs = 0.0
+    xi1, dxi1 = g1.coeffs(params, y)
+    xi2, dxi2 = g2.coeffs(params, y)
+    gap = dxi2 @ xi1 - dxi1 @ xi2
     for coeff, gen in expected:
-        rhs += float(coeff) * _xi_dot_grad(gen, params, y, j.grad)
-    return float(abs(lhs - rhs))
+        gap -= float(coeff) * gen.coeffs(params, y)[0]
+    return float(np.max(np.abs(gap)))
+
+
+_KINDS = (GenXn, GenYk, GenJab)
 
 
 def expected_commutator(g1, g2, params):
     """The bracket [g1, g2] as a tuple of (coefficient, generator) pairs.
 
+    This is the structure-constant table, written independently of
+    ``coeffs``.  Each kind of bracket is stated once, with g1 of the
+    lower kind (X < Y < J); the reversed order is its negation.
     Coefficients come out of exact rational arithmetic in z where z is
     (a float equal to) a rational, so integer cases carry no rounding.
     """
+    if type(g1) not in _KINDS or type(g2) not in _KINDS:
+        raise TypeError(f"unsupported generator pair: {g1!r}, {g2!r}")
+    if _KINDS.index(type(g1)) > _KINDS.index(type(g2)):
+        return tuple((-c, gen) for c, gen in expected_commutator(g2, g1, params))
     z = Fraction(params.z)
-    if isinstance(g1, GenXn) and isinstance(g2, GenXn):
-        coeff = z * (g2.n - g1.n)
-        if coeff == 0:
-            return ()
-        return ((float(coeff), GenXn(g1.n + g2.n)),)
+    if isinstance(g2, GenXn):
+        # [X_n, X_m] = z (m - n) X_{n+m}
+        return _term(z * (g2.n - g1.n), GenXn(g1.n + g2.n))
     if isinstance(g1, GenXn) and isinstance(g2, GenYk):
-        coeff = z * g2.k - 1 - g1.n
-        if coeff == 0:
-            return ()
-        return ((float(coeff), GenYk(g1.n + g2.k, g2.axis)),)
-    if isinstance(g1, GenYk) and isinstance(g2, GenXn):
-        return _negate(expected_commutator(g2, g1, params))
-    if isinstance(g1, GenYk) and isinstance(g2, GenYk):
-        return ()
+        # [X_n, Y_k] = (z k - 1 - n) Y_{n+k}, same axis
+        return _term(z * g2.k - 1 - g1.n, GenYk(g1.n + g2.k, g2.axis))
     if isinstance(g1, GenYk) and isinstance(g2, GenJab):
+        # [Y^(c)_k, J_ab] = delta_ca Y^(b)_k - delta_cb Y^(a)_k
         out = []
         if g1.axis == g2.a:
             out.append((1.0, GenYk(g1.k, g2.b)))
         if g1.axis == g2.b:
             out.append((-1.0, GenYk(g1.k, g2.a)))
         return tuple(out)
-    if isinstance(g1, GenJab) and isinstance(g2, GenYk):
-        return _negate(expected_commutator(g2, g1, params))
-    if isinstance(g1, GenXn) and isinstance(g2, GenJab):
-        return ()
-    if isinstance(g1, GenJab) and isinstance(g2, GenXn):
-        return ()
-    if isinstance(g1, GenJab) and isinstance(g2, GenJab):
+    if isinstance(g1, GenJab):
         a, b, c, d = g1.a, g1.b, g2.a, g2.b
         out = []
         _j_term(out, 1.0, a, d, b, c)
@@ -491,7 +480,11 @@ def expected_commutator(g1, g2, params):
         _j_term(out, -1.0, b, d, a, c)
         _j_term(out, -1.0, a, c, b, d)
         return tuple(out)
-    raise TypeError(f"unsupported generator pair: {g1!r}, {g2!r}")
+    return ()  # [Y, Y] and [X, J]
+
+
+def _term(coeff, gen):
+    return ((float(coeff), gen),) if coeff != 0 else ()
 
 
 def _j_term(out, sign, i, j, p, q):
@@ -502,10 +495,6 @@ def _j_term(out, sign, i, j, p, q):
         out.append((-sign, GenJab(j, i)))
     else:
         out.append((sign, GenJab(i, j)))
-
-
-def _negate(terms):
-    return tuple((-c, gen) for c, gen in terms)
 
 
 __all__ = [

@@ -329,6 +329,25 @@ def test_unbatched_jets_keep_float_values():
         assert j.grad.shape == (2,) and j.hess.shape == (2, 2)
 
 
+def test_mul_of_curved_jets_is_exactly_symmetric():
+    # both factors have non-zero Hessians, so the two cross terms must be
+    # summed in one order for both off-diagonal slots
+    x, y = np.meshgrid(np.linspace(0.3, 1.7, 50), np.linspace(-1.2, 1.2, 50))
+    batch = jet2.mul(*_curved(x.ravel(), y.ravel()))
+    assert np.array_equal(batch.hess, batch.hess.mT)
+    for xi, yi in zip(x.ravel(), y.ravel()):
+        j = jet2.mul(*_curved(float(xi), float(yi)))
+        assert np.array_equal(j.hess, j.hess.T)
+
+
+def test_power_zero_keeps_the_point_axis():
+    a = jet2.seed(2, 1, np.array([-1.0, 0.0, 2.5]))
+    p = jet2.power(a, 0)
+    assert p.value.tolist() == [1.0, 1.0, 1.0]
+    assert p.grad.shape == (3, 2) and p.hess.shape == (3, 2, 2)
+    assert not p.grad.any() and not p.hess.any()
+
+
 def test_batched_jets_are_immutable():
     a = jet2.seed(2, 0, np.array([1.0, 2.0]))
     b = jet2.mul(a, a)

@@ -9,7 +9,7 @@ from condsym import _kernels as kernels
 from condsym.fields import monomial_table
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_det_against_numpy(d):
     rng = np.random.default_rng(d)
     for _ in range(20):

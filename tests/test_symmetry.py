@@ -14,7 +14,6 @@ from condsym.fields import (
     ScalarField,
     evaluate,
     parse_profile,
-    random_polynomial_function,
 )
 from condsym.operators import monge_ampere, w1
 from condsym.symmetry import (
@@ -25,7 +24,6 @@ from condsym.symmetry import (
     Xn,
     Yk,
     Yphi,
-    _xi_dot_grad,
     commutator_gap,
     derivative_law_gap,
     expected_commutator,
@@ -246,64 +244,62 @@ def test_zero_z_general_branch_is_guarded():
 # --- generators ------------------------------------------------------------
 
 
-class _Monomial:
-    """t * x1 * u as a jet over (t, x1, .., xN, u)."""
-
-    def __init__(self, dim):
-        self.dim = dim
-
-    def jet(self, y):
-        parts = [jet2.seed(self.dim, i, y[i]) for i in range(self.dim)]
-        return jet2.mul(jet2.mul(parts[0], parts[1]), parts[-1])
-
-
 def test_apply_generator_oracles():
     y = np.array([1.0, 1.0, 1.0, 1.0])
+    grad_t = np.array([1.0, 0.0, 0.0, 0.0])
+    grad_u = np.array([0.0, 0.0, 0.0, 1.0])
+    grad_r2 = 2.0 * y * [0.0, 1.0, 1.0, 0.0]  # of x1^2 + x2^2
 
-    class _T:
-        def jet(self, yy):
-            return jet2.seed(4, 0, yy[0])
-
-    class _U:
-        def jet(self, yy):
-            return jet2.seed(4, 3, yy[3])
-
-    class _R2:
-        def jet(self, yy):
-            j1 = jet2.seed(4, 1, yy[1])
-            j2 = jet2.seed(4, 2, yy[2])
-            return jet2.add(jet2.mul(j1, j1), jet2.mul(j2, j2))
-
-    def apply(gen, f):
-        return _xi_dot_grad(gen, P2, y, f.jet(y).grad)
+    def apply(gen, grad):
+        return gen.coeffs(P2, y)[0] @ grad
 
     # X_{-1} t = z; X_0 u = u; J_12 (x1^2 + x2^2) = 0
-    assert apply(GenXn(-1), _T()) == pytest.approx(2.0)
-    assert apply(GenXn(0), _U()) == pytest.approx(1.0)
-    assert apply(GenJab(1, 2), _R2()) == pytest.approx(0.0, abs=1e-14)
+    assert apply(GenXn(-1), grad_t) == pytest.approx(2.0)
+    assert apply(GenXn(0), grad_u) == pytest.approx(1.0)
+    assert apply(GenJab(1, 2), grad_r2) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_generator_jacobian_matches_central_differences():
+    y = np.array([1.3, 0.4, -0.7, 0.9])
+    h = 1e-6
+    for gen in (GenXn(-2), GenXn(0), GenXn(2), GenYk(-1, 2), GenYk(3, 1), GenJab(1, 2)):
+        _, dxi = gen.coeffs(P2, y)
+        for b in range(4):
+            step = h * np.eye(4)[b]
+            fd = (gen.coeffs(P2, y + step)[0] - gen.coeffs(P2, y - step)[0]) / (2 * h)
+            assert np.allclose(dxi[:, b], fd, rtol=1e-7, atol=1e-8), (gen, b)
+
+
+def test_generator_labels():
+    assert [str(g) for g in (GenXn(-1), GenYk(2, 1), GenJab(1, 3))] == [
+        "X(-1)",
+        "Y(2,axis=1)",
+        "J(1,3)",
+    ]
 
 
 def test_commutator_x0_x1_oracle():
-    f = _Monomial(4)
     y = np.array([1.0, 1.0, 0.5, 1.0])
     expected = expected_commutator(GenXn(0), GenXn(1), P2)
     assert expected == ((2.0, GenXn(1)),)
-    assert commutator_gap(GenXn(0), GenXn(1), expected, P2, f.jet(y), y) < 1e-13
+    assert commutator_gap(GenXn(0), GenXn(1), expected, P2, y) < 1e-13
     # a wrong table entry is detected
     wrong = ((2.0, GenXn(0)),)
-    assert commutator_gap(GenXn(0), GenXn(1), wrong, P2, f.jet(y), y) > 1e-3
+    assert commutator_gap(GenXn(0), GenXn(1), wrong, P2, y) > 1e-3
+
+
+def test_commutator_gap_propagates_nan():
+    y = np.array([1.0, math.nan, 0.5, 1.0])
+    assert math.isnan(commutator_gap(GenXn(0), GenXn(1), ((2.0, GenXn(1)),), P2, y))
 
 
 def test_y_brackets_vanish_exactly():
-    f = random_polynomial_function(31, 4, 3)
     y = np.array([1.2, 0.7, -0.4, 0.9])
     for k1 in (-1, 0, 1, 2):
         for k2 in (-1, 0, 1, 2):
             for a1 in (1, 2):
                 for a2 in (1, 2):
-                    gap = commutator_gap(
-                        GenYk(k1, a1), GenYk(k2, a2), (), P2, f.jet(y), y
-                    )
+                    gap = commutator_gap(GenYk(k1, a1), GenYk(k2, a2), (), P2, y)
                     assert gap == 0.0
 
 
@@ -324,29 +320,33 @@ def test_expected_commutator_table():
     assert expected_commutator(GenXn(2), GenJab(1, 2), P2) == ()
 
 
+def test_expected_commutator_is_antisymmetric():
+    for spatial_dim, z in ((2, 2.0), (3, 1.5)):
+        params = ModelParams(spatial_dim, z)
+        axes = range(1, spatial_dim + 1)
+        gens = [GenXn(n) for n in range(-2, 3)]
+        gens += [GenYk(k, a) for k in range(-1, 3) for a in axes]
+        gens += [GenJab(a, b) for a in axes for b in axes if a != b]
+        for g1 in gens:
+            for g2 in gens:
+                forward = expected_commutator(g1, g2, params)
+                reverse = expected_commutator(g2, g1, params)
+                assert reverse == tuple((-c, g) for c, g in forward), (g1, g2)
+
+
 def test_rotation_algebra_closes_in_3d():
     params = ModelParams(3, 2.0)
     assert expected_commutator(GenJab(1, 2), GenJab(2, 3), params) == (
         (1.0, GenJab(1, 3)),
     )
-    f = random_polynomial_function(12, 5, 3)
     y = np.array([1.1, 0.4, -0.3, 0.6, 0.9])
     expected = expected_commutator(GenJab(1, 2), GenJab(2, 3), params)
-    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, params, f.jet(y), y) < 1e-13
+    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, params, y) < 1e-13
 
 
 def test_generator_axis_bounds():
     y = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
-        _xi_dot_grad(GenYk(1, 3), P2, y, _Monomial(4).jet(y).grad)
-    jet = random_polynomial_function(1, 4, 2).jet(y)
+        GenYk(1, 3).coeffs(P2, y)
     with pytest.raises(DimensionMismatch):
-        commutator_gap(GenJab(1, 3), GenJab(1, 2), (), P2, jet, y)
-
-
-def test_commutator_gap_checks_jet_dim():
-    # a jet over (t, x_1, x_2) lacks the u slot the generators act on
-    y = np.array([1.0, 0.5, -0.5, 1.0])
-    jet = random_polynomial_function(1, 3, 2).jet(y[:3])
-    with pytest.raises(DimensionMismatch):
-        commutator_gap(GenXn(0), GenXn(1), (), P2, jet, y)
+        commutator_gap(GenJab(1, 3), GenJab(1, 2), (), P2, y)
