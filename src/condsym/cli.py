@@ -21,16 +21,17 @@ from .errors import BranchError, DomainError
 from .fields import (
     ModelParams,
     Point,
+    PolynomialFunction,
     ProfileFunction,
     RandomPolynomialField,
     evaluate,
     fmt_num,
+    parse_poly2,
     parse_profile,
 )
 from .operators import ResidualKind, diffusion_gcallback
 from .solutions import (
     DEFAULT_FAMILIES,
-    RatioPolynomial,
     SolutionField,
     default_grid,
     default_params,
@@ -59,10 +60,6 @@ class CLIError(ValueError):
 
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
-
-# graded-lexicographic exponent order for two ratio variables
-_POLY2_EXPONENTS = tuple((d - j, j) for d in range(4) for j in range(d + 1))
-_POLY2_SIZES = (1, 3, 6, 10)
 
 
 def _split_kv(text):
@@ -114,35 +111,14 @@ def _to_profiles(key, value):
     return tuple(_to_profile(key, tok) for tok in value.split("|"))
 
 
-def _parse_poly2(value):
-    try:
-        coeffs = [float(tok) for tok in value.split(",")]
-    except ValueError:
-        raise CLIError(f"bad poly2 coefficients {value!r}") from None
-    if len(coeffs) not in _POLY2_SIZES:
-        raise CLIError(
-            f"poly2 takes {_POLY2_SIZES} coefficients (graded order), "
-            f"got {len(coeffs)}"
-        )
-    terms = tuple(
-        (exps, c) for exps, c in zip(_POLY2_EXPONENTS, coeffs) if c != 0.0
-    ) or (((0, 0), 0.0),)
-    return RatioPolynomial(n_vars=2, terms=terms)
-
-
-def _format_poly2(rp):
-    coeffs = {exps: c for exps, c in rp.terms}
-    values = [coeffs.get(exps, 0.0) for exps in _POLY2_EXPONENTS]
-    size = next(
-        (s for s in _POLY2_SIZES if all(v == 0.0 for v in values[s:])), 10
-    )
-    return "poly2:" + ",".join(fmt_num(v) for v in values[:size])
-
-
 def _parse_ma_phi(key, value):
-    if value.startswith("poly2:"):
-        return _parse_poly2(value[len("poly2:"):])
-    return _to_profile(key, value)
+    """ma-only's phi: a ``poly2:`` polynomial in the ratios, else a profile."""
+    if not value.startswith("poly2:"):
+        return _to_profile(key, value)
+    try:
+        return parse_poly2(value)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
 
 
 # converter by dataclass field type, so the grammar of every family and
@@ -151,7 +127,7 @@ _CONVERTERS = {
     float: _to_float,
     int: _to_int,
     ProfileFunction: _to_profile,
-    ProfileFunction | RatioPolynomial: _parse_ma_phi,
+    ProfileFunction | PolynomialFunction: _parse_ma_phi,
     tuple[float, ...]: _to_floats,
     tuple[ProfileFunction, ...]: _to_profiles,
 }
@@ -206,18 +182,16 @@ def parse_family(spec):
 
 
 def family_spec(name, fam=None):
-    """Canonical spec string for a family (inverse of parse_family)."""
+    """Canonical spec string for a family (inverse of parse_family).
+
+    Raises ValueError for a value that the grammar cannot hold.
+    """
     fam = DEFAULT_FAMILIES[name] if fam is None else fam
     parts = []
     for f in dataclasses.fields(fam):
         value = getattr(fam, f.name)
-        key = _spec_key(f)
-        if isinstance(value, RatioPolynomial):
-            parts.append(f"{key}={_format_poly2(value)}")
-        elif hasattr(value, "spec"):
-            parts.append(f"{key}={value.spec()}")
-        else:
-            parts.append(f"{key}={fmt_num(value)}")
+        text = value.spec() if hasattr(value, "spec") else fmt_num(value)
+        parts.append(f"{_spec_key(f)}={text}")
     return name + ":" + ",".join(parts)
 
 
@@ -281,14 +255,8 @@ def parse_grid(spec, spatial_dim):
         raise CLIError(f"bad grid: {exc}") from None
 
 
-# residuals of a field jet; the reduced kinds belong to a profile phi(w1, w2)
-_FIELD_KINDS = (
-    ResidualKind.DIFFUSION, ResidualKind.GENERAL_INVARIANT, ResidualKind.MONGE_AMPERE
-)
-
-
 def parse_kinds(spec):
-    known = ", ".join(k.value for k in _FIELD_KINDS)
+    known = ", ".join(k.value for k in ResidualKind)
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
@@ -296,8 +264,6 @@ def parse_kinds(spec):
             kind = ResidualKind(tok)
         except ValueError:
             raise CLIError(f"unknown residual kind {tok!r}; known: {known}") from None
-        if kind not in _FIELD_KINDS:
-            raise CLIError(f"{tok!r} is a residual of a profile phi(w1, w2), not of a field")
         if kind in out:
             raise CLIError(f"duplicate residual kind {tok!r}")
         out.append(kind)
@@ -515,7 +481,7 @@ def cmd_fd_check(args):
     if (args.family is None) == (args.field is None):
         raise CLIError("give exactly one of --family or --field")
     _require_points(args)
-    if args.family:
+    if args.family is not None:
         fam = parse_family(args.family)
         params = _resolve_params(fam, args.z, args.N)
         field = SolutionField(fam)

@@ -104,6 +104,8 @@ class ProfileFunction:
       ``const`` (c,)
     """
 
+    dim = 1  # a function of one argument
+
     kind: str
     params: tuple
 
@@ -177,35 +179,98 @@ def parse_profile(text):
     return ProfileFunction(kind, params)
 
 
-class PolynomialFunction:
-    """Multivariate polynomial with explicit monomial table.
+# the graded order 1, r1, r2, r1**2, r1*r2, r2**2, ... of ``poly2``
+_POLY2_EXPONENTS = tuple((d - j, j) for d in range(4) for j in range(d + 1))
+_POLY2_SIZES = (1, 3, 6, 10)
 
-    ``powers`` is an (M, dim) integer array of exponents, ``coeffs`` the
-    matching coefficients.  Evaluation runs through ``poly_jet``.
+
+@dataclass(frozen=True)
+class PolynomialFunction:
+    """Polynomial ``sum_m coeffs[m] * prod_i y_i**powers[m][i]``.
+
+    ``powers`` holds the exponent rows (M rows of ``dim`` non-negative
+    integers), ``coeffs`` the matching coefficients.  ``jet`` chains the
+    polynomial through jets of its arguments by jet arithmetic; ``at``
+    evaluates it at plain coordinates through the ``poly_jet`` kernel.
     """
 
-    def __init__(self, powers, coeffs):
-        powers = np.array(powers, dtype=np.int64)
-        coeffs = np.array(coeffs, dtype=float)
+    powers: tuple
+    coeffs: tuple
+
+    def __post_init__(self):
+        powers = np.array(self.powers, dtype=np.int64)
+        coeffs = np.array(self.coeffs, dtype=float)
         if powers.ndim != 2 or coeffs.shape != (powers.shape[0],):
             raise DimensionMismatch("powers must be (M, dim), coeffs (M,)")
-        powers.flags.writeable = False
-        coeffs.flags.writeable = False
-        self.powers = powers
-        self.coeffs = coeffs
+        if (powers < 0).any():
+            raise ValueError("exponents must be non-negative")
+        object.__setattr__(self, "powers", tuple(map(tuple, powers.tolist())))
+        object.__setattr__(self, "coeffs", tuple(coeffs.tolist()))
+        object.__setattr__(self, "_arrays", (powers, coeffs))
 
     @property
     def dim(self):
-        return self.powers.shape[1]
+        return self._arrays[0].shape[1]
 
-    def jet(self, coords):
+    def jet(self, *args):
+        """Chain the polynomial through ``dim`` argument jets, unbatched or
+        batched: each term is its coefficient times its factors, and the
+        terms are added in row order starting from 0."""
+        if len(args) != self.dim:
+            raise DimensionMismatch(f"expected {self.dim} arguments, got {len(args)}")
+        d = args[0].dim
+        total = jet2.constant(d, 0.0)
+        for exps, coeff in zip(self.powers, self.coeffs):
+            term = jet2.constant(d, coeff)
+            for e, a in zip(exps, args):
+                for _ in range(e):
+                    term = jet2.mul(term, a)
+            total = jet2.add(total, term)
+        return total
+
+    def at(self, coords):
+        """The jet in the ``dim`` coordinate slots at ``coords``."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dim,):
             raise DimensionMismatch(
                 f"expected {self.dim} coordinates, got shape {coords.shape}"
             )
-        value, grad, hess = poly_jet(self.powers, self.coeffs, coords)
-        return Jet2(value, grad, hess)
+        return Jet2(*poly_jet(*self._arrays, coords))
+
+    def spec(self):
+        """Canonical ``poly2:`` text accepted by :func:`parse_poly2`.
+
+        Raises ValueError for a term that ``poly2`` cannot hold.
+        """
+        values = dict.fromkeys(_POLY2_EXPONENTS, 0.0)
+        for exps, coeff in zip(self.powers, self.coeffs):
+            if exps not in values:
+                raise ValueError(
+                    f"poly2 cannot hold the term with exponents {exps}: it "
+                    "takes two variables up to degree 3"
+                )
+            values[exps] += coeff
+        values = list(values.values())
+        size = next(s for s in _POLY2_SIZES if all(v == 0.0 for v in values[s:]))
+        return "poly2:" + ",".join(fmt_num(v) for v in values[:size])
+
+
+def parse_poly2(text):
+    """Parse ``poly2:c1,c2,...``, the coefficients of a polynomial in two
+    variables in graded order, into a :class:`PolynomialFunction` of its
+    nonzero terms."""
+    body = text.removeprefix("poly2:")
+    try:
+        coeffs = [float(tok) for tok in body.split(",")]
+    except ValueError:
+        raise ValueError(f"bad poly2 coefficients {body!r}") from None
+    if len(coeffs) not in _POLY2_SIZES:
+        raise ValueError(
+            f"poly2 takes {_POLY2_SIZES} coefficients (graded order), "
+            f"got {len(coeffs)}"
+        )
+    terms = [(e, c) for e, c in zip(_POLY2_EXPONENTS, coeffs) if c != 0.0]
+    return PolynomialFunction(*zip(*terms or [((0, 0), 0.0)]))
 
 
 def monomial_table(dim, degree):
@@ -245,7 +310,7 @@ class RandomPolynomialField(ScalarField):
                 f"field built for N={self.spatial_dim}, params have "
                 f"N={params.spatial_dim}"
             )
-        return self._poly.jet(point.coords())
+        return self._poly.at(point.coords())
 
     def __repr__(self):
         return (
@@ -263,6 +328,7 @@ __all__ = [
     "ProfileFunction",
     "parse_profile",
     "PolynomialFunction",
+    "parse_poly2",
     "monomial_table",
     "random_polynomial_function",
     "RandomPolynomialField",

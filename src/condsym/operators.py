@@ -25,8 +25,6 @@ class ResidualKind(enum.Enum):
     DIFFUSION = "diffusion"
     GENERAL_INVARIANT = "general-invariant"
     MONGE_AMPERE = "monge-ampere"
-    REDUCED_FIRST = "reduced-first"
-    REDUCED_SECOND = "reduced-second"
 
 
 def _require_dim(jet, params):
@@ -128,6 +126,16 @@ def reduced_residuals(phi_jet, z):
     return first, second
 
 
+def reduced_scale(phi_jet):
+    """Normalization (1 + max |jet entry|) ** 2 of the reduced residuals
+    of a jet in 2 variables."""
+    entries = max(
+        abs(phi_jet.value), float(np.max(np.abs(phi_jet.grad))),
+        float(np.max(np.abs(phi_jet.hess))),
+    )
+    return (1.0 + entries) ** 2
+
+
 class HarmonicPhi:
     """Profile phi built from a holomorphic seed so that the first
     reduced equation vanishes identically.
@@ -197,20 +205,12 @@ def evaluate_residual(kind, jet, params, g=None):
         if g is None:
             raise ValueError("general-invariant residual needs a callback g")
         return general_residual(jet, params, g)
-    raise ValueError(f"{kind!r} is not a residual of a field jet")
+    raise ValueError(f"unknown residual kind {kind!r}")
 
 
 def residual_scale(kind, jet, params):
     """Normalization (1 + max |matrix entry|) ** size for the kind's matrix."""
-    if kind in (ResidualKind.REDUCED_FIRST, ResidualKind.REDUCED_SECOND):
-        if jet.dim != 2:
-            raise DimensionMismatch("reduced system expects a 2-variable jet")
-        entries = max(
-            abs(jet.value), float(np.max(np.abs(jet.grad))),
-            float(np.max(np.abs(jet.hess))),
-        )
-        size = 2
-    elif kind is ResidualKind.MONGE_AMPERE:
+    if kind is ResidualKind.MONGE_AMPERE:
         entries = float(np.max(np.abs(jet.hess[1:, 1:])))
         size = params.spatial_dim
     else:
@@ -228,6 +228,7 @@ __all__ = [
     "general_residual",
     "diffusion_gcallback",
     "reduced_residuals",
+    "reduced_scale",
     "HarmonicPhi",
     "evaluate_residual",
     "residual_scale",

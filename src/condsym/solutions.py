@@ -19,7 +19,13 @@ import numpy as np
 
 from . import jet2
 from .errors import DimensionMismatch, ZeroDynamicalExponent
-from .fields import ModelParams, ProfileFunction, ScalarField, check_point
+from .fields import (
+    ModelParams,
+    PolynomialFunction,
+    ProfileFunction,
+    ScalarField,
+    check_point,
+)
 from .operators import ResidualKind
 from .verify import GridSpec
 
@@ -229,68 +235,24 @@ class GeneralYphi:
 
 
 @dataclass(frozen=True)
-class RatioPolynomial:
-    """Polynomial in several ratio variables, given as explicit terms
-    ((exponents...), coefficient)."""
-
-    n_vars: int
-    terms: tuple
-
-    def __post_init__(self):
-        norm = []
-        for exps, coeff in self.terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.n_vars or any(e < 0 for e in exps):
-                raise DimensionMismatch(
-                    f"term exponents {exps} do not fit {self.n_vars} variables"
-                )
-            norm.append((exps, float(coeff)))
-        object.__setattr__(self, "terms", tuple(norm))
-
-    def jet(self, args):
-        args = list(args)
-        if len(args) != self.n_vars:
-            raise DimensionMismatch(
-                f"expected {self.n_vars} arguments, got {len(args)}"
-            )
-        d = args[0].dim
-        total = jet2.constant(d, 0.0)
-        for exps, coeff in self.terms:
-            term = jet2.constant(d, coeff)
-            for e, a in zip(exps, args):
-                for _ in range(e):
-                    term = jet2.mul(term, a)
-            total = jet2.add(total, term)
-        return total
-
-
-@dataclass(frozen=True)
 class MAOnly:
     """u = x1 * phi(x1/x2, ..., x1/xN): homogeneous of degree one, so the
-    spatial Hessian is singular; N >= 2, any z."""
+    spatial Hessian is singular; N >= 2, any z.  phi takes the N - 1
+    ratios: a profile covers N = 2, a polynomial any N."""
 
     z = None
     designated = (ResidualKind.MONGE_AMPERE,)
 
     spatial_dim: int
-    phi: ProfileFunction | RatioPolynomial  # a ProfileFunction covers N = 2
+    phi: ProfileFunction | PolynomialFunction
 
     def __post_init__(self):
         if self.spatial_dim < 2:
             raise DimensionMismatch("needs at least two spatial dimensions")
-        n_ratio = self.spatial_dim - 1
-        if isinstance(self.phi, RatioPolynomial):
-            if self.phi.n_vars != n_ratio:
-                raise DimensionMismatch(
-                    f"phi takes {self.phi.n_vars} ratios, need {n_ratio}"
-                )
-        elif isinstance(self.phi, ProfileFunction):
-            if n_ratio != 1:
-                raise DimensionMismatch(
-                    "a ProfileFunction phi only covers N = 2"
-                )
-        else:
-            raise TypeError("phi must be a ProfileFunction or RatioPolynomial")
+        if self.phi.dim != self.spatial_dim - 1:
+            raise DimensionMismatch(
+                f"phi takes {self.phi.dim} ratios, need {self.spatial_dim - 1}"
+            )
 
     def jet(self, jt, jx):
         x1 = jx[0]
@@ -300,11 +262,7 @@ class MAOnly:
                 abs(other.value) <= _COORD_FLOOR, "ratio argument pole at x_j = 0"
             )
             ratios.append(jet2.div(x1, other))
-        if isinstance(self.phi, RatioPolynomial):
-            phi_jet = self.phi.jet(ratios)
-        else:
-            phi_jet = self.phi.jet(ratios[0])
-        return jet2.mul(x1, phi_jet)
+        return x1 * self.phi.jet(*ratios)
 
 
 def _check_family(fam, params):
@@ -422,14 +380,8 @@ DEFAULT_FAMILIES = {
     ),
     "ma-only": MAOnly(
         spatial_dim=3,
-        phi=RatioPolynomial(
-            n_vars=2,
-            terms=(
-                ((0, 0), 1.0),
-                ((1, 0), 1.0),
-                ((1, 1), 1.0),
-                ((0, 2), 0.5),
-            ),
+        phi=PolynomialFunction(
+            powers=((0, 0), (1, 0), (1, 1), (0, 2)), coeffs=(1.0, 1.0, 1.0, 0.5)
         ),
     ),
 }
@@ -444,7 +396,6 @@ __all__ = [
     "Z0Sqrt",
     "Z0Linear",
     "GeneralYphi",
-    "RatioPolynomial",
     "MAOnly",
     "evaluate_solution",
     "SolutionField",

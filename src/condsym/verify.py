@@ -221,10 +221,13 @@ def fd_crosscheck(field, params, points, h):
     ``field.evaluate_many``; the jet is the batch's first row.  Points are
     not batched together, which keeps a batch at 1 + 2*(N+1)**2 rows.  A
     non-finite jet entry or stencil value, or an overflow, gives inf.
-    Stencil points outside the field's domain raise DomainError.
+    Stencil points outside the field's domain raise DomainError, and an
+    empty ``points`` raises ValueError: nothing compared is no pass.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
+    if not points:
+        raise ValueError("fd_crosscheck needs at least one point")
     d = params.jet_dim
     n_rows, rows, axes, signs = _stencil_steps(d)
     steps = signs * h

@@ -21,10 +21,9 @@ from condsym.fields import (
 )
 from condsym.operators import (
     HarmonicPhi,
-    ResidualKind,
     monge_ampere,
     reduced_residuals,
-    residual_scale,
+    reduced_scale,
 )
 from condsym.solutions import (
     DEFAULT_FAMILIES,
@@ -229,9 +228,7 @@ def test_criterion_5_reduction_chain():
             except DomainError:
                 continue
             first, second = reduced_residuals(j, z)
-            scale = residual_scale(
-                ResidualKind.REDUCED_FIRST, j, ModelParams(2, z)
-            )
+            scale = reduced_scale(j)
             worst_pair = max(worst_pair, abs(first) / scale, abs(second) / scale)
 
     worst_first = 0.0
@@ -253,9 +250,7 @@ def test_criterion_5_reduction_chain():
                 except DomainError:
                     continue
                 first, _ = reduced_residuals(j, z)
-                scale = residual_scale(
-                    ResidualKind.REDUCED_FIRST, j, ModelParams(2, z)
-                )
+                scale = reduced_scale(j)
                 worst_first = max(worst_first, abs(first) / scale)
     ok = worst_pair < 1e-8 and worst_first < 1e-8
     _verdict(

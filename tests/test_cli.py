@@ -21,7 +21,7 @@ from condsym.cli import (
     parse_kinds,
     parse_range,
 )
-from condsym.fields import parse_profile
+from condsym.fields import PolynomialFunction, parse_profile
 from condsym.solutions import DEFAULT_FAMILIES, GeneralZ, MAOnly, Z0Linear
 from condsym.symmetry import Rot, Xn, Yk, Yphi
 
@@ -75,6 +75,28 @@ def test_parse_family_errors():
 def test_family_spec_round_trips_catalog():
     for name in DEFAULT_FAMILIES:
         assert parse_family(family_spec(name)) == DEFAULT_FAMILIES[name]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    ["0.7", "0,-1.5,2", "1,0,0,0.25,0,-3", "0.5,0,2,0,0,0,0.25,0,0,-0.125"],
+)
+def test_family_spec_round_trips_poly2(coeffs):
+    spec = f"ma-only:N=3,phi=poly2:{coeffs}"
+    fam = parse_family(spec)
+    assert family_spec("ma-only", fam) == spec
+    assert parse_family(family_spec("ma-only", fam)) == fam
+
+
+def test_family_spec_rejects_terms_poly2_cannot_hold():
+    # three ratio variables
+    fam = MAOnly(4, PolynomialFunction(((0, 0, 0), (1, 0, 2)), (1.0, 2.0)))
+    with pytest.raises(ValueError, match=r"\(0, 0, 0\)"):
+        family_spec("ma-only", fam)
+    # degree 4 in two variables
+    fam = MAOnly(3, PolynomialFunction(((4, 0), (1, 0)), (1.0, 2.0)))
+    with pytest.raises(ValueError, match=r"\(4, 0\)"):
+        family_spec("ma-only", fam)
 
 
 # a valid value for every field of every catalog family, each differing
@@ -158,7 +180,7 @@ def test_parse_kinds_and_range_and_field():
         parse_kinds("diffusion,bogus")
     with pytest.raises(CLIError, match="unknown residual kind"):
         parse_kinds("z0-diffusion")  # diffusion at z = 0, N = 2 is the same residual
-    with pytest.raises(CLIError, match="not of a field"):
+    with pytest.raises(CLIError, match="unknown residual kind"):
         parse_kinds("reduced-first")  # a residual of phi(w1, w2), not of a field
     with pytest.raises(CLIError, match="duplicate residual kind"):
         parse_kinds("diffusion,diffusion")
@@ -489,6 +511,9 @@ def test_fd_check_exactly_one_target(capsys):
         capsys, "fd-check", "--family", "radial-z1", "--field", "random:deg=2,seed=1"
     )
     assert code == 2
+    code, out, err = run_cli(capsys, "fd-check", "--family", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown family ''")
 
 
 def test_catalog_lists_everything(capsys):

@@ -90,7 +90,7 @@ def test_polynomial_function_derivatives():
         powers=np.array([[2, 1], [0, 1]], dtype=np.int64),
         coeffs=np.array([2.0, 1.0]),
     )
-    j = f.jet(np.array([3.0, 4.0]))
+    j = f.at(np.array([3.0, 4.0]))
     assert j.value == 76.0
     assert j.grad.tolist() == [48.0, 19.0]
     assert j.hess[0, 0] == 16.0 and j.hess[0, 1] == 12.0 and j.hess[1, 1] == 0.0
@@ -101,8 +101,27 @@ def test_random_polynomial_determinism():
     f2 = random_polynomial_function(11, 3, 2)
     f3 = random_polynomial_function(12, 3, 2)
     y = np.array([0.3, -0.8, 1.1])
-    assert f1.jet(y).value == f2.jet(y).value
-    assert f1.jet(y).value != f3.jet(y).value
+    assert f1.at(y).value == f2.at(y).value
+    assert f1.at(y).value != f3.at(y).value
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_polynomial_jet_arithmetic_matches_kernel(dim, degree):
+    # the same polynomial through jet arithmetic on seed jets and through
+    # the poly_jet kernel at the coordinates
+    rng = np.random.default_rng(100 * dim + degree)
+    for seed in range(3):
+        f = random_polynomial_function(seed, dim, degree)
+        y = rng.uniform(-1.5, 1.5, dim)
+        via_jets = f.jet(*(jet2.seed(dim, i, v) for i, v in enumerate(y)))
+        via_kernel = f.at(y)
+        for got, want in (
+            (via_jets.value, via_kernel.value),
+            (via_jets.grad, via_kernel.grad),
+            (via_jets.hess, via_kernel.hess),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_random_field_shape_checks():

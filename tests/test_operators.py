@@ -20,6 +20,7 @@ from condsym.operators import (
     general_residual,
     monge_ampere,
     reduced_residuals,
+    reduced_scale,
     residual_scale,
     w1,
     w1_matrix,
@@ -60,7 +61,7 @@ def test_w1_w2_ma_match_numpy_det(seed):
     rng = np.random.default_rng(seed)
     f = random_polynomial_function(seed, 3, 3)
     y = rng.uniform(-1.0, 1.0, 3)
-    j = f.jet(y)
+    j = f.at(y)
     assert w1(j, P2) == pytest.approx(np.linalg.det(w1_matrix(j)), rel=1e-10, abs=1e-12)
     # the full space-time Hessian
     assert det(np.array(j.hess)) == pytest.approx(np.linalg.det(j.hess), rel=1e-10, abs=1e-12)
@@ -85,7 +86,7 @@ def test_diffusion_equals_z0_form_exactly():
     for seed in range(5):
         f = random_polynomial_function(seed, 3, 3)
         y = rng.uniform(0.5, 1.5, 3)
-        j = f.jet(y)
+        j = f.at(y)
         laplacian = 0.0
         for a in (1, 2):
             laplacian += j.hess[a, a]
@@ -97,7 +98,7 @@ def test_general_residual_recovers_diffusion():
     params = ModelParams(2, 1.5)
     f = random_polynomial_function(9, 3, 3)
     y = np.array([1.0, 0.4, -0.3])
-    j = f.jet(y)
+    j = f.at(y)
     g = diffusion_gcallback(params)
     assert general_residual(j, params, g) == pytest.approx(
         diffusion_residual(j, params), rel=1e-12, abs=1e-12
@@ -106,7 +107,7 @@ def test_general_residual_recovers_diffusion():
 
 def test_general_residual_requires_callback():
     f = random_polynomial_function(9, 3, 2)
-    j = f.jet(np.array([1.0, 0.4, -0.3]))
+    j = f.at(np.array([1.0, 0.4, -0.3]))
     with pytest.raises(ValueError):
         evaluate_residual(ResidualKind.GENERAL_INVARIANT, j, P2, None)
 
@@ -159,7 +160,7 @@ def test_harmonic_phi_kills_first_reduced_equation(z, text, w_window):
         except DomainError:
             continue
         first, _ = reduced_residuals(j, z)
-        scale = residual_scale(ResidualKind.REDUCED_FIRST, j, ModelParams(2, z))
+        scale = reduced_scale(j)
         worst = max(worst, abs(first) / scale)
     assert worst < 1e-10
 
@@ -203,11 +204,10 @@ def test_residual_scale_values():
 
 def test_evaluate_residual_dispatch():
     f = random_polynomial_function(21, 3, 3)
-    j = f.jet(np.array([1.0, 0.2, 0.8]))
+    j = f.at(np.array([1.0, 0.2, 0.8]))
     for kind in (ResidualKind.DIFFUSION, ResidualKind.MONGE_AMPERE):
         val = evaluate_residual(kind, j, P2)
         assert isinstance(val, float) and math.isfinite(val)
-    # the reduced kinds are residuals of a profile jet, not of a field jet
-    for kind in (ResidualKind.REDUCED_FIRST, ResidualKind.REDUCED_SECOND):
-        with pytest.raises(ValueError):
-            evaluate_residual(kind, j, P2)
+    # the reduced residuals belong to a profile jet, not to a field jet
+    with pytest.raises(ValueError):
+        evaluate_residual("reduced-first", j, P2)

@@ -7,7 +7,13 @@ import pytest
 
 from condsym import jet2
 from condsym.errors import DimensionMismatch, DomainError, ZeroDynamicalExponent
-from condsym.fields import ModelParams, Point, evaluate, parse_profile
+from condsym.fields import (
+    ModelParams,
+    Point,
+    PolynomialFunction,
+    evaluate,
+    parse_profile,
+)
 from condsym.operators import (
     ResidualKind,
     diffusion_residual,
@@ -20,7 +26,6 @@ from condsym.solutions import (
     MAOnly,
     OneDimZ0,
     RadialZ1,
-    RatioPolynomial,
     SolutionField,
     Z0Linear,
     Z0Sqrt,
@@ -100,10 +105,10 @@ def test_z0_sqrt_radicand_sign():
 
 def test_ratio_polynomial_jet():
     # p(r1, r2) = 1 + 2 r1 r2 at (0.5, -0.4)
-    rp = RatioPolynomial(2, (((0, 0), 1.0), ((1, 1), 2.0)))
+    rp = PolynomialFunction(((0, 0), (1, 1)), (1.0, 2.0))
     a = jet2.seed(2, 0, 0.5)
     b = jet2.seed(2, 1, -0.4)
-    j = rp.jet([a, b])
+    j = rp.jet(a, b)
     assert j.value == pytest.approx(1.0 + 2 * 0.5 * -0.4, abs=1e-14)
     assert j.grad[0] == pytest.approx(-0.8, abs=1e-14)
     assert j.grad[1] == pytest.approx(1.0, abs=1e-14)
@@ -111,9 +116,14 @@ def test_ratio_polynomial_jet():
 
 def test_ratio_polynomial_validation():
     with pytest.raises(ValueError):
-        RatioPolynomial(0, (((0,), 1.0),))
+        PolynomialFunction(((0, 0), (1,)), (1.0, 2.0))  # ragged exponent rows
     with pytest.raises(ValueError):
-        RatioPolynomial(2, (((0, 0, 1), 1.0),))
+        PolynomialFunction(((0, 0),), (1.0, 2.0))  # one row, two coefficients
+    with pytest.raises(ValueError):
+        PolynomialFunction(((0, -1),), (1.0,))
+    rp = PolynomialFunction(((0, 0),), (1.0,))
+    with pytest.raises(ValueError):
+        rp.jet(jet2.seed(3, 0, 0.5), jet2.seed(3, 1, 0.5), jet2.seed(3, 2, 0.5))
 
 
 def test_ma_only_homogeneity_and_residual():
@@ -141,7 +151,7 @@ def test_ma_only_arity_guards():
     with pytest.raises(DimensionMismatch):
         MAOnly(3, parse_profile("poly:1,1"))
     with pytest.raises(DimensionMismatch):
-        MAOnly(4, RatioPolynomial(2, (((0, 0), 1.0),)))
+        MAOnly(4, PolynomialFunction(((0, 0),), (1.0,)))
     with pytest.raises(DimensionMismatch):
         MAOnly(1, parse_profile("poly:1,1"))
 

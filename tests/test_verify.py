@@ -218,6 +218,14 @@ def test_fd_crosscheck_rejects_bad_h():
         fd_crosscheck(field, params, [Point(1.0, (0.0,))], h=0.0)
 
 
+def test_fd_crosscheck_rejects_no_points():
+    # nothing compared is no pass
+    params = ModelParams(1, 2.0)
+    field = RandomPolynomialField(5, params, 2)
+    with pytest.raises(ValueError, match="at least one point"):
+        fd_crosscheck(field, params, [], h=1e-4)
+
+
 def test_fd_crosscheck_propagates_domain_errors():
     params = ModelParams(2, 2.0)
     with pytest.raises(DomainError):
