@@ -26,6 +26,7 @@ from .fields import (
     RandomPolynomialField,
     evaluate,
     fmt_num,
+    parse_finite,
     parse_poly2,
     parse_profile,
 )
@@ -52,7 +53,7 @@ from .symmetry import (
     pushforward_identity_gap,
     xn_transport,
 )
-from .verify import GridSpec, fd_crosscheck, run_residual_suite
+from .verify import GridSpec, fd_crosscheck, run_residual_suite, within_tolerance
 
 
 class CLIError(ValueError):
@@ -84,9 +85,9 @@ def _split_kv(text):
 
 def _to_float(key, value):
     try:
-        return float(value)
-    except ValueError:
-        raise CLIError(f"bad number for {key}: {value!r}") from None
+        return parse_finite(value)
+    except ValueError as exc:
+        raise CLIError(f"bad number for {key}: {exc}") from None
 
 
 def _to_int(key, value):
@@ -207,18 +208,18 @@ def parse_group(spec):
 
 
 def parse_field_spec(spec):
-    """Parse ``random:deg=3,seed=S,bound=B`` into (degree, seed, bound)."""
+    """Parse ``random:deg=3,bound=B`` into (degree, bound); the seed of a
+    random field is ``--seed``."""
     name, _, rest = spec.partition(":")
     if name.lower() != "random":
         raise CLIError(f"unknown field spec {name!r}; known: random")
     kv = _split_kv(rest) if rest else {}
-    unknown = kv.keys() - {"deg", "seed", "bound"}
+    unknown = kv.keys() - {"deg", "bound"}
     if unknown:
         raise CLIError(f"random field spec has unknown keys {', '.join(sorted(unknown))}")
     degree = _to_int("deg", kv.get("deg", "3"))
-    seed = _to_int("seed", kv["seed"]) if "seed" in kv else None
     bound = _to_float("bound", kv.get("bound", "1"))
-    return degree, seed, bound
+    return degree, bound
 
 
 def _parse_axis(key, value):
@@ -337,22 +338,12 @@ def _summarize(rows, what):
 # subcommands
 
 
-def _resolve_params(fam, z_flag, n_flag):
-    params = default_params(fam, z=z_flag)
-    if n_flag is not None and n_flag != params.spatial_dim:
-        raise CLIError(
-            f"--N {n_flag} does not match the family's spatial dimension "
-            f"{params.spatial_dim}"
-        )
-    return params
-
-
 def cmd_check(args):
     """The family's residuals on a grid; ``transform`` runs the same check
     on the field pushed forward by the group element ``args.group``."""
     fam = parse_family(args.family)
     element = None if args.group is None else parse_group(args.group)
-    params = _resolve_params(fam, args.z, args.N)
+    params = default_params(fam)
     kinds = fam.designated if args.kinds is None else parse_kinds(args.kinds)
     if args.grid is None:
         grid = default_grid(fam)
@@ -373,12 +364,10 @@ def cmd_check(args):
 
 def _identity_samples(seed, n_points, spatial_dim):
     rng = np.random.default_rng(seed + 1000003)
-    points = []
-    for _ in range(n_points):
-        t = float(rng.uniform(0.6, 1.2))
-        x = tuple(float(v) for v in rng.uniform(-1.0, 1.0, spatial_dim))
-        points.append(Point(t, x))
-    return points
+    return [
+        Point(rng.uniform(0.6, 1.2), rng.uniform(-1.0, 1.0, spatial_dim))
+        for _ in range(n_points)
+    ]
 
 
 def _require_points(args):
@@ -387,21 +376,19 @@ def _require_points(args):
 
 
 def _random_field(args, params):
-    """The ``--field`` test field and its seed: ``seed=`` in the spec,
-    else ``--seed``."""
-    degree, seed, bound = parse_field_spec(args.field)
-    seed = args.seed if seed is None else seed
-    if seed is None:
-        raise CLIError("random fields need a seed (--seed or seed= in --field)")
-    return RandomPolynomialField(seed, params, degree, bound), seed
+    """The ``--field`` test field, seeded by ``--seed``."""
+    degree, bound = parse_field_spec(args.field)
+    if args.seed is None:
+        raise CLIError("random fields need --seed")
+    return RandomPolynomialField(args.seed, params, degree, bound)
 
 
 def cmd_identity(args):
     _require_points(args)
     params = ModelParams(args.N, args.z)
-    field, seed = _random_field(args, params)
+    field = _random_field(args, params)
     n_lo, n_hi = parse_range(args.n)
-    points = _identity_samples(seed, args.points, params.spatial_dim)
+    points = _identity_samples(args.seed, args.points, params.spatial_dim)
     bases = [evaluate(field, params, p) for p in points]
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -429,7 +416,7 @@ def cmd_identity(args):
                 "identity_gap": id_gap,
                 "derivative_gap": law_gap,
                 "obstruction_max": obs_max,
-                "pass": enough and id_gap < args.tol and law_gap < args.tol,
+                "pass": enough and within_tolerance(max(id_gap, law_gap), args.tol),
             }
         )
     emit(rows, args.format)
@@ -470,7 +457,7 @@ def cmd_commutators(args):
                     "g1": str(g1),
                     "g2": str(g2),
                     "gap": gap,
-                    "pass": gap < args.tol,
+                    "pass": within_tolerance(gap, args.tol),
                 }
             )
     emit(rows, args.format)
@@ -482,17 +469,15 @@ def cmd_fd_check(args):
         raise CLIError("give exactly one of --family or --field")
     _require_points(args)
     if args.family is not None:
+        if args.N is not None:
+            raise CLIError("--N sets a random field's N; a family carries its own")
         fam = parse_family(args.family)
-        params = _resolve_params(fam, args.z, args.N)
-        field = SolutionField(fam)
-        seed = args.seed if args.seed is not None else 2026
-        target = args.family
+        params, field = default_params(fam), SolutionField(fam)
     else:
-        params = ModelParams(
-            2 if args.N is None else args.N, 2.0 if args.z is None else args.z
-        )
-        field, seed = _random_field(args, params)
-        target = args.field
+        # the FD check never reads z: a random field ignores it
+        params = ModelParams(2 if args.N is None else args.N, 2.0)
+        field = _random_field(args, params)
+    seed = args.seed if args.seed is not None else 2026
     rng = np.random.default_rng(seed + 77)
     accepted = 0
     worst = 0.0
@@ -500,10 +485,9 @@ def cmd_fd_check(args):
     limit = 200 * args.points
     while accepted < args.points and attempts < limit:
         attempts += 1
-        t = float(rng.uniform(0.6, 1.9))
-        x = tuple(float(v) for v in rng.uniform(-0.9, 0.9, params.spatial_dim))
+        p = Point(rng.uniform(0.6, 1.9), rng.uniform(-0.9, 0.9, params.spatial_dim))
         try:
-            err = fd_crosscheck(field, params, [Point(t, x)], args.h)
+            err = fd_crosscheck(field, params, [p], args.h)
         except DomainError:
             continue
         accepted += 1
@@ -515,11 +499,11 @@ def cmd_fd_check(args):
         )
     rows = [
         {
-            "target": target,
+            "target": args.family if args.family is not None else args.field,
             "h": args.h,
             "points": accepted,
             "max_rel_err": worst,
-            "pass": worst < args.tol,
+            "pass": within_tolerance(worst, args.tol),
         }
     ]
     emit(rows, args.format)
@@ -537,7 +521,7 @@ def cmd_catalog(args):
                 "spec": family_spec(name),
                 "designated": ",".join(k.value for k in fam.designated),
                 "N": fam.spatial_dim,
-                "z": "any" if fam.z is None else fmt_num(fam.z),
+                "z": fmt_num(fam.z),
             }
         )
     for name, grammar in (
@@ -554,7 +538,7 @@ def cmd_catalog(args):
         ("rot", "rot:a=1,b=2,angle=0.3"),
     ):
         rows.append({"kind": "group", "name": name, "spec": grammar})
-    rows.append({"kind": "field", "name": "random", "spec": "random:deg=3,seed=S[,bound=B]"})
+    rows.append({"kind": "field", "name": "random", "spec": "random:deg=3[,bound=B]"})
     emit(rows, args.format)
     print(f"catalog: {len(rows)} entries", file=sys.stderr)
     return 0
@@ -585,8 +569,6 @@ def build_parser():
 
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", required=True, help="family spec (see catalog)")
-    family.add_argument("--z", type=float, default=None)
-    family.add_argument("--N", type=int, default=None)
     family.add_argument("--kinds", default=None, help="comma-separated residual kinds")
     family.add_argument("--grid", default=None, help="t=lo:hi:n,x=lo:hi:n")
     _add_common(family, 1e-8)
@@ -626,8 +608,7 @@ def build_parser():
     )
     p.add_argument("--family", default=None)
     p.add_argument("--field", default=None)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int, default=None, help="N of a random --field")
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)

@@ -6,6 +6,7 @@ is the time slot, indices 1..N the spatial slots.
 
 import abc
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +174,18 @@ def parse_profile(text):
     if not sep or not rest:
         raise ValueError(f"bad profile spec {text!r}, expected kind:params")
     try:
-        params = tuple(float(tok) for tok in rest.split(","))
+        params = tuple(parse_finite(tok) for tok in rest.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad profile parameters in {text!r}") from exc
+        raise ValueError(f"bad profile parameters in {text!r}: {exc}") from None
     return ProfileFunction(kind, params)
+
+
+def parse_finite(text):
+    """``float(text)``, refusing a number that is not finite."""
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text!r} is not finite")
+    return number
 
 
 # the graded order 1, r1, r2, r1**2, r1*r2, r2**2, ... of ``poly2``
@@ -261,9 +270,9 @@ def parse_poly2(text):
     nonzero terms."""
     body = text.removeprefix("poly2:")
     try:
-        coeffs = [float(tok) for tok in body.split(",")]
-    except ValueError:
-        raise ValueError(f"bad poly2 coefficients {body!r}") from None
+        coeffs = [parse_finite(tok) for tok in body.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad poly2 coefficients {body!r}: {exc}") from None
     if len(coeffs) not in _POLY2_SIZES:
         raise ValueError(
             f"poly2 takes {_POLY2_SIZES} coefficients (graded order), "
@@ -285,7 +294,9 @@ def monomial_table(dim, degree):
 
 
 def random_polynomial_function(seed, dim, degree, coeff_bound=1.0):
-    """Seeded random polynomial in ``dim`` variables."""
+    """Seeded random polynomial in ``dim`` variables, coefficients in ±bound."""
+    if not 0.0 <= 2.0 * coeff_bound < math.inf:
+        raise ValueError(f"coefficient bound {coeff_bound!r} is out of range")
     powers = monomial_table(dim, degree)
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-coeff_bound, coeff_bound, powers.shape[0])
@@ -326,6 +337,7 @@ __all__ = [
     "check_point",
     "evaluate",
     "ProfileFunction",
+    "parse_finite",
     "parse_profile",
     "PolynomialFunction",
     "parse_poly2",

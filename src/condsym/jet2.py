@@ -124,28 +124,34 @@ class Jet2:
     def __repr__(self):
         return f"Jet2(value={self.value!r}, grad={self.grad.tolist()!r})"
 
-    # arithmetic via the module-level combinators
+    # arithmetic via the module-level combinators; NotImplemented for a non-number
     def __add__(self, other):
-        return add(self, _coerce(other, self.dim))
+        other = _coerce(other, self.dim)
+        return other if other is NotImplemented else add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _coerce(other, self.dim))
+        other = _coerce(other, self.dim)
+        return other if other is NotImplemented else sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_coerce(other, self.dim), self)
+        other = _coerce(other, self.dim)
+        return other if other is NotImplemented else sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other, self.dim))
+        other = _coerce(other, self.dim)
+        return other if other is NotImplemented else mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _coerce(other, self.dim))
+        other = _coerce(other, self.dim)
+        return other if other is NotImplemented else div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_coerce(other, self.dim), self)
+        other = _coerce(other, self.dim)
+        return other if other is NotImplemented else div(other, self)
 
     def __neg__(self):
         return _make(-self.value, -self.grad, -self.hess)

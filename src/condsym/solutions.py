@@ -1,11 +1,11 @@
 """Catalog of closed-form solution families.
 
 Each family is an immutable record that owns its facts: ``spatial_dim``
-(the N it lives in), ``z`` (the exponent it needs, ``None`` when any z
-is admissible), ``designated`` (the residual kinds it must annihilate
-on its default grid) and ``jet`` (its second-order jet over arbitrary
-coordinate jets).  ``default_params`` and ``default_grid`` give the
-canonical verification setup.
+(the N it lives in), ``z`` (its exponent: a field where z is free),
+``designated`` (the residual kinds it must annihilate on its default
+grid) and ``jet`` (its second-order jet over arbitrary coordinate jets).
+``default_params`` and ``default_grid`` give the canonical verification
+setup.
 
 Every ``jet`` takes unbatched or batched coordinate jets alike.  Domain
 guards (radicands, sector boundaries, coordinate poles) go through
@@ -113,10 +113,10 @@ class OneDimGeneric:
     """u = q(t); N = 1, any z (q > 0 where exponents are fractional)."""
 
     spatial_dim = 1
-    z = None
     designated = _DIFFUSION
 
     q: ProfileFunction
+    z: float = 2.0
 
     def jet(self, jt, jx):
         return self.q.jet(jt)
@@ -240,11 +240,11 @@ class MAOnly:
     spatial Hessian is singular; N >= 2, any z.  phi takes the N - 1
     ratios: a profile covers N = 2, a polynomial any N."""
 
-    z = None
     designated = (ResidualKind.MONGE_AMPERE,)
 
     spatial_dim: int
     phi: ProfileFunction | PolynomialFunction
+    z: float = 2.0
 
     def __post_init__(self):
         if self.spatial_dim < 2:
@@ -271,7 +271,7 @@ def _check_family(fam, params):
             f"{type(fam).__name__} needs N = {fam.spatial_dim}, params have "
             f"N = {params.spatial_dim}"
         )
-    if fam.z is not None and params.z != fam.z:
+    if params.z != fam.z:
         raise ValueError(
             f"{type(fam).__name__} needs z = {fam.z}, params have "
             f"z = {params.z}"
@@ -336,16 +336,9 @@ def ansatz_profile(fam):
     return _Profile()
 
 
-def default_params(fam, z=None):
-    """Canonical ModelParams for a family; ``z`` overrides where free."""
-    need_z = fam.z
-    if need_z is None:
-        need_z = 2.0 if z is None else float(z)
-    elif z is not None and float(z) != need_z:
-        raise ValueError(
-            f"{type(fam).__name__} fixes z = {need_z}; cannot use z = {z}"
-        )
-    return ModelParams(spatial_dim=fam.spatial_dim, z=need_z)
+def default_params(fam):
+    """The ModelParams a family is stated at: its N and its z."""
+    return ModelParams(spatial_dim=fam.spatial_dim, z=fam.z)
 
 
 def default_grid(fam):

@@ -96,6 +96,12 @@ class ResidualReport:
         }
 
 
+def within_tolerance(gap, tol):
+    """The pass rule of every check: a finite gap of at most ``tol``, so
+    that a NaN gap fails even at an infinite ``tol``."""
+    return math.isfinite(gap) and gap <= tol
+
+
 class _Tally:
     """Running aggregates of one residual kind, in grid order."""
 
@@ -129,7 +135,7 @@ class _Tally:
         ok = bool(
             self.finite
             and evaluated > 0
-            and self.max_norm <= tol
+            and within_tolerance(self.max_norm, tol)
             and excluded <= 0.5 * (evaluated + excluded)
         )
         return ResidualReport(
@@ -262,4 +268,5 @@ def fd_crosscheck(field, params, points, h):
     return worst
 
 
-__all__ = ["GridSpec", "ResidualReport", "run_residual_suite", "fd_crosscheck"]
+__all__ = ["GridSpec", "ResidualReport", "within_tolerance", "run_residual_suite",
+           "fd_crosscheck"]

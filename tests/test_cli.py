@@ -1,5 +1,6 @@
 """Command-line interface: grammars, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -82,7 +83,7 @@ def test_family_spec_round_trips_catalog():
     ["0.7", "0,-1.5,2", "1,0,0,0.25,0,-3", "0.5,0,2,0,0,0,0.25,0,0,-0.125"],
 )
 def test_family_spec_round_trips_poly2(coeffs):
-    spec = f"ma-only:N=3,phi=poly2:{coeffs}"
+    spec = f"ma-only:N=3,phi=poly2:{coeffs},z=2"
     fam = parse_family(spec)
     assert family_spec("ma-only", fam) == spec
     assert parse_family(family_spec("ma-only", fam)) == fam
@@ -104,13 +105,13 @@ def test_family_spec_rejects_terms_poly2_cannot_hold():
 _OVERRIDES = {
     "one-dim-z0": "c=2,q=poly:1,2",
     "one-dim-z1": "c=1.5,q=exp:1,-1",
-    "one-dim-generic": "q=poly:2,0,1",
+    "one-dim-generic": "q=poly:2,0,1,z=3",
     "radial-z1": "c=2,e1=0.25,e2=0.1,n=2",
     "general-z": "c=2,e1=0.5,e2=0.1,n=2,z=3",
     "z0-sqrt": "psi=const:16",
     "z0-linear": "psi1=sin:1,1,0,psi2=poly:0,1",
     "general-yphi": "c=2,e1=0.3,e2=0.2,z=3,phi1=const:1,phi2=sin:1,1,0",
-    "ma-only": "N=2,phi=sin:1,1,0.5",
+    "ma-only": "N=2,phi=sin:1,1,0.5,z=3",
 }
 
 
@@ -122,6 +123,37 @@ def test_parse_family_overrides_every_field():
         for f in dataclasses.fields(fam):
             assert getattr(fam, f.name) != getattr(default, f.name), (name, f.name)
         assert parse_family(family_spec(name, fam)) == fam
+
+
+def test_family_spec_writes_the_overrides_back():
+    for name, overrides in _OVERRIDES.items():
+        spec = f"{name}:{overrides}"
+        assert family_spec(name, parse_family(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["radial-z1:c=nan", "general-z:z=inf", "one-dim-generic:z=-inf",
+     "z0-linear:psi1=sin:nan,1,0", "ma-only:phi=poly2:nan", "ma-only:phi=poly2:1,inf,0"],
+)
+def test_parse_family_refuses_non_finite_numbers(capsys, spec):
+    with pytest.raises(CLIError, match="not finite"):
+        parse_family(spec)
+    code, out, err = run_cli(capsys, "check", "--family", spec)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("identity", "--field", "random:deg=3,bound=inf", "--seed", "1"),
+     ("fd-check", "--field", "random:deg=3,bound=1e308", "--seed", "1"),
+     ("identity", "--field", "random:deg=3,bound=nan", "--seed", "1"),
+     ("identity", "--field", "random:deg=3,bound=-1", "--seed", "1")],
+)
+def test_random_field_bound_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err and "bound" in err
 
 
 def test_parse_group_variants():
@@ -189,19 +221,19 @@ def test_parse_kinds_and_range_and_field():
     assert parse_range("-2..3") == (-2, 3)
     with pytest.raises(CLIError):
         parse_range("3..-2")
-    assert parse_field_spec("random:deg=2,seed=9,bound=0.5") == (2, 9, 0.5)
-    assert parse_field_spec("random:deg=4") == (4, None, 1.0)
+    assert parse_field_spec("random:deg=2,bound=0.5") == (2, 0.5)
+    assert parse_field_spec("random:deg=4") == (4, 1.0)
     with pytest.raises(CLIError):
         parse_field_spec("fixed:deg=2")
+    with pytest.raises(CLIError, match="unknown keys seed"):
+        parse_field_spec("random:deg=2,seed=9")  # --seed seeds a random field
 
 
 # --- subcommands ------------------------------------------------------------
 
 
 def test_check_pass_case(capsys):
-    code, out, err = run_cli(
-        capsys, "check", "--family", "radial-z1:c=1,e1=0,e2=0,n=0", "--z", "1", "--N", "2"
-    )
+    code, out, err = run_cli(capsys, "check", "--family", "radial-z1:c=1,e1=0,e2=0,n=0")
     assert code == 0
     rows = json.loads(out)
     assert {r["equation"] for r in rows} == {"diffusion", "monge-ampere"}
@@ -223,7 +255,7 @@ def test_check_usage_cases(capsys):
     code, _, err = run_cli(capsys, "check", "--family", "no-such-family")
     assert code == 2 and "unknown family" in err
     code, _, err = run_cli(capsys, "check", "--family", "radial-z1", "--z", "2")
-    assert code == 2  # family fixes z = 1
+    assert code == 2  # a family carries its own z and N; the flags are gone
     code, _, err = run_cli(capsys, "check", "--family", "radial-z1", "--N", "3")
     assert code == 2
     # an empty or repeated --kinds is a usage error, not the designated kinds
@@ -412,9 +444,7 @@ def test_check_evaluates_field_once_per_point(capsys, monkeypatch):
 
 
 def test_check_overflow_fails_closed(capsys):
-    code, out, err = run_cli(
-        capsys, "check", "--family", "one-dim-generic:q=exp:1,800", "--z", "2"
-    )
+    code, out, err = run_cli(capsys, "check", "--family", "one-dim-generic:q=exp:1,800")
     assert code == 1 and "Traceback" not in err
     (row,) = json.loads(out)
     assert row["pass"] is False
@@ -451,10 +481,24 @@ def test_commutators_build_no_jets(capsys, monkeypatch):
 
 def test_commutators_non_finite_gap_fails_closed(capsys, monkeypatch):
     monkeypatch.setattr(cli, "commutator_gap", lambda *args: float("nan"))
-    code, out, _ = run_cli(capsys, "commutators", "--n=0..1", "--k=0..0", "--N", "1")
-    assert code == 1
-    rows = json.loads(out)
-    assert rows and all(r["gap"] == "Infinity" and r["pass"] is False for r in rows)
+    # a NaN gap fails even at an infinite tolerance
+    for tol in ("1e-9", "inf"):
+        code, out, _ = run_cli(
+            capsys, "commutators", "--n=0..1", "--k=0..0", "--N", "1", "--tol", tol
+        )
+        assert code == 1
+        rows = json.loads(out)
+        assert rows and all(r["gap"] == "Infinity" and r["pass"] is False for r in rows)
+
+
+def test_commutators_zero_gap_passes_at_zero_tolerance(capsys):
+    # the pass rule is gap <= tol, so an exact [Y, Y] passes at --tol 0
+    code, out, _ = run_cli(
+        capsys, "commutators", "--tol", "0", "--n=0..0", "--k=0..1", "--N", "1"
+    )
+    assert code == 0
+    yy = [r for r in json.loads(out) if r["g1"].startswith("Y") and r["g2"].startswith("Y")]
+    assert yy and all(r["gap"] == 0.0 and r["pass"] is True for r in yy)
 
 
 def test_fd_check_family(capsys):
@@ -468,8 +512,7 @@ def test_fd_check_family(capsys):
 
 def test_fd_check_overflow_fails_closed(capsys):
     code, out, err = run_cli(
-        capsys, "fd-check", "--family", "one-dim-generic:q=exp:1,800", "--z", "2",
-        "--points", "3",
+        capsys, "fd-check", "--family", "one-dim-generic:q=exp:1,800", "--points", "3",
     )
     assert code == 1 and "Traceback" not in err
     assert err == "fd-check: 0/1 passed\n"
@@ -481,10 +524,9 @@ def test_fd_check_overflow_fails_closed(capsys):
 def test_fd_check_takes_n_from_family(capsys):
     code, out, _ = run_cli(capsys, "fd-check", "--family", "one-dim-z0")
     assert code == 0
-    assert run_cli(capsys, "fd-check", "--family", "one-dim-z0", "--N", "1")[:2] == (
-        0,
-        out,
-    )
+    # --N sets only a random field's N; a family carries its own
+    code, out, err = run_cli(capsys, "fd-check", "--family", "one-dim-z0", "--N", "1")
+    assert (code, out) == (2, "") and err.startswith("error: --N")
     code, _, _ = run_cli(
         capsys, "fd-check", "--family", "ma-only", "--points", "20"
     )
@@ -536,6 +578,28 @@ def test_byte_determinism(capsys):
     assert out1 == out2
 
 
+# every subcommand's option strings; a knob deleted on purpose stays gone
+_OPTIONS = {
+    "check": {"--family", "--kinds", "--grid", "--tol", "--format"},
+    "transform": {"--family", "--kinds", "--grid", "--tol", "--format", "--group"},
+    "identity": {"--field", "--seed", "--n", "--z", "--N", "--eps", "--points", "--tol",
+                 "--format"},
+    "commutators": {"--n", "--k", "--z", "--N", "--tol", "--format"},
+    "fd-check": {"--family", "--field", "--N", "--h", "--points", "--seed", "--tol",
+                 "--format"},
+    "catalog": {"--format"},
+}
+
+
+def test_subcommand_options_are_exactly_these():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_OPTIONS)
+    for name, sub_parser in sub.choices.items():
+        options = {s for a in sub_parser._actions for s in a.option_strings}
+        assert options - {"-h", "--help"} == _OPTIONS[name], name
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -562,7 +626,7 @@ def test_readme_examples_run(capsys):
         for line in _readme_block("## Command line", "sh").splitlines()
         if line.startswith("condsym ")
     ]
-    assert len(lines) == 7
+    assert len(lines) == 8
     for argv in lines:
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()

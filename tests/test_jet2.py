@@ -115,6 +115,27 @@ def test_operator_sugar_matches_free_functions():
     assert (1.0 / (a + 1.0)).value == pytest.approx(1.0 / 2.3)
 
 
+@pytest.mark.parametrize("other", ["a", None, [1.0], 1 + 2j])
+def test_operators_refuse_non_numbers(other):
+    a = jet2.seed(2, 0, 1.0)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        for apply in (getattr(a, op), getattr(a, op.replace("__", "__r", 1))):
+            assert apply(other) is NotImplemented
+    with pytest.raises(TypeError):
+        a + other
+    with pytest.raises(TypeError):
+        other * a
+    with pytest.raises(TypeError):
+        a / other
+
+
+def test_numpy_scalars_still_combine():
+    a = jet2.seed(2, 0, 1.5)
+    for scaled in (np.float64(2.0) * a, a * np.float64(2.0), np.int64(2) * a):
+        assert isinstance(scaled, jet2.Jet2)
+        assert scaled.value == 3.0 and scaled.grad.tolist() == [2.0, 0.0]
+
+
 def _fd_univariate(f, x, h=1e-5):
     d1 = (f(x + h) - f(x - h)) / (2 * h)
     d2 = (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)

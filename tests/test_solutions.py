@@ -1,5 +1,6 @@
 """Closed-form solution families and their domains."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,11 +168,14 @@ def test_family_z_and_dim_guards():
 def test_default_params_conflict():
     fam = DEFAULT_FAMILIES["general-z"]  # fixes z = 2
     assert default_params(fam).z == 2.0
-    with pytest.raises(ValueError):
-        default_params(fam, z=3.0)
+    # a family that admits any z carries its z as a field, and params at
+    # another z conflict with it
     free = DEFAULT_FAMILIES["ma-only"]
-    assert default_params(free, z=1.25).z == 1.25
     assert default_params(free).z == 2.0
+    moved = dataclasses.replace(free, z=1.25)
+    assert default_params(moved) == ModelParams(3, 1.25)
+    with pytest.raises(ValueError, match="needs z = 1.25"):
+        evaluate_solution(moved, default_params(free), Point(1.0, (0.5, 0.4, 0.3)))
 
 
 def test_required_metadata():
@@ -179,7 +183,7 @@ def test_required_metadata():
     assert DEFAULT_FAMILIES["ma-only"].spatial_dim == 3
     assert DEFAULT_FAMILIES["one-dim-z1"].z == 1.0
     assert DEFAULT_FAMILIES["z0-sqrt"].z == 0.0
-    assert DEFAULT_FAMILIES["one-dim-generic"].z is None
+    assert DEFAULT_FAMILIES["one-dim-generic"].z == 2.0
     assert DEFAULT_FAMILIES["ma-only"].designated == (ResidualKind.MONGE_AMPERE,)
     assert DEFAULT_FAMILIES["one-dim-z0"].designated == (ResidualKind.DIFFUSION,)
 

@@ -23,7 +23,12 @@ from condsym.solutions import (
     SolutionField,
     default_params,
 )
-from condsym.verify import GridSpec, fd_crosscheck, run_residual_suite
+from condsym.verify import (
+    GridSpec,
+    fd_crosscheck,
+    run_residual_suite,
+    within_tolerance,
+)
 
 P2 = ModelParams(2, 2.0)
 
@@ -352,3 +357,12 @@ def test_fd_crosscheck_overflow_is_inf():
     with pytest.raises(OverflowError):
         evaluate(SolutionField(fam), params, pts[0])
     assert fd_crosscheck(SolutionField(fam), params, pts, 1e-4) == math.inf
+
+
+def test_within_tolerance_is_one_rule():
+    assert within_tolerance(0.0, 0.0)
+    assert within_tolerance(1e-9, 1e-9)
+    assert not within_tolerance(2e-9, 1e-9)
+    # a non-finite gap fails, even at an infinite tolerance
+    for gap in (math.nan, math.inf):
+        assert not within_tolerance(gap, math.inf)
