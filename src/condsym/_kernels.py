@@ -59,17 +59,18 @@ def poly_jet(powers, coeffs, coords):
 
 
 def det(a):
-    """Determinant of a small square matrix: hard-coded cofactor expansion
-    for sizes 1 to 3, ``np.linalg.det`` above."""
-    n = a.shape[0]
+    """Determinant of a small square matrix, or of each matrix of a stack
+    (..., n, n): hard-coded cofactor expansion for sizes 1 to 3,
+    ``np.linalg.det`` above."""
+    n = a.shape[-1]
     if n == 1:
-        return a[0, 0]
+        return a[..., 0, 0]
     if n == 2:
-        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     if n == 3:
         return (
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+            a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
         )
     return np.linalg.det(a)

@@ -90,6 +90,22 @@ def _to_float(key, value):
         raise CLIError(f"bad number for {key}: {exc}") from None
 
 
+def _to_tol(key, value):
+    """A tolerance: any number but NaN, so that ``inf`` passes every finite gap."""
+    try:
+        tol = float(value)
+    except ValueError as exc:
+        raise CLIError(f"bad number for {key}: {exc}") from None
+    if math.isnan(tol):
+        raise CLIError(f"bad number for {key}: a tolerance cannot be NaN")
+    return tol
+
+
+# float flags that argparse leaves as text; ``main`` reads them, so that a
+# bad value is one "error:" line like every other usage error
+_FLOAT_FLAGS = {"h": _to_float, "eps": _to_float, "z": _to_float, "tol": _to_tol}
+
+
 def _to_int(key, value):
     try:
         return int(value)
@@ -550,7 +566,7 @@ def cmd_catalog(args):
 
 def _add_common(p, tol=None):
     if tol is not None:
-        p.add_argument("--tol", type=float, default=tol, help="pass tolerance")
+        p.add_argument("--tol", default=tol, help="pass tolerance")
     p.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
@@ -588,9 +604,9 @@ def build_parser():
     p.add_argument("--field", default="random:deg=3", help="field spec")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", default="-2..3", help="inclusive n window A..B")
-    p.add_argument("--z", type=float, default=2.0)
+    p.add_argument("--z", default=2.0)
     p.add_argument("--N", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--eps", default=0.01)
     p.add_argument("--points", type=int, default=50)
     _add_common(p, 1e-8)
     p.set_defaults(func=cmd_identity)
@@ -598,7 +614,7 @@ def build_parser():
     p = sub.add_parser("commutators", help="verify the commutator table")
     p.add_argument("--n", default="-2..2", help="inclusive n window A..B")
     p.add_argument("--k", default="-1..2", help="inclusive k window A..B")
-    p.add_argument("--z", type=float, default=2.0)
+    p.add_argument("--z", default=2.0)
     p.add_argument("--N", type=int, default=2)
     _add_common(p, 1e-9)
     p.set_defaults(func=cmd_commutators)
@@ -609,7 +625,7 @@ def build_parser():
     p.add_argument("--family", default=None)
     p.add_argument("--field", default=None)
     p.add_argument("--N", type=int, default=None, help="N of a random --field")
-    p.add_argument("--h", type=float, default=1e-4)
+    p.add_argument("--h", default=1e-4)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p, 1e-4)
@@ -632,6 +648,9 @@ def main(argv=None):
             return 0
         return 2
     try:
+        for key, convert in _FLOAT_FLAGS.items():
+            if hasattr(args, key):
+                setattr(args, key, convert(f"--{key}", getattr(args, key)))
         # a non-finite value is reported in its row, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)

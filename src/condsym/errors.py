@@ -4,7 +4,12 @@
 class DomainError(ValueError):
     """Raised when an evaluation leaves the mathematical domain of an
     expression (negative radicand, fractional power of a non-positive
-    base, log of a non-positive value, and so on)."""
+    base, log of a non-positive value, and so on).
+
+    Raised on a batch, it carries the bad rows as ``rows``, a boolean
+    (P,) array; raised at one point, ``rows`` is None."""
+
+    rows = None
 
 
 class DimensionMismatch(ValueError):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import jet2
 from ._kernels import poly_jet
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainError
 from .jet2 import Jet2
 
 _PROFILE_ARITY = {"poly": None, "exp": 2, "sin": 3, "const": 1}
@@ -63,14 +63,49 @@ class ScalarField(abc.ABC):
         of ``coords``, an array of shape (P, N + 1).
 
         This default stacks :func:`evaluate` row by row, in row order.
+        Rows that raise DomainError, or else OverflowError, raise it once
+        for the batch: the first such row's error, carrying all of them
+        as ``err.rows``, as a guard on a batch does.
         """
-        points = (Point(row[0], tuple(row[1:])) for row in coords)
-        jets = [evaluate(self, params, p) for p in points]
+        jets, failed = [], {}
+        for k, row in enumerate(coords):
+            try:
+                jets.append(evaluate(self, params, Point(row[0], tuple(row[1:]))))
+            except (DomainError, OverflowError) as exc:
+                failed[k] = exc
+        if failed:
+            raise _batch_error(failed, len(coords))
         return Jet2(
             [j.value for j in jets],
             np.stack([j.grad for j in jets]),
             np.stack([j.hess for j in jets]),
         )
+
+
+def _batch_error(failed, count):
+    """The error of a batch of ``count`` rows from its failed rows
+    (row -> error): the first DomainError, else the first OverflowError,
+    carrying every row of its kind.  ``failed`` is emptied, so that the
+    raising frame holds no error and makes no reference cycle."""
+    for kind in (DomainError, OverflowError):
+        bad = [k for k, exc in failed.items() if isinstance(exc, kind)]
+        if bad:
+            err = failed[bad[0]]
+            err.rows = np.zeros(count, dtype=bool)
+            err.rows[bad] = True
+            failed.clear()
+            return err
+
+
+def check_coords(params, coords):
+    """``coords`` as a float array, or :class:`DimensionMismatch` unless
+    its shape is (P, N + 1)."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != params.jet_dim:
+        raise DimensionMismatch(
+            f"coords have shape {coords.shape}, expected (P, {params.jet_dim})"
+        )
+    return coords
 
 
 def check_point(params, point):
@@ -133,7 +168,7 @@ class ProfileFunction:
         m = jet2.mathlib(t)
         if self.kind == "exp":
             a, b = p
-            e = a * m.exp(b * t)
+            e = a * jet2.mexp(b * t)
             return e, b * e, b * b * e
         if self.kind == "sin":
             a, b, c = p
@@ -334,6 +369,7 @@ __all__ = [
     "ModelParams",
     "Point",
     "ScalarField",
+    "check_coords",
     "check_point",
     "evaluate",
     "ProfileFunction",

@@ -39,10 +39,37 @@ def guard(bad, message, error=DomainError):
 
     ``bad`` is a comparison on a float or on a batch, written so that it
     is true at a bad point; NaN compares false, so a NaN value passes a
-    guard on a batch as it does on a float.
+    guard on a batch as it does on a float.  On a batch the error carries
+    the bad rows as ``err.rows``, a boolean (P,) array, so that a caller
+    can set them aside and evaluate the others again.  ``message`` is a
+    string, or a function that makes it when the guard fails.
     """
     if bad is True or (bad is not False and bad.any()):
-        raise error(message)
+        raise _error(error, message, bad)
+
+
+def _error(error, message, bad):
+    # built outside ``guard``, so that no frame the error's traceback
+    # holds refers back to it: a cycle would keep the batch alive until a
+    # garbage collection
+    err = error(message() if callable(message) else message)
+    if isinstance(bad, np.ndarray):
+        err.rows = bad
+    return err
+
+
+def _checked(result, arg):
+    """A numpy ``result`` at ``arg``, raising OverflowError at the rows
+    where a finite argument gave an infinite result, as ``math`` raises
+    on a float."""
+    if isinstance(result, np.ndarray):
+        guard(np.isinf(result) & np.isfinite(arg), "math range error", OverflowError)
+    return result
+
+
+def mexp(v):
+    """``exp`` of a float or of a batch, overflowing as ``math.exp`` does."""
+    return _checked(mathlib(v).exp(v), v)
 
 
 def _too_small(v, scale=1.0):
@@ -123,6 +150,10 @@ class Jet2:
 
     def __repr__(self):
         return f"Jet2(value={self.value!r}, grad={self.grad.tolist()!r})"
+
+    def take(self, rows):
+        """The batch of the rows ``rows`` (an index or boolean array)."""
+        return _make(self.value[rows], self.grad[rows], self.hess[rows])
 
     # arithmetic via the module-level combinators; NotImplemented for a non-number
     def __add__(self, other):
@@ -238,7 +269,7 @@ def univariate(a, f0, f1, f2):
 
 
 def exp(a):
-    e = mathlib(a.value).exp(a.value)
+    e = mexp(a.value)
     return univariate(a, e, e, e)
 
 
@@ -298,28 +329,43 @@ def power(a, p):
         f2 = p * (p - 1.0) * _ipow(v, k - 2) if k != 1 else 0.0
     else:
         m = mathlib(v)
-        f0 = m.pow(v, p)
-        f1 = p * m.pow(v, p - 1.0)
-        f2 = p * (p - 1.0) * m.pow(v, p - 2.0)
+        f0 = _checked(m.pow(v, p), v)
+        f1 = p * _checked(m.pow(v, p - 1.0), v)
+        f2 = p * (p - 1.0) * _checked(m.pow(v, p - 2.0), v)
     return univariate(a, f0, f1, f2)
 
 
 def rpow(base, p):
-    """Real power of a plain float: the scalar twin of :func:`power`.
+    """Real power of a plain float or of a (P,) batch of floats: the
+    value-only twin of :func:`power`.
 
     Same domain, but only an exact zero base is a pole (no near-zero
     guard), and integer powers use ``float ** int`` rather than repeated
     multiplication, so the last bits can differ from ``power(...).value``.
+    A batch is raised row by row with Python's ``**``, so each row is bit
+    for bit the float result; the rows where that overflows raise
+    OverflowError together, as a float does alone.
     """
+    batched = isinstance(base, np.ndarray)
     if p == int(p):
-        if base == 0.0 and p < 0.0:
-            raise DomainError("negative power of zero")
-        return float(base) ** int(p)
-    if base <= 0.0:
-        raise DomainError(
-            f"fractional power {p!r} of non-positive value {base!r}"
+        if p < 0.0:
+            guard(base == 0.0, "negative power of zero")
+        p = int(p)
+    else:
+        guard(
+            base <= 0.0,
+            lambda: f"fractional power {p!r} of non-positive value {base!r}",
         )
-    return float(base) ** p
+    if not batched:
+        return float(base) ** p
+    out = []
+    for b in base.tolist():
+        try:
+            out.append(b ** p)
+        except OverflowError:
+            out.append(math.inf)
+    out = np.array(out)
+    return _checked(out, base)
 
 
 def _ipow(v, k):

@@ -35,13 +35,11 @@ def _require_dim(jet, params):
 
 
 def w1_matrix(jet):
-    """Matrix of the mixed first/second derivative determinant."""
-    d = jet.dim
-    m = np.empty((d, d))
-    m[0, 0] = jet.grad[0]
-    m[0, 1:] = jet.grad[1:]
-    m[1:, 0] = jet.hess[0, 1:]
-    m[1:, 1:] = jet.hess[1:, 1:]
+    """Matrix of the mixed first/second derivative determinant, with a
+    leading point axis on a batch."""
+    m = np.array(jet.hess)
+    m[..., 0, :] = jet.grad
+    m[..., 1:, 0] = jet.hess[..., 0, 1:]
     return m
 
 
@@ -52,7 +50,7 @@ def w1(jet, params):
 
 def monge_ampere(jet, params):
     _require_dim(jet, params)
-    return det(np.array(jet.hess[1:, 1:]))
+    return det(jet.hess[..., 1:, 1:])
 
 
 def diffusion_residual(jet, params):
@@ -71,9 +69,9 @@ def diffusion_residual(jet, params):
     p2 = jet2.rpow(u, coeff - 1.0) if coeff != 0.0 else 0.0
     rhs = 0.0
     for a in range(1, n + 1):
-        rhs += p1 * jet.hess[a, a]
+        rhs += p1 * jet.hess[..., a, a]
         if coeff != 0.0:
-            ua = jet.grad[a]
+            ua = jet.grad[..., a]
             rhs += coeff * p2 * ua * ua
     return w1(jet, params) - rhs
 
@@ -83,14 +81,15 @@ def general_residual(jet, params, g):
 
     ``g`` receives the spatial gradient (length N) and the matrix
     u * u_ab (shape N x N), i.e. N(N+3)/2 independent scalars, and
-    returns a float.
+    returns a float; on a batch both carry a leading point axis and ``g``
+    returns one value per point.
     """
     _require_dim(jet, params)
     n = params.spatial_dim
     u = jet.value
-    grads = np.array(jet.grad[1:])
-    scaled_hess = u * np.array(jet.hess[1:, 1:])
-    gval = float(g(grads, scaled_hess))
+    grads = jet.grad[..., 1:]
+    scaled_hess = np.asarray(u)[..., None, None] * jet.hess[..., 1:, 1:]
+    gval = g(grads, scaled_hess)
     return w1(jet, params) - jet2.rpow(u, 1.0 - params.z - n) * gval
 
 
@@ -101,10 +100,10 @@ def diffusion_gcallback(params):
 
     def g(grads, scaled_hess):
         out = 0.0
-        for a in range(len(grads)):
-            out += scaled_hess[a, a]
+        for a in range(grads.shape[-1]):
+            out += scaled_hess[..., a, a]
             if coeff != 0.0:
-                out += coeff * grads[a] * grads[a]
+                out += coeff * grads[..., a] * grads[..., a]
         return out
 
     return g
@@ -209,14 +208,15 @@ def evaluate_residual(kind, jet, params, g=None):
 
 
 def residual_scale(kind, jet, params):
-    """Normalization (1 + max |matrix entry|) ** size for the kind's matrix."""
+    """Normalization (1 + max |matrix entry|) ** size for the kind's
+    matrix, one per point on a batch."""
     if kind is ResidualKind.MONGE_AMPERE:
-        entries = float(np.max(np.abs(jet.hess[1:, 1:])))
+        entries = np.max(np.abs(jet.hess[..., 1:, 1:]), axis=(-2, -1))
         size = params.spatial_dim
     else:
-        entries = float(np.max(np.abs(w1_matrix(jet))))
+        entries = np.max(np.abs(w1_matrix(jet)), axis=(-2, -1))
         size = params.spatial_dim + 1
-    return (1.0 + entries) ** size
+    return jet2.rpow(1.0 + entries, size)
 
 
 __all__ = [

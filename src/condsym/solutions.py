@@ -15,8 +15,6 @@ grid runners can count exclusions.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jet2
 from .errors import DimensionMismatch, ZeroDynamicalExponent
 from .fields import (
@@ -24,6 +22,7 @@ from .fields import (
     PolynomialFunction,
     ProfileFunction,
     ScalarField,
+    check_coords,
     check_point,
 )
 from .operators import ResidualKind
@@ -305,12 +304,7 @@ class SolutionField(ScalarField):
     def evaluate_many(self, params, coords):
         """All rows of ``coords`` as one batch through the family's jet."""
         _check_family(self.family, params)
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != params.jet_dim:
-            raise DimensionMismatch(
-                f"coords have shape {coords.shape}, expected (P, {params.jet_dim})"
-            )
-        return _seeded_jet(self.family, params.jet_dim, coords.T)
+        return _seeded_jet(self.family, params.jet_dim, check_coords(params, coords).T)
 
     def __repr__(self):
         return f"SolutionField({self.family!r})"

@@ -40,7 +40,14 @@ import numpy as np
 
 from . import jet2
 from .errors import BranchError, DimensionMismatch
-from .fields import Point, ProfileFunction, ScalarField, check_point, evaluate
+from .fields import (
+    Point,
+    ProfileFunction,
+    ScalarField,
+    check_coords,
+    check_point,
+    evaluate,
+)
 from .jet2 import Jet2
 from .operators import monge_ampere, w1
 
@@ -99,10 +106,11 @@ class Xn:
             return t, tuple(v * a for v in x), a
         s = 1.0 - z * n * eps * _pow(t, n)
         branch = _value(s)
-        if branch <= 0.0:
-            raise BranchError(
-                f"outside the small-parameter branch: 1 - z*n*eps*t^n = {branch!r}"
-            )
+        jet2.guard(
+            branch <= 0.0,
+            lambda: f"outside the small-parameter branch: 1 - z*n*eps*t^n = {branch!r}",
+            BranchError,
+        )
         beta = (n + 1.0) / (z * n)
         a = _pow(s, -beta)
         return t * _pow(s, -1.0 / n), tuple(v * a for v in x), a
@@ -207,7 +215,9 @@ class PushforwardField(ScalarField):
     Evaluation at a query point q runs the inverse element's map on the
     seed jets of q, reads the base field at the image, composes the jets
     through that coordinate change and divides by the inverse's factor
-    (the forward factor at the source point).
+    (the forward factor at the source point).  ``evaluate_many`` does the
+    same for a batch of query points, with one ``base.evaluate_many`` at
+    their images.
     """
 
     def __init__(self, element, base):
@@ -217,13 +227,28 @@ class PushforwardField(ScalarField):
 
     def evaluate(self, params, point):
         check_point(params, point)
+
+        def base_at(source):
+            return evaluate(self.base, params, Point(source[0], tuple(source[1:])))
+
+        return self._pull(params, (point.t,) + point.x, base_at)
+
+    def evaluate_many(self, params, coords):
+        def base_at(source):
+            return self.base.evaluate_many(params, np.stack(source, axis=1))
+
+        return self._pull(params, check_coords(params, coords).T, base_at)
+
+    def _pull(self, params, coords, base_at):
+        """The pushforward's jet over the seed jets of ``coords`` (N + 1
+        floats, or N + 1 columns of a batch); ``base_at`` gives the base
+        field's jet at the source coordinates."""
         self.element.check(params)
         d = params.jet_dim
-        jt = jet2.seed(d, 0, point.t)
-        jx = [jet2.seed(d, 1 + a, v) for a, v in enumerate(point.x)]
+        jt = jet2.seed(d, 0, coords[0])
+        jx = [jet2.seed(d, 1 + a, v) for a, v in enumerate(coords[1:])]
         jt, jx, a_inv = self.inverse.act(params, jt, jx)
-        source = Point(jt.value, tuple(j.value for j in jx))
-        base_jet = evaluate(self.base, params, source)
+        base_jet = base_at([jt.value] + [j.value for j in jx])
         out = jet2.compose(base_jet, (jt,) + jx)
         if isinstance(a_inv, Jet2) or a_inv != 1.0:
             out = out / a_inv

@@ -1,6 +1,12 @@
 """Grid construction, residual aggregation and FD cross-validation.
 
-Traversal and reduction orders are fixed, so every report is bitwise
+The residual suite walks a grid as a (P, N+1) array of coordinate rows
+and evaluates it in bounded batches of rows: one ``evaluate_many`` of
+the field per batch, then each residual kind and its scale on the
+stacked jets.  A guard that fails on a batch names its bad rows; those
+rows are counted as excluded (or as overflowed) one by one, and the
+others are evaluated again.  Traversal and reduction orders are fixed
+(grid order, sums carried row after row), so every report is bitwise
 reproducible for identical inputs.
 """
 
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .fields import Point, check_point, evaluate
+from .fields import Point, check_point
 from .operators import evaluate_residual, residual_scale
 
 
@@ -53,10 +59,20 @@ class GridSpec:
             for lo, hi, count in (self.t_range,) + self.x_ranges
         ]
 
+    def coords(self):
+        """Every grid point as a row (t, x_1..x_N) of a (P, N+1) array, in
+        a fixed order: t outermost, last spatial axis fastest."""
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
     def points(self):
-        """Deterministic traversal: t outermost, last spatial axis fastest."""
-        for combo in itertools.product(*self.axes()):
-            yield Point(combo[0], tuple(combo[1:]))
+        """The rows of :meth:`coords` as points, in the same order."""
+        for row in self.coords():
+            yield _point(row)
+
+
+def _point(row):
+    return Point(row[0], tuple(row[1:]))
 
 
 @dataclass(frozen=True)
@@ -114,21 +130,36 @@ class _Tally:
         self.worst = None
         self.finite = True
 
-    def overflowed(self):
-        # a value past the float range is a non-finite result
-        self.evaluated += 1
-        self.finite = False
+    def set_aside(self, excluded, overflowed):
+        """Count the rows of two boolean masks: outside the domain, and
+        past the float range (a non-finite result)."""
+        self.excluded += int(excluded.sum())
+        overflows = int(overflowed.sum())
+        self.evaluated += overflows
+        self.finite = self.finite and not overflows
 
-    def add(self, pt, raw, scale):
-        norm = float(abs(raw)) / scale
-        self.evaluated += 1
-        self.finite = self.finite and math.isfinite(raw) and math.isfinite(scale)
-        self.sumsq += norm * norm
-        if abs(raw) > self.max_raw:
-            self.max_raw = float(abs(raw))
-        if self.worst is None or norm > self.max_norm:
-            self.max_norm = norm
-            self.worst = pt
+    def add(self, points, raw, scale):
+        """Rows in grid order: coordinates (k, N+1), raw residuals and
+        scales (k,)."""
+        size = np.abs(raw)
+        norm = size / scale
+        self.evaluated += norm.size
+        self.finite = self.finite and bool(
+            np.isfinite(raw).all() and np.isfinite(scale).all()
+        )
+        # np.cumsum adds one row after another, as a running sum does;
+        # np.sum may add pairwise
+        self.sumsq = float(np.cumsum(np.append(self.sumsq, norm * norm))[-1])
+        larger = size[size > self.max_raw]
+        if larger.size:
+            self.max_raw = float(larger.max())
+        if self.worst is None:
+            # the first row sets the maximum, even a NaN that no row beats
+            self.max_norm, self.worst = float(norm[0]), _point(points[0])
+        # the first row that reaches the maximum; a NaN never does
+        k = int(np.argmax(np.where(np.isnan(norm), -np.inf, norm)))
+        if norm[k] > self.max_norm:
+            self.max_norm, self.worst = float(norm[k]), _point(points[k])
 
     def report(self, equation, family, tol):
         evaluated, excluded = self.evaluated, self.excluded
@@ -152,13 +183,45 @@ class _Tally:
         )
 
 
+# A batch of grid rows holds 2048 Hessian entries: 512 rows at N = 1, 227
+# at N = 2 and 128 at N = 3, which bounds the memory a batch takes.
+_BATCH_ENTRIES = 2048
+
+
+def _guarded(compute, count):
+    """``compute(keep)`` on an index array ``keep`` into ``count`` rows,
+    run again without the rows a failing guard names until none fails.
+
+    Returns (result, keep, excluded, overflowed), the last two boolean
+    (count,) masks of the rows dropped by DomainError and by
+    OverflowError.  An error that names no rows drops every row left;
+    the result is None when no row is left.  Each guard site fails at
+    most once, so there are at most as many retries as guard sites.
+    """
+    keep = np.arange(count)
+    excluded = np.zeros(count, dtype=bool)
+    overflowed = np.zeros(count, dtype=bool)
+    while keep.size:
+        try:
+            return compute(keep), keep, excluded, overflowed
+        except (DomainError, OverflowError) as exc:
+            bad = getattr(exc, "rows", None)
+            if bad is None:
+                bad = np.ones(keep.size, dtype=bool)
+            dropped = excluded if isinstance(exc, DomainError) else overflowed
+            dropped[keep[bad]] = True
+            keep = keep[~bad]
+    return None, keep, excluded, overflowed
+
+
 def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
     """One ResidualReport per kind; domain errors count as exclusions,
     overflows as non-finite evaluations.
 
-    The field is evaluated once per grid point and its jet shared by
-    every kind.  An error from the field counts for every kind, one from
-    a kind's residual or scale only for that kind.
+    The grid is evaluated in batches of rows, each batch by one
+    ``field.evaluate_many`` whose jets every kind shares.  A row that the
+    field rejects counts for every kind, one that a kind's residual or
+    scale rejects only for that kind.
     """
     if grid.spatial_dim != params.spatial_dim:
         raise DimensionMismatch(
@@ -168,28 +231,40 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
     fid = repr(field) if family_id is None else str(family_id)
     kinds = sorted(kinds, key=lambda k: k.value)
     tallies = [_Tally() for _ in kinds]
-    for pt in grid.points():
-        try:
-            jet = evaluate(field, params, pt)
-        except DomainError:
+    coords = grid.coords()
+    step = max(1, _BATCH_ENTRIES // params.jet_dim**2)
+
+    def field_rows(batch):
+        jets = field.evaluate_many(params, batch)
+        if jets.dim != params.jet_dim:
+            raise DimensionMismatch(
+                f"field returned dim {jets.dim}, expected {params.jet_dim}"
+            )
+        return jets
+
+    # a non-finite value is counted in its report, not raised as a warning
+    with np.errstate(all="ignore"):
+        for start in range(0, len(coords), step):
+            batch = coords[start : start + step]
+            jets, keep, excluded, overflowed = _guarded(
+                lambda rows: field_rows(batch[rows]), len(batch)
+            )
             for tally in tallies:
-                tally.excluded += 1
-            continue
-        except OverflowError:
-            for tally in tallies:
-                tally.overflowed()
-            continue
-        for kind, tally in zip(kinds, tallies):
-            try:
-                raw = evaluate_residual(kind, jet, params, g)
-                scale = residual_scale(kind, jet, params)
-            except DomainError:
-                tally.excluded += 1
+                tally.set_aside(excluded, overflowed)
+            if jets is None:
                 continue
-            except OverflowError:
-                tally.overflowed()
-                continue
-            tally.add(pt, raw, scale)
+            points = batch[keep]
+            for kind, tally in zip(kinds, tallies):
+
+                def residual(rows):
+                    sub = jets.take(rows)
+                    return (evaluate_residual(kind, sub, params, g),
+                            residual_scale(kind, sub, params))
+
+                out, rows, excluded, overflowed = _guarded(residual, len(keep))
+                tally.set_aside(excluded, overflowed)
+                if out is not None:
+                    tally.add(points[rows], *out)
     return [tally.report(kind.value, fid, tol) for kind, tally in zip(kinds, tallies)]
 
 

@@ -8,6 +8,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from condsym import cli, fields
@@ -428,19 +429,27 @@ def test_emit_json_is_strict():
 
 
 def test_check_evaluates_field_once_per_point(capsys, monkeypatch):
-    # both designated kinds read the same jet at each of the 12**3 points
-    calls = []
+    # both designated kinds read the same jets: each of the 12**3 points is
+    # a row of exactly one bounded batch, and none is evaluated alone
+    calls, batches = [], []
 
     class Counted(cli.SolutionField):
         def evaluate(self, params, point):
             calls.append(point)
             return super().evaluate(params, point)
 
+        def evaluate_many(self, params, coords):
+            batches.append(np.array(coords))
+            return super().evaluate_many(params, coords)
+
     monkeypatch.setattr(cli, "SolutionField", Counted)
     code, out, _ = run_cli(capsys, "check", "--family", "radial-z1")
     assert code == 0
     assert [r["points_evaluated"] for r in json.loads(out)] == [1728, 1728]
-    assert len(calls) == 1728
+    rows = np.concatenate(batches)
+    assert len(rows) == len(np.unique(rows, axis=0)) == 1728
+    assert max(len(b) for b in batches) == 2048 // 3**2
+    assert not calls
 
 
 def test_check_overflow_fails_closed(capsys):
@@ -448,6 +457,65 @@ def test_check_overflow_fails_closed(capsys):
     assert code == 1 and "Traceback" not in err
     (row,) = json.loads(out)
     assert row["pass"] is False
+
+
+def test_check_overflow_reads_no_worst_point(capsys):
+    # every point overflows, in the field or in its scale: all are counted
+    # as evaluated and non-finite, and none is a worst point
+    code, out, _ = run_cli(capsys, "check", "--family", "one-dim-generic:q=exp:1,800")
+    (row,) = json.loads(out)
+    assert code == 1
+    assert (row["points_evaluated"], row["points_excluded"]) == (1764, 0)
+    assert (row["max_abs"], row["worst_point"], row["pass"]) == (0.0, None, False)
+
+
+def test_transform_branch_excludes_part_of_the_grid(capsys):
+    # Xn(1, -0.6) pulls back through Xn(1, 0.6), whose branch 1 - 0.6 t > 0
+    # ends at t = 5/3: the 3 of 12 time slices past it are excluded, the
+    # rest pass
+    code, out, err = run_cli(
+        capsys, "transform", "--family", "radial-z1", "--group", "Xn:n=1,eps=-0.6"
+    )
+    assert (code, err) == (0, "transform: 2/2 passed\n")
+    rows = json.loads(out)
+    assert [(r["points_evaluated"], r["points_excluded"]) for r in rows] == [(1296, 432)] * 2
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_check_and_transform_match_goldens(capsys, name):
+    # stdout byte for byte, exit code and stderr; a golden is the stdout of
+    # ``condsym <argv>`` saved as tests/golden/<name>.json
+    case = GOLDEN_CASES[name]
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert out == (GOLDEN / f"{name}.json").read_bytes().decode()
+    assert (code, err) == (case["exit"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("fd-check", "--family", "radial-z1", "--h", "nan"), "--h"),
+        (("fd-check", "--family", "radial-z1", "--h", "inf"), "--h"),
+        (("identity", "--seed", "3", "--eps", "nan"), "--eps"),
+        (("identity", "--seed", "3", "--z", "inf"), "--z"),
+        (("commutators", "--z", "nan"), "--z"),
+        (("check", "--family", "radial-z1", "--tol", "nan"), "--tol"),
+    ],
+)
+def test_non_finite_float_flags_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad number for {flag}: ") and err.count("\n") == 1
+
+
+def test_infinite_tolerance_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "check", "--family", "radial-z1", "--tol", "inf")
+    assert code == 0
+    assert all(r["tolerance"] == "Infinity" and r["pass"] for r in json.loads(out))
 
 
 def test_commutators_runs(capsys):

@@ -434,3 +434,63 @@ def test_guard_fires_on_any_point():
         jet2.guard(np.array([False, True]), "bad")
     with pytest.raises(ZeroDivisionError):
         jet2.guard(True, "bad", ZeroDivisionError)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a: jet2.ln(a),
+        lambda a: jet2.sqrt(a),
+        lambda a: jet2.power(a, 0.5),
+        lambda a: jet2.power(a, -2),
+        lambda a: jet2.atan2_jet(a, a),
+    ],
+)
+def test_guard_on_a_batch_names_exactly_the_bad_rows(build):
+    values = np.array([0.5, 0.0, 1.0, 0.0, 2.0])
+    with pytest.raises(DomainError) as info:
+        build(jet2.seed(1, 0, values))
+    assert info.value.rows.tolist() == [False, True, False, True, False]
+
+
+def test_unbatched_guard_raises_the_old_error():
+    for build, error, message in (
+        (lambda a: jet2.sqrt(a), DomainError, "sqrt of a non-positive value"),
+        (lambda a: jet2.power(a, 0.5), DomainError, "fractional power of a non-positive base"),
+        (lambda a: jet2.div(a, a), ZeroDivisionError, "jet division by (near-)zero value"),
+    ):
+        with pytest.raises(error) as info:
+            build(jet2.seed(1, 0, 0.0))
+        assert str(info.value) == message
+        assert getattr(info.value, "rows", None) is None
+    with pytest.raises(DomainError) as info:
+        jet2.rpow(-1.0, 0.5)
+    assert str(info.value) == "fractional power 0.5 of non-positive value -1.0"
+    assert info.value.rows is None
+
+
+def test_batched_rpow_is_the_float_power_row_by_row():
+    base = np.array([0.3, 1.7, 2.9, 1e-3])
+    for p in (-3, -2, -1, 2, 3, 0.5, -1.5):
+        got = jet2.rpow(base, p)
+        assert got.tolist() == [jet2.rpow(b, p) for b in base.tolist()]
+    with pytest.raises(DomainError) as info:
+        jet2.rpow(np.array([1.0, 0.0, 2.0]), -1)
+    assert info.value.rows.tolist() == [False, True, False]
+    with pytest.raises(DomainError) as info:
+        jet2.rpow(np.array([-1.0, 1.0]), 0.5)
+    assert info.value.rows.tolist() == [True, False]
+
+
+def test_overflow_on_a_batch_names_the_rows_math_rejects():
+    # math.exp and float ** int raise OverflowError on a float; on a batch
+    # the rows where a finite argument overflows raise it together
+    with pytest.raises(OverflowError):
+        jet2.exp(jet2.seed(1, 0, 800.0))
+    with np.errstate(over="ignore"):
+        with pytest.raises(OverflowError) as info:
+            jet2.exp(jet2.seed(1, 0, np.array([1.0, 800.0, np.inf])))
+    assert info.value.rows.tolist() == [False, True, False]
+    with pytest.raises(OverflowError) as info:
+        jet2.rpow(np.array([2.0, 1e200, np.inf]), 2)
+    assert info.value.rows.tolist() == [False, True, False]

@@ -325,3 +325,22 @@ def test_evaluate_many_checks_shapes():
     fam = DEFAULT_FAMILIES["radial-z1"]
     with pytest.raises(DimensionMismatch):
         SolutionField(fam).evaluate_many(default_params(fam), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "name, outside",
+    [
+        ("radial-z1", (1.0, -0.5, 0.0)),
+        ("general-z", (1.0, -1.5, 0.5)),
+        ("z0-sqrt", (1.0, 0.5, 0.0)),
+        ("ma-only", (1.0, 0.5, 0.0, 0.3)),
+    ],
+)
+def test_evaluate_many_names_the_rows_outside(name, outside):
+    fam = DEFAULT_FAMILIES[name]
+    params = default_params(fam)
+    coords = _interior_coords(fam, params, 4, 32)
+    mixed = np.vstack([coords[:1], [outside], coords[1:3], [outside], coords[3:]])
+    with pytest.raises(DomainError) as info:
+        SolutionField(fam).evaluate_many(params, mixed)
+    assert info.value.rows.tolist() == [False, True, False, False, True, False]

@@ -16,6 +16,7 @@ from condsym.fields import (
     parse_profile,
 )
 from condsym.operators import monge_ampere, w1
+from condsym.solutions import DEFAULT_FAMILIES, SolutionField, default_params
 from condsym.symmetry import (
     GenJab,
     GenXn,
@@ -350,3 +351,26 @@ def test_generator_axis_bounds():
         GenYk(1, 3).coeffs(P2, y)
     with pytest.raises(DimensionMismatch):
         commutator_gap(GenJab(1, 3), GenJab(1, 2), (), P2, y)
+
+
+def test_pushforward_batch_matches_pointwise_and_names_branch_rows():
+    fam = DEFAULT_FAMILIES["radial-z1"]
+    params = default_params(fam)
+    base = SolutionField(fam)
+    coords = np.array([[0.6, 0.3, 0.2], [1.0, -0.4, 0.5], [1.9, 0.7, -0.1]])
+    for g in (Xn(1, 0.05), Rot(1, 2, 0.3), Yk(2, (0.1, -0.2))):
+        field = pushforward_field(g, params, base)
+        batch = field.evaluate_many(params, coords)
+        for k, row in enumerate(coords):
+            jet = evaluate(field, params, Point(row[0], tuple(row[1:])))
+            assert batch.value[k] == jet.value
+            assert np.array_equal(batch.grad[k], jet.grad)
+            assert np.array_equal(batch.hess[k], jet.hess)
+    # Xn(1, -0.6) runs its inverse, whose branch 1 - 0.6 t > 0 ends at t = 5/3
+    field = pushforward_field(Xn(1, -0.6), params, base)
+    with pytest.raises(BranchError) as info:
+        field.evaluate_many(params, coords)
+    assert info.value.rows.tolist() == [False, False, True]
+    with pytest.raises(BranchError, match="small-parameter branch") as info:
+        evaluate(field, params, Point(1.9, (0.7, -0.1)))
+    assert info.value.rows is None
