@@ -5,7 +5,10 @@ and evaluates it in bounded batches of rows: one ``evaluate_many`` of
 the field per batch, then each residual kind and its scale on the
 stacked jets.  A guard that fails on a batch names its bad rows; those
 rows are counted as excluded (or as overflowed) one by one, and the
-others are evaluated again.  Traversal and reduction orders are fixed
+others are evaluated again.  The FD cross-check stacks the whole
+stencils of many points into one ``evaluate_many`` in the same way,
+under the same bound on a batch, and sets aside the points whose
+stencil rows a guard names.  Traversal and reduction orders are fixed
 (grid order, sums carried row after row), so every report is bitwise
 reproducible for identical inputs.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .fields import Point, check_point
+from .fields import Point, check_coords, check_point
 from .operators import evaluate_residual, residual_scale
 
 
@@ -292,56 +295,99 @@ def _stencil_steps(d):
     return row, np.array(rows), np.array(axes), np.array(signs)
 
 
-def fd_crosscheck(field, params, points, h):
-    """Max relative deviation of jet derivatives from central differences.
+def fd_point_errors(field, params, coords, h):
+    """Per-point deviations of jet derivatives from central differences.
 
-    First derivatives use (f(p+h) - f(p-h)) / 2h; second derivatives the
-    standard three-point and four-point (mixed) second-order stencils.
-    The relative error denominator is 1 + |jet entry|.  The whole stencil
-    of each point, the point itself first, is evaluated as one batch by
-    ``field.evaluate_many``; the jet is the batch's first row.  Points are
-    not batched together, which keeps a batch at 1 + 2*(N+1)**2 rows.  A
-    non-finite jet entry or stencil value, or an overflow, gives inf.
-    Stencil points outside the field's domain raise DomainError, and an
-    empty ``points`` raises ValueError: nothing compared is no pass.
+    ``coords`` holds one point (t, x_1..x_N) per row.  Returns (errors,
+    outside): the max relative deviation of each point, inf where its
+    stencil overflows or meets a non-finite value, and a boolean mask of
+    the points whose stencil leaves the field's domain (their errors are
+    inf too).  First derivatives use (f(p+h) - f(p-h)) / 2h; second
+    derivatives the standard three-point and four-point (mixed)
+    second-order stencils.  The relative error denominator is
+    1 + |jet entry|, and the jet of a point is its stencil's first row.
+
+    The stencils of many points are stacked into one ``evaluate_many``
+    call, whole stencils only, up to ``_BATCH_ENTRIES`` Hessian entries
+    per call as in the residual suite: 56 points at N = 1, 11 at N = 2
+    and 3 at N = 3.  A guard that fails names stencil rows; the points
+    they belong to are set aside and the rest are evaluated again.  An
+    error that names no rows sets aside every point of its batch.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    if not points:
-        raise ValueError("fd_crosscheck needs at least one point")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be positive and finite, got {h}")
+    coords = check_coords(params, coords)
     d = params.jet_dim
     n_rows, rows, axes, signs = _stencil_steps(d)
     steps = signs * h
     iu = np.triu_indices(d, 1)
-    worst = 0.0
+    per_batch = max(1, _BATCH_ENTRIES // (n_rows * d * d))
+    errors = np.full(len(coords), math.inf)
+    outside = np.zeros(len(coords), dtype=bool)
+
+    def deviations(points):
+        stencils = np.repeat(points[:, None, :], n_rows, axis=1)
+        stencils[:, rows, axes] += steps
+        try:
+            jets = field.evaluate_many(params, stencils.reshape(-1, d))
+        except (DomainError, OverflowError) as exc:
+            bad = getattr(exc, "rows", None)
+            if bad is not None:
+                exc.rows = bad.reshape(-1, n_rows).any(axis=1)
+            raise
+        if jets.dim != params.jet_dim:
+            raise DimensionMismatch(
+                f"field returned dim {jets.dim}, expected {params.jet_dim}"
+            )
+        f = jets.value.reshape(-1, n_rows)
+        f0 = f[:, :1]
+        plus, minus = f[:, 1 : 2 * d + 1 : 2], f[:, 2 : 2 * d + 2 : 2]
+        fpp, fpm, fmm, fmp = np.moveaxis(f[:, 2 * d + 1 :].reshape(len(f), -1, 4), 2, 0)
+        fd = np.concatenate((
+            (plus - minus) / (2.0 * h),
+            (plus - 2.0 * f0 + minus) / (h * h),
+            (fpp - fpm - fmp + fmm) / (4.0 * h * h),
+        ), axis=1)
+        grad, hess = jets.grad[::n_rows], jets.hess[::n_rows]
+        exact = np.concatenate(
+            (grad, np.diagonal(hess, axis1=1, axis2=2), hess[:, iu[0], iu[1]]), axis=1
+        )
+        return _rel(fd, exact).max(axis=1)
+
     with np.errstate(all="ignore"):
-        for p in points:
-            check_point(params, p)
-            coords = np.empty((n_rows, d))
-            coords[:] = p.coords()
-            coords[rows, axes] += steps
-            try:
-                jets = field.evaluate_many(params, coords)
-            except OverflowError:
-                worst = math.inf
-                continue
-            if jets.dim != params.jet_dim:
-                raise DimensionMismatch(
-                    f"field returned dim {jets.dim}, expected {params.jet_dim}"
-                )
-            f = jets.value
-            f0, hess = f[0], jets.hess[0]
-            plus, minus = f[1 : 2 * d + 1 : 2], f[2 : 2 * d + 2 : 2]
-            fpp, fpm, fmm, fmp = f[2 * d + 1 :].reshape(-1, 4).T
-            fd = np.concatenate((
-                (plus - minus) / (2.0 * h),
-                (plus - 2.0 * f0 + minus) / (h * h),
-                (fpp - fpm - fmp + fmm) / (4.0 * h * h),
-            ))
-            exact = np.concatenate((jets.grad[0], np.diagonal(hess), hess[iu]))
-            worst = max(worst, float(_rel(fd, exact).max()))
-    return worst
+        for start in range(0, len(coords), per_batch):
+            batch = coords[start : start + per_batch]
+            out, keep, excluded, _ = _guarded(
+                lambda points: deviations(batch[points]), len(batch)
+            )
+            if out is not None:
+                errors[start + keep] = out
+            outside[start : start + len(batch)] = excluded
+    return errors, outside
+
+
+def fd_crosscheck(field, params, points, h):
+    """Max relative deviation of jet derivatives from central differences
+    over ``points``, evaluated by :func:`fd_point_errors`, whose batches
+    hold the whole stencils of many points.
+
+    A non-finite jet entry or stencil value, or an overflow, gives inf.
+    A stencil that leaves the field's domain raises DomainError; an empty
+    ``points`` raises ValueError (nothing compared is no pass), as does an
+    ``h`` that is not positive and finite.
+    """
+    if not points:
+        raise ValueError("fd_crosscheck needs at least one point")
+    for p in points:
+        check_point(params, p)
+    errors, outside = fd_point_errors(
+        field, params, [(p.t,) + p.x for p in points], h
+    )
+    if outside.any():
+        p = points[int(np.argmax(outside))]
+        raise DomainError(f"the FD stencil at t={p.t}, x={p.x} leaves the domain")
+    return float(errors.max())
 
 
 __all__ = ["GridSpec", "ResidualReport", "within_tolerance", "run_residual_suite",
-           "fd_crosscheck"]
+           "fd_point_errors", "fd_crosscheck"]

@@ -512,6 +512,27 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv, flag):
     assert err.startswith(f"error: bad number for {flag}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identity", "--seed", "-1"),
+        ("fd-check", "--family", "z0-sqrt", "--seed", "-1"),
+        ("fd-check", "--family", "z0-sqrt", "--seed", "-100"),
+        ("fd-check", "--field", "random:deg=3", "--seed", "-5"),
+        ("fd-check", "--family", "z0-sqrt", "--seed", "1.5"),
+    ],
+)
+def test_seed_must_be_a_non_negative_integer(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad number for --seed: ") and err.count("\n") == 1
+
+
+def test_seed_zero_is_accepted(capsys):
+    code, _, _ = run_cli(capsys, "fd-check", "--field", "random:deg=3", "--seed", "0")
+    assert code == 0
+
+
 def test_infinite_tolerance_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "check", "--family", "radial-z1", "--tol", "inf")
     assert code == 0

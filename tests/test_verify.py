@@ -32,8 +32,10 @@ from condsym.solutions import (
 )
 from condsym.symmetry import Rot, Xn, Yk, Yphi, pushforward_field
 from condsym.verify import (
+    _BATCH_ENTRIES,
     GridSpec,
     fd_crosscheck,
+    fd_point_errors,
     run_residual_suite,
     within_tolerance,
 )
@@ -231,6 +233,14 @@ def test_fd_crosscheck_rejects_bad_h():
         fd_crosscheck(field, params, [Point(1.0, (0.0,))], h=0.0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -1e-4])
+def test_fd_crosscheck_rejects_a_step_that_is_not_positive_and_finite(h):
+    params = ModelParams(1, 2.0)
+    field = RandomPolynomialField(5, params, 2)
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        fd_crosscheck(field, params, [Point(1.0, (0.0,))], h=h)
+
+
 def test_fd_crosscheck_rejects_no_points():
     # nothing compared is no pass
     params = ModelParams(1, 2.0)
@@ -324,10 +334,59 @@ def test_fd_crosscheck_matches_scalar_loop_bitwise(which):
     else:
         params = ModelParams(int(which[-1]), 2.0)
         field = RandomPolynomialField(8, params, 4)
-    for k, p in enumerate(_fd_points(params, 25, 9, field)):
+    points = _fd_points(params, 25, 9, field)
+    for k, p in enumerate(points):
         for h in (1e-4, 1e-2):
             got = fd_crosscheck(field, params, [p], h)
             assert got == _fd_crosscheck_scalar_loop(field, params, [p], h), (k, h)
+    # many points: their stencils share batches
+    for h in (1e-4, 1e-2):
+        got = fd_crosscheck(field, params, points, h)
+        assert got == _fd_crosscheck_scalar_loop(field, params, points, h), h
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_FAMILIES))
+def test_fd_crosscheck_of_many_points_is_the_worst_single_point(name):
+    # 61 points: a prime, so no batch size (56, 11 or 3 points) divides it
+    fam = DEFAULT_FAMILIES[name]
+    params = default_params(fam)
+    field = SolutionField(fam)
+    points = _fd_points(params, 61, 4, field)
+    single = [fd_crosscheck(field, params, [p], 1e-4) for p in points]
+    assert fd_crosscheck(field, params, points, 1e-4) == max(single)
+    errors, outside = fd_point_errors(field, params, [p.coords() for p in points], 1e-4)
+    assert errors.tolist() == single and not outside.any()
+
+
+class _CountingField(ScalarField):
+    """``base``, recording the row count of each ``evaluate_many`` call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = []
+
+    def evaluate(self, params, point):
+        raise AssertionError("the FD check evaluates stencils in batches")
+
+    def evaluate_many(self, params, coords):
+        self.calls.append(len(coords))
+        return self.base.evaluate_many(params, coords)
+
+
+@pytest.mark.parametrize("N, per_batch", [(1, 56), (2, 11), (3, 3)])
+def test_fd_crosscheck_batches_whole_stencils_of_many_points(N, per_batch):
+    params = ModelParams(N, 2.0)
+    field = _CountingField(RandomPolynomialField(3, params, 3))
+    rng = np.random.default_rng(5)
+    points = [Point(t, x) for t, x in
+              zip(rng.uniform(0.6, 1.9, 61), rng.uniform(-0.9, 0.9, (61, N)))]
+    fd_crosscheck(field, params, points, 1e-4)
+    d = N + 1
+    stencil = 1 + 2 * d + 2 * d * (d - 1)
+    assert len(field.calls) == -(-61 // per_batch)
+    assert all(rows % stencil == 0 for rows in field.calls)
+    assert max(field.calls) == per_batch * stencil <= _BATCH_ENTRIES // d**2
+    assert sum(field.calls) == 61 * stencil
 
 
 class _HessianOffBy(ScalarField):
@@ -365,6 +424,33 @@ def test_fd_crosscheck_overflow_is_inf():
     with pytest.raises(OverflowError):
         evaluate(SolutionField(fam), params, pts[0])
     assert fd_crosscheck(SolutionField(fam), params, pts, 1e-4) == math.inf
+
+
+class _OverflowPastFive(ScalarField):
+    """The paraboloid for 0 < x1 <= 5.  Past 5 an overflow guard fails, and
+    it runs before the guard of the domain x1 > 0."""
+
+    def evaluate(self, params, point):
+        raise AssertionError("the FD check evaluates stencils in batches")
+
+    def evaluate_many(self, params, coords):
+        x1 = coords[:, 1]
+        jet2.guard(x1 > 5.0, "math range error", OverflowError)
+        jet2.guard(x1 <= 0.0, "left half plane excluded")
+        return _Paraboloid().evaluate_many(params, coords)
+
+
+def test_fd_crosscheck_mixed_batch_of_overflow_and_domain_errors():
+    over, out, fine = Point(1.0, (6.0, 0.0)), Point(1.0, (1e-5, 0.0)), Point(1.0, (0.5, 0.2))
+    field = _OverflowPastFive()
+    for points in ([over, out], [out, over], [fine, over, out]):
+        with pytest.raises(DomainError):
+            fd_crosscheck(field, P2, points, 1e-4)
+    assert fd_crosscheck(field, P2, [fine, over, fine], 1e-4) == math.inf
+    assert fd_crosscheck(field, P2, [fine, fine], 1e-2) < 1e-10
+    errors, outside = fd_point_errors(field, P2, [p.coords() for p in (over, out, fine)], 1e-4)
+    assert outside.tolist() == [False, True, False]
+    assert errors[:2].tolist() == [math.inf] * 2 and errors[2] < 1e-4
 
 
 def test_within_tolerance_is_one_rule():
