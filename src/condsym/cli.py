@@ -17,14 +17,11 @@ import sys
 
 import numpy as np
 
-from .errors import BranchError
 from .fields import (
     ModelParams,
-    Point,
     PolynomialFunction,
     ProfileFunction,
     RandomPolynomialField,
-    evaluate,
     fmt_num,
     parse_finite,
     parse_poly2,
@@ -53,7 +50,8 @@ from .symmetry import (
     pushforward_identity_gap,
     xn_transport,
 )
-from .verify import GridSpec, fd_point_errors, run_residual_suite, within_tolerance
+from .verify import (GridSpec, _guarded, fd_point_errors, run_residual_suite,
+                     within_tolerance)
 
 
 class CLIError(ValueError):
@@ -394,11 +392,10 @@ def cmd_check(args):
 
 
 def _identity_samples(seed, n_points, spatial_dim):
+    """Rows (t, x_1..x_N), each drawn t first, then x."""
     rng = np.random.default_rng(seed + 1000003)
-    return [
-        Point(rng.uniform(0.6, 1.2), rng.uniform(-1.0, 1.0, spatial_dim))
-        for _ in range(n_points)
-    ]
+    lo, hi = [0.6] + [-1.0] * spatial_dim, [1.2] + [1.0] * spatial_dim
+    return rng.uniform(lo, hi, size=(n_points, spatial_dim + 1))
 
 
 def _require_points(args):
@@ -419,24 +416,28 @@ def cmd_identity(args):
     params = ModelParams(args.N, args.z)
     field = _random_field(args, params)
     n_lo, n_hi = parse_range(args.n)
-    points = _identity_samples(args.seed, args.points, params.spatial_dim)
-    bases = [evaluate(field, params, p) for p in points]
+    coords = _identity_samples(args.seed, args.points, params.spatial_dim)
+    base = field.evaluate_many(params, coords)
     rows = []
     for n in range(n_lo, n_hi + 1):
         element = Xn(n, args.eps)
-        id_gap = law_gap = obs_max = 0.0
-        excluded = 0
-        for p, base in zip(points, bases):
-            try:
-                tr = xn_transport(element, params, field, p, base)
-            except BranchError:
-                excluded += 1
-                continue
-            id_gap = _worst(id_gap, pushforward_identity_gap(tr))
-            law_gap = _worst(law_gap, derivative_law_gap(tr))
-            obs_max = _worst(obs_max, abs(obstruction_term(tr)))
-        evaluated = len(points) - excluded
-        enough = evaluated > 0 and excluded <= 0.5 * len(points)
+
+        def gaps(keep):
+            tr = xn_transport(element, params, field, coords[keep], base.take(keep))
+            return (pushforward_identity_gap(tr), derivative_law_gap(tr),
+                    np.abs(obstruction_term(tr)))
+
+        # out-of-branch rows are excluded; a row past the float range counts
+        # as evaluated and makes every gap inf
+        out, _, excluded, overflowed = _guarded(gaps, len(coords))
+        id_gap, law_gap, obs_max = (
+            float(v.max(initial=0.0)) if np.isfinite(v).all() and not overflowed.any()
+            else math.inf
+            for v in out or (np.zeros(0),) * 3
+        )
+        excluded = int(excluded.sum())
+        evaluated = len(coords) - excluded
+        enough = evaluated > 0 and excluded <= 0.5 * len(coords)
         rows.append(
             {
                 "n": n,
@@ -672,7 +673,7 @@ def main(argv=None):
             if hasattr(args, key):
                 setattr(args, key, convert(f"--{key}", getattr(args, key)))
         # a non-finite value is reported in its row, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,15 +63,15 @@ class ScalarField(abc.ABC):
         of ``coords``, an array of shape (P, N + 1).
 
         This default stacks :func:`evaluate` row by row, in row order.
-        Rows that raise DomainError, or else OverflowError, raise it once
-        for the batch: the first such row's error, carrying all of them
+        Rows that raise DomainError, or else an ArithmeticError, raise it
+        once for the batch: the first such row's error, carrying all of them
         as ``err.rows``, as a guard on a batch does.
         """
         jets, failed = [], {}
         for k, row in enumerate(coords):
             try:
                 jets.append(evaluate(self, params, Point(row[0], tuple(row[1:]))))
-            except (DomainError, OverflowError) as exc:
+            except (DomainError, ArithmeticError) as exc:
                 failed[k] = exc
         if failed:
             raise _batch_error(failed, len(coords))
@@ -84,10 +84,10 @@ class ScalarField(abc.ABC):
 
 def _batch_error(failed, count):
     """The error of a batch of ``count`` rows from its failed rows
-    (row -> error): the first DomainError, else the first OverflowError,
+    (row -> error): the first DomainError, else the first ArithmeticError,
     carrying every row of its kind.  ``failed`` is emptied, so that the
     raising frame holds no error and makes no reference cycle."""
-    for kind in (DomainError, OverflowError):
+    for kind in (DomainError, ArithmeticError):
         bad = [k for k, exc in failed.items() if isinstance(exc, kind)]
         if bad:
             err = failed[bad[0]]

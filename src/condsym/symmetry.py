@@ -7,12 +7,13 @@ that this module checks are the quantitative heart of the package.
 
 Each group element ``g`` writes its map once, as
 ``g.act(params, t, x) -> (t', x', A)``: the image of the point and the
-factor A by which the field scales.  ``act`` runs on floats, where it
-moves a point (:func:`transform_point`, :func:`xn_transport`), and on the
-seed jets of a query point, where ``g.inverse().act`` gives the pullback
-of the pushforward field (:class:`PushforwardField`).  ``g.inverse()`` is
-the same element with its parameter negated; ``g.check(params)`` rejects
-an element that does not fit the spatial dimension N.
+factor A by which the field scales.  ``act`` runs on seed jets only, of
+one point or of a batch of rows.  Its values move points
+(:func:`transform_point`, :func:`xn_transport`); its jets, under
+``g.inverse()``, give the pullback of the pushforward field
+(:class:`PushforwardField`).  ``g.inverse()`` is the same element with
+its parameter negated; ``g.check(params)`` rejects an element that does
+not fit the spatial dimension N.
 
 Each generator writes its vector field once, as
 ``gen.coeffs(params, y) -> (xi, dxi)``: the coefficients at
@@ -55,26 +56,6 @@ from .operators import monge_ampere, w1
 # ---------------------------------------------------------------------------
 # group elements
 
-# ``act`` takes floats or jets; these are the only steps that tell them
-# apart.  A pole (t = 0 under a negative power) is a DomainError on both.
-
-
-def _pow(v, p):
-    return jet2.power(v, p) if isinstance(v, Jet2) else jet2.rpow(v, p)
-
-
-def _exp(v):
-    return jet2.exp(v) if isinstance(v, Jet2) else math.exp(v)
-
-
-def _profile(prof, t):
-    return prof.jet(t) if isinstance(t, Jet2) else prof(t)[0]
-
-
-def _value(v):
-    return v.value if isinstance(v, Jet2) else v
-
-
 @dataclass(frozen=True)
 class Xn:
     """Combined time/space/field scaling with integer label n."""
@@ -102,18 +83,17 @@ class Xn:
             a = math.exp(eps)
             return t * math.exp(z * eps), tuple(v * a for v in x), a
         if z == 0.0:
-            a = _exp(eps * _pow(t, n))
+            a = jet2.exp(eps * jet2.power(t, n))
             return t, tuple(v * a for v in x), a
-        s = 1.0 - z * n * eps * _pow(t, n)
-        branch = _value(s)
+        s = 1.0 - z * n * eps * jet2.power(t, n)
         jet2.guard(
-            branch <= 0.0,
-            lambda: f"outside the small-parameter branch: 1 - z*n*eps*t^n = {branch!r}",
+            s.value <= 0.0,
+            lambda: f"outside the small-parameter branch: 1 - z*n*eps*t^n = {s.value!r}",
             BranchError,
         )
         beta = (n + 1.0) / (z * n)
-        a = _pow(s, -beta)
-        return t * _pow(s, -1.0 / n), tuple(v * a for v in x), a
+        a = jet2.power(s, -beta)
+        return t * jet2.power(s, -1.0 / n), tuple(v * a for v in x), a
 
 
 @dataclass(frozen=True)
@@ -137,7 +117,7 @@ class Yk:
             raise DimensionMismatch("translation vector length must equal N")
 
     def act(self, params, t, x):
-        shift = _pow(t, self.k)
+        shift = jet2.power(t, self.k)
         return t, tuple(v + c * shift for v, c in zip(x, self.v)), 1.0
 
 
@@ -166,7 +146,7 @@ class Yphi:
 
     def act(self, params, t, x):
         shifted = zip(x, self.e, self.profiles)
-        return t, tuple(v + c * _profile(prof, t) for v, c, prof in shifted), 1.0
+        return t, tuple(v + c * prof.jet(t) for v, c, prof in shifted), 1.0
 
 
 @dataclass(frozen=True)
@@ -200,12 +180,34 @@ class Rot:
         return t, tuple(x), 1.0
 
 
+def _act_on(g, params, coords):
+    """``g.act`` on the seed jets of ``coords``, one point (t, x_1..x_N)
+    or the rows of a (P, N + 1) array: the jets of the image coordinates
+    and the factor A, a jet or, where it is constant, a float."""
+    g.check(params)
+    d = params.jet_dim
+    t, *x = (jet2.seed(d, i, c) for i, c in enumerate(np.asarray(coords, dtype=float).T))
+    t, x, a = g.act(params, t, x)
+    return (t,) + x, a
+
+
+def _values(jets):
+    """The values of coordinate jets: one point, or rows."""
+    return np.stack([j.value for j in jets], axis=-1)
+
+
+def _image(g, params, coords):
+    """The image of ``coords`` under ``g`` (a point or rows, as given) and
+    the factor A there."""
+    image, a = _act_on(g, params, coords)
+    return _values(image), a.value if isinstance(a, Jet2) else a
+
+
 def transform_point(g, params, p):
     """Apply a group element to a point; also return the spatial scale A
     (the field scales by A; 1 for every element but Xn)."""
     check_point(params, p)
-    g.check(params)
-    t, x, a_val = g.act(params, p.t, p.x)
+    (t, *x), a_val = _image(g, params, p.coords())
     return Point(t, x), a_val
 
 
@@ -227,29 +229,18 @@ class PushforwardField(ScalarField):
 
     def evaluate(self, params, point):
         check_point(params, point)
-
-        def base_at(source):
-            return evaluate(self.base, params, Point(source[0], tuple(source[1:])))
-
-        return self._pull(params, (point.t,) + point.x, base_at)
+        return self._pull(params, point.coords(),
+                          lambda s: evaluate(self.base, params, Point(s[0], s[1:])))
 
     def evaluate_many(self, params, coords):
-        def base_at(source):
-            return self.base.evaluate_many(params, np.stack(source, axis=1))
-
-        return self._pull(params, check_coords(params, coords).T, base_at)
+        return self._pull(params, check_coords(params, coords),
+                          lambda source: self.base.evaluate_many(params, source))
 
     def _pull(self, params, coords, base_at):
-        """The pushforward's jet over the seed jets of ``coords`` (N + 1
-        floats, or N + 1 columns of a batch); ``base_at`` gives the base
-        field's jet at the source coordinates."""
-        self.element.check(params)
-        d = params.jet_dim
-        jt = jet2.seed(d, 0, coords[0])
-        jx = [jet2.seed(d, 1 + a, v) for a, v in enumerate(coords[1:])]
-        jt, jx, a_inv = self.inverse.act(params, jt, jx)
-        base_jet = base_at([jt.value] + [j.value for j in jx])
-        out = jet2.compose(base_jet, (jt,) + jx)
+        """The pushforward's jet at ``coords`` (one point, or rows);
+        ``base_at`` gives the base field's jet at the source coordinates."""
+        image, a_inv = _act_on(self.inverse, params, coords)
+        out = jet2.compose(base_at(_values(image)), image)
         if isinstance(a_inv, Jet2) or a_inv != 1.0:
             out = out / a_inv
         return out
@@ -262,7 +253,8 @@ def pushforward_field(g, params, u):
 
 
 def _xn_obstruction(g, params, t):
-    """Return (obstruction_coeff, obstruction_exponent) of ``g`` at ``t``.
+    """Return (obstruction_coeff, obstruction_exponent) of ``g`` at the
+    times ``t``.
 
     The obstruction coefficient multiplies u * W_N^II in the determinant
     identity: n(n+1)*eps*t**(n-1) generically, n*eps*t**(n-1) in the
@@ -280,36 +272,40 @@ def _xn_obstruction(g, params, t):
 
 
 class XnTransport(NamedTuple):
-    """The jets of u at ``p`` (``base``) and of its Xn pushforward at the
-    image of ``p`` (``prime``), with the spatial scale A of ``Xn.act``
-    and the obstruction coefficient C and exponent E of
-    :func:`_xn_obstruction`."""
+    """The batched jets of u at the rows of ``coords`` (``base``) and of
+    its Xn pushforward at their images (``prime``), with the spatial
+    scale A of ``Xn.act`` and the obstruction coefficient C and exponent
+    E of :func:`_xn_obstruction`, each a (P,) array or a constant."""
 
     params: object
-    p: Point
+    coords: np.ndarray
     base: object
     prime: object
-    A: float
-    C: float
+    A: object
+    C: object
     E: float
 
 
-def xn_transport(g, params, u, p, base):
-    """Transport ``u`` by ``g`` at ``p`` once; the derivative laws, the
-    determinant identity and the obstruction term are read from it.
+def xn_transport(g, params, u, coords, base):
+    """Transport ``u`` by ``g`` at the rows (t, x_1..x_N) of ``coords``
+    once, with one ``evaluate_many`` of the pushforward; the derivative
+    laws, the determinant identity and the obstruction term are read from
+    it, one value per row.
 
-    ``base`` is the jet of ``u`` at ``p`` (``evaluate(u, params, p)``),
-    which the caller builds once for all elements it transports."""
+    ``base`` is the batched jet of ``u`` at ``coords``
+    (``u.evaluate_many(params, coords)``), which the caller builds once
+    for all elements it transports."""
     if not isinstance(g, Xn):
         raise TypeError("the transport laws are stated for Xn elements")
-    q, a_val = transform_point(g, params, p)
-    cn, e_obs = _xn_obstruction(g, params, p.t)
-    prime = evaluate(PushforwardField(g, u), params, q)
-    return XnTransport(params, p, base, prime, a_val, cn, e_obs)
+    coords = check_coords(params, coords)
+    image, a_val = _image(g, params, coords)
+    cn, e_obs = _xn_obstruction(g, params, coords[:, 0])
+    prime = PushforwardField(g, u).evaluate_many(params, image)
+    return XnTransport(params, coords, base, prime, a_val, cn, e_obs)
 
 
 def derivative_law_gap(tr):
-    """Deviation of the transported jet from the closed-form laws.
+    """Deviation of the transported jets from the closed-form laws.
 
     With A = A(t), C = obstruction_coeff and E the obstruction exponent,
     the transported derivatives at the transformed point must satisfy
@@ -320,34 +316,35 @@ def derivative_law_gap(tr):
       u'_t'       = A**(1-z) u_t + (u - x_a u_a) * C * A**(1+E-z)
       u'_t'b'     = A**(-z) u_tb - (x_a u_ab) * C * A**(E-z)
 
-    Returns the maximum absolute violation over all listed entries, NaN
-    when any of them is NaN.
+    Returns the maximum absolute violation over all listed entries, one
+    per row, NaN where any of them is NaN.
     """
     base, prime, a_val, cn, e_obs = tr.base, tr.prime, tr.A, tr.C, tr.E
     z = tr.params.z
     nsp = tr.params.spatial_dim
-    x = np.array(tr.p.x)
-    xdot_grad = float(x @ base.grad[1:])
+    x = tr.coords[:, 1:]
+    xdot_grad = (x * base.grad[:, 1:]).sum(axis=1)
     gaps = [abs(prime.value - a_val * base.value)]
-    pred_t = a_val ** (1.0 - z) * base.grad[0] + (
+    pred_t = a_val ** (1.0 - z) * base.grad[:, 0] + (
         base.value - xdot_grad
     ) * cn * a_val ** (1.0 + e_obs - z)
-    gaps.append(abs(prime.grad[0] - pred_t))
+    gaps.append(abs(prime.grad[:, 0] - pred_t))
     for a in range(1, nsp + 1):
-        gaps.append(abs(prime.grad[a] - base.grad[a]))
+        gaps.append(abs(prime.grad[:, a] - base.grad[:, a]))
         for b in range(a, nsp + 1):
-            gaps.append(abs(prime.hess[a, b] - base.hess[a, b] / a_val))
-        pred_tb = a_val ** (-z) * base.hess[0, a] - float(
-            x @ base.hess[1:, a]
-        ) * cn * a_val ** (e_obs - z)
-        gaps.append(abs(prime.hess[0, a] - pred_tb))
-    return float(np.max(gaps))
+            gaps.append(abs(prime.hess[:, a, b] - base.hess[:, a, b] / a_val))
+        pred_tb = a_val ** (-z) * base.hess[:, 0, a] - (
+            x * base.hess[:, 1:, a]
+        ).sum(axis=1) * cn * a_val ** (e_obs - z)
+        gaps.append(abs(prime.hess[:, 0, a] - pred_tb))
+    return np.max(gaps, axis=0)
 
 
 def obstruction_term(tr):
-    """The signed obstruction summand of the determinant identity."""
+    """The signed obstruction summand of the determinant identity, one per
+    row."""
     nsp = tr.params.spatial_dim
-    return float(
+    return (
         tr.C
         * tr.A ** (tr.E + 1.0 - nsp - tr.params.z)
         * tr.base.value
@@ -356,7 +353,8 @@ def obstruction_term(tr):
 
 
 def pushforward_identity_gap(tr):
-    """Violation of the determinant identity under an Xn pushforward.
+    """Violation of the determinant identity under an Xn pushforward, one
+    per row.
 
     The transported field's mixed determinant at the transformed point
     must equal A**(1-z-N) * W^I plus the obstruction term of
@@ -366,7 +364,7 @@ def pushforward_identity_gap(tr):
     params = tr.params
     scale = tr.A ** (1.0 - params.z - params.spatial_dim)
     rhs = scale * w1(tr.base, params) + obstruction_term(tr)
-    return float(abs(w1(tr.prime, params) - rhs))
+    return abs(w1(tr.prime, params) - rhs)
 
 
 # ---------------------------------------------------------------------------

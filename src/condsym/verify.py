@@ -68,11 +68,6 @@ class GridSpec:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def points(self):
-        """The rows of :meth:`coords` as points, in the same order."""
-        for row in self.coords():
-            yield _point(row)
-
 
 def _point(row):
     return Point(row[0], tuple(row[1:]))
@@ -196,8 +191,9 @@ def _guarded(compute, count):
     run again without the rows a failing guard names until none fails.
 
     Returns (result, keep, excluded, overflowed), the last two boolean
-    (count,) masks of the rows dropped by DomainError and by
-    OverflowError.  An error that names no rows drops every row left;
+    (count,) masks of the rows dropped by DomainError and by an
+    ArithmeticError (an overflow, or a division by a factor that
+    underflowed).  An error that names no rows drops every row left;
     the result is None when no row is left.  Each guard site fails at
     most once, so there are at most as many retries as guard sites.
     """
@@ -207,7 +203,7 @@ def _guarded(compute, count):
     while keep.size:
         try:
             return compute(keep), keep, excluded, overflowed
-        except (DomainError, OverflowError) as exc:
+        except (DomainError, ArithmeticError) as exc:
             bad = getattr(exc, "rows", None)
             if bad is None:
                 bad = np.ones(keep.size, dtype=bool)
@@ -330,7 +326,7 @@ def fd_point_errors(field, params, coords, h):
         stencils[:, rows, axes] += steps
         try:
             jets = field.evaluate_many(params, stencils.reshape(-1, d))
-        except (DomainError, OverflowError) as exc:
+        except (DomainError, ArithmeticError) as exc:
             bad = getattr(exc, "rows", None)
             if bad is not None:
                 exc.rows = bad.reshape(-1, n_rows).any(axis=1)

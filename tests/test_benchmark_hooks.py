@@ -1,0 +1,54 @@
+"""The benchmark's hooks into the program (``perfbench/``): the names its
+tracer patches and the negative controls its checks must reject.
+
+``spans.Tracer.install`` reads every name it patches from its owner's
+``__dict__``, so a refactor that drops one breaks ``run.py --trace 1``
+with a KeyError; these tests see that first.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# names in ``cli`` that the tracer wraps where the drivers look them up
+_CLI_HOOKS = ("derivative_law_gap", "pushforward_identity_gap", "obstruction_term",
+              "commutator_gap", "run_residual_suite", "emit", "build_parser")
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import program
+        import selftest
+        import spans
+
+        yield program.load(), spans, selftest
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_tracer_installs_and_uninstalls(perfbench):
+    cs, spans, _ = perfbench
+    originals = {name: getattr(cs.cli, name) for name in _CLI_HOOKS}
+    poly_jet = cs.fields.poly_jet
+    tracer = spans.Tracer(clock=time.perf_counter)
+    tracer.install(cs)
+    try:
+        assert all(getattr(cs.cli, name) is not f for name, f in originals.items())
+        assert cs.fields.poly_jet is not poly_jet
+    finally:
+        tracer.uninstall()
+    assert all(getattr(cs.cli, name) is f for name, f in originals.items())
+    assert cs.fields.poly_jet is poly_jet
+
+
+def test_selftest_rejects_every_control(perfbench):
+    cs, _, selftest = perfbench
+    controls = selftest.controls(cs)
+    assert len(controls) == 6
+    assert [name for name, rejected in controls if not rejected] == []

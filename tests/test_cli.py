@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -23,9 +24,18 @@ from condsym.cli import (
     parse_kinds,
     parse_range,
 )
-from condsym.fields import PolynomialFunction, parse_profile
+from condsym.errors import BranchError
+from condsym.fields import (
+    ModelParams,
+    Point,
+    PolynomialFunction,
+    RandomPolynomialField,
+    evaluate,
+    parse_profile,
+)
+from condsym.operators import monge_ampere, w1
 from condsym.solutions import DEFAULT_FAMILIES, GeneralZ, MAOnly, Z0Linear
-from condsym.symmetry import Rot, Xn, Yk, Yphi
+from condsym.symmetry import PushforwardField, Rot, Xn, Yk, Yphi, transform_point
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -417,6 +427,118 @@ def test_identity_nan_obstruction_reads_inf(capsys):
     assert code == 1 and err == "identity: 0/6 passed\n"  # no numpy warnings
     rows = {int(r["n"]): r for r in csv.DictReader(io.StringIO(out))}
     assert rows[-1]["obstruction_max"] == rows[0]["obstruction_max"] == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "--family", "z0-linear", "--group", "Xn:n=2,eps=1000"),
+    ("identity", "--seed", "1", "--z", "0", "--eps", "1000", "--n=2..2"),
+    ("identity", "--seed", "1", "--z", "0", "--eps", "-1000", "--n=2..2"),
+])
+def test_factor_past_the_float_range_fails_its_rows(capsys, argv):
+    # exp(eps*t^2) overflows, or the inverse's factor underflows to 0 and
+    # the pushforward divides by it: those rows count as evaluated and
+    # fail, with one summary line and no traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err.count("\n") == 1 and "passed" in err
+    rows = json.loads(out)
+    assert rows and not any(r["pass"] for r in rows)
+    if argv[0] == "transform":
+        assert all(r["points_evaluated"] > 0 for r in rows)
+    else:
+        (row,) = rows
+        assert row["points"] == 50
+        assert row["identity_gap"] == row["derivative_gap"] == "Infinity"
+
+
+def _scalar_laws(params, p, base, prime, g, a_val):
+    """(identity gap, derivative-law gap, obstruction term) at one sample,
+    the closed-form laws written out on floats."""
+    n, eps, z, nsp = g.n, g.eps, params.z, params.spatial_dim
+    cn, e_obs = 0.0, 0.0
+    if n not in (-1, 0):
+        cn = eps * n * p.t ** (n - 1) if z == 0.0 else n * (n + 1.0) * eps * p.t ** (n - 1)
+        e_obs = 0.0 if z == 0.0 else z * n / (n + 1.0)
+    x = np.array(p.x)
+    gaps = [abs(prime.value - a_val * base.value)]
+    pred_t = a_val ** (1.0 - z) * base.grad[0] + (
+        base.value - float(x @ base.grad[1:])
+    ) * cn * a_val ** (1.0 + e_obs - z)
+    gaps.append(abs(prime.grad[0] - pred_t))
+    for a in range(1, nsp + 1):
+        gaps.append(abs(prime.grad[a] - base.grad[a]))
+        for b in range(a, nsp + 1):
+            gaps.append(abs(prime.hess[a, b] - base.hess[a, b] / a_val))
+        pred_tb = a_val ** (-z) * base.hess[0, a] - float(
+            x @ base.hess[1:, a]
+        ) * cn * a_val ** (e_obs - z)
+        gaps.append(abs(prime.hess[0, a] - pred_tb))
+    obs = cn * a_val ** (e_obs + 1.0 - nsp - z) * base.value * monge_ampere(base, params)
+    rhs = a_val ** (1.0 - z - nsp) * w1(base, params) + obs
+    return float(abs(w1(prime, params) - rhs)), float(np.max(gaps)), float(obs)
+
+
+def _identity_per_point(seed, z, spatial_dim, eps, points=50, tol=1e-8):
+    """The identity scan one sample at a time: ``transform_point``, then
+    ``evaluate`` of the pushforward at the image; a sample outside the
+    branch is excluded."""
+    params = ModelParams(spatial_dim, z)
+    u = RandomPolynomialField(seed, params, 3)
+    rng = np.random.default_rng(seed + 1000003)
+    pts = [Point(rng.uniform(0.6, 1.2), rng.uniform(-1.0, 1.0, spatial_dim))
+           for _ in range(points)]
+    bases = [evaluate(u, params, p) for p in pts]
+    rows = []
+    for n in range(-2, 4):
+        g = Xn(n, eps)
+        worst = [0.0, 0.0, 0.0]
+        excluded = 0
+        for p, base in zip(pts, bases):
+            try:
+                q, a_val = transform_point(g, params, p)
+                prime = evaluate(PushforwardField(g, u), params, q)
+            except BranchError:
+                excluded += 1
+                continue
+            for k, gap in enumerate(_scalar_laws(params, p, base, prime, g, a_val)):
+                gap = abs(gap)
+                worst[k] = max(worst[k], gap) if math.isfinite(gap) else math.inf
+        id_gap, law_gap, obs_max = worst
+        evaluated = points - excluded
+        rows.append({
+            "points": evaluated,
+            "identity_gap": id_gap,
+            "derivative_gap": law_gap,
+            "obstruction_max": obs_max,
+            "pass": evaluated > 0 and excluded <= 0.5 * points
+                    and max(id_gap, law_gap) <= tol,
+        })
+    return (0 if all(r["pass"] for r in rows) else 1), rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_identity_batch_matches_per_point_scan(capsys, seed):
+    # the driver transports all samples of an n as one batch; per sample
+    # the counts and verdicts agree, and the gaps up to the last bits
+    # that numpy's pow and exp on a batch leave against math's
+    excluding = 0
+    for z in (0.0, 0.5, 2.0, 3.0):
+        for spatial_dim in (1, 2, 3):
+            for eps in (0.01, 0.3):
+                want_code, want = _identity_per_point(seed, z, spatial_dim, eps)
+                code, out, _ = run_cli(
+                    capsys, "identity", "--seed", str(seed), "--z", repr(z),
+                    "--N", str(spatial_dim), "--eps", repr(eps),
+                )
+                got = json.loads(out)
+                assert code == want_code
+                for r, w in zip(got, want, strict=True):
+                    assert (r["points"], r["pass"]) == (w["points"], w["pass"])
+                    excluding += r["points"] < 50
+                    assert r["obstruction_max"] == pytest.approx(
+                        w["obstruction_max"], rel=1e-14, abs=0.0)
+                    for key in ("identity_gap", "derivative_gap"):
+                        assert abs(r[key] - w[key]) <= 1e-11, (z, spatial_dim, eps, key)
+    assert excluding  # some rows at eps 0.3 leave part of the samples out
 
 
 def test_emit_json_is_strict():

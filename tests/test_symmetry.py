@@ -70,8 +70,9 @@ def test_xn_z0_branch():
     assert A == pytest.approx(s, abs=1e-14)
     assert q.x[0] == pytest.approx(s, abs=1e-14)
     u = RandomPolynomialField(4, params, 3)
-    tr = xn_transport(Xn(2, 0.1), params, u, p, evaluate(u, params, p))
-    assert tr.C == pytest.approx(0.1 * 2 * 1.5, abs=1e-14)
+    rows = np.array([p.coords()])
+    tr = xn_transport(Xn(2, 0.1), params, u, rows, u.evaluate_many(params, rows))
+    assert tr.C == pytest.approx([0.1 * 2 * 1.5], abs=1e-14)
 
 
 def test_branch_error_outside_window():
@@ -172,20 +173,24 @@ def test_pushforward_by_yk_shifts_space():
     )
 
 
+_LAW_ROWS = np.array([[1.1, 0.5, -0.2], [0.7, -0.9, 0.3]])
+
+
 def test_derivative_law_gap_small():
     u = RandomPolynomialField(9, P2, 3)
-    p = Point(1.1, (0.5, -0.2))
-    base = evaluate(u, P2, p)
+    base = u.evaluate_many(P2, _LAW_ROWS)
     for n in (-2, -1, 0, 1, 2, 3):
-        assert derivative_law_gap(xn_transport(Xn(n, 0.015), P2, u, p, base)) < 1e-11
+        gaps = derivative_law_gap(xn_transport(Xn(n, 0.015), P2, u, _LAW_ROWS, base))
+        assert gaps.shape == (2,) and (gaps < 1e-11).all()
 
 
 def test_identity_gap_small():
     u = RandomPolynomialField(9, P2, 3)
-    p = Point(1.1, (0.5, -0.2))
-    base = evaluate(u, P2, p)
+    base = u.evaluate_many(P2, _LAW_ROWS)
     for n in (-2, -1, 0, 1, 2, 3):
-        assert pushforward_identity_gap(xn_transport(Xn(n, 0.015), P2, u, p, base)) < 1e-11
+        tr = xn_transport(Xn(n, 0.015), P2, u, _LAW_ROWS, base)
+        gaps = pushforward_identity_gap(tr)
+        assert gaps.shape == (2,) and (gaps < 1e-11).all()
 
 
 class _Paraboloid(ScalarField):
@@ -206,10 +211,11 @@ def test_obstruction_is_necessary():
     g = Xn(1, eps)
     base = evaluate(u, P2, p)
     assert monge_ampere(base, P2) == pytest.approx(4.0, abs=1e-13)
-    tr = xn_transport(g, P2, u, p, base)
-    full_gap = pushforward_identity_gap(tr)
+    rows = np.array([p.coords()])
+    tr = xn_transport(g, P2, u, rows, u.evaluate_many(P2, rows))
+    (full_gap,) = pushforward_identity_gap(tr)
     assert full_gap < 1e-12
-    obstruction = obstruction_term(tr)
+    (obstruction,) = obstruction_term(tr)
     assert abs(obstruction) > 1e-3 * eps
     q, A = transform_point(g, P2, p)
     prime = evaluate(pushforward_field(g, P2, u), P2, q)
@@ -221,18 +227,17 @@ def test_obstruction_is_necessary():
 
 def test_obstruction_vanishes_for_shift_and_dilate():
     u = _Paraboloid()
-    p = Point(1.0, (0.6, -0.4))
-    base = evaluate(u, P2, p)
-    assert obstruction_term(xn_transport(Xn(-1, 0.01), P2, u, p, base)) == 0.0
-    assert obstruction_term(xn_transport(Xn(0, 0.01), P2, u, p, base)) == 0.0
+    rows = np.array([[1.0, 0.6, -0.4], [0.8, -0.3, 0.9]])
+    base = u.evaluate_many(P2, rows)
+    for g in (Xn(-1, 0.01), Xn(0, 0.01)):
+        assert obstruction_term(xn_transport(g, P2, u, rows, base)).tolist() == [0.0, 0.0]
 
 
 def test_law_gap_requires_xn():
     u = RandomPolynomialField(2, P2, 2)
-    p = Point(1.0, (0.1, 0.1))
-    base = evaluate(u, P2, p)
+    rows = np.array([[1.0, 0.1, 0.1]])
     with pytest.raises(TypeError):
-        xn_transport(Yk(1, (0.1, 0.1)), P2, u, p, base)
+        xn_transport(Yk(1, (0.1, 0.1)), P2, u, rows, u.evaluate_many(P2, rows))
 
 
 def test_zero_z_general_branch_is_guarded():

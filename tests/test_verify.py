@@ -90,12 +90,12 @@ def test_grid_spec_validation():
 
 def test_grid_points_order_and_count():
     grid = GridSpec((0.0, 1.0, 2), ((0.0, 1.0, 2), (0.0, 1.0, 2)))
-    pts = list(grid.points())
-    assert len(pts) == 8 == grid.total_points
-    assert pts[0] == Point(0.0, (0.0, 0.0))
-    assert pts[1] == Point(0.0, (0.0, 1.0))  # last axis varies fastest
-    assert pts[-1] == Point(1.0, (1.0, 1.0))
-    assert list(grid.points()) == pts  # deterministic
+    rows = grid.coords()
+    assert rows.shape == (8, 3) and len(rows) == grid.total_points
+    assert rows[0].tolist() == [0.0, 0.0, 0.0]
+    assert rows[1].tolist() == [0.0, 0.0, 1.0]  # last axis varies fastest
+    assert rows[-1].tolist() == [1.0, 1.0, 1.0]
+    assert np.array_equal(grid.coords(), rows)  # deterministic
 
 
 def test_suite_reports_raw_and_normalized():
