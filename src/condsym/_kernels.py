@@ -8,22 +8,26 @@ def poly_jet(powers, coeffs, coords):
 
     powers : (M, D) int64 array of non-negative exponents
     coeffs : (M,) float array
-    coords : (D,) float array
+    coords : (D,) float array, or (P, D) for P points
 
     Returns ``(value, grad, hess)`` with shapes ``()``, ``(D,)``,
-    ``(D, D)``.  All monomials are evaluated at once, column by column,
-    in a fixed float order: per monomial, each entry is the coefficient
-    times the factors of the coordinates in ascending index order, and
-    the sum over monomials runs in table order starting from 0.0.  The
-    (i, j) and (j, i) Hessian slots get identical terms, so the Hessian
-    is exactly symmetric.
+    ``(D, D)``, or ``(P,)``, ``(P, D)``, ``(P, D, D)`` for rows.  All
+    monomials of all points are evaluated at once, entry by entry, in a
+    fixed float order: per monomial, each entry is the coefficient times
+    the factors of the coordinates in ascending index order, and the sum
+    over monomials runs in table order starting from 0.0, so each row of
+    a batch is bit for bit its own call.  The (j, i) Hessian slot copies
+    the (i, j) one, so the Hessian is exactly symmetric.
     """
-    p = np.asarray(powers)
-    c = np.asarray(coeffs, dtype=float)
     x = np.asarray(coords, dtype=float)
-    M, D = p.shape
+    M, D = np.shape(powers)
+    lead = x.shape[:-1]
+    # coordinates on the first axis, monomials on the second, then points
+    p = np.reshape(np.transpose(powers), (D, M) + (1,) * len(lead))
+    c = np.asarray(coeffs, dtype=float).reshape(p.shape[1:])
+    x = np.moveaxis(x, -1, 0)[:, None]
     # x**(p - 2) by repeated multiplication, starting at 1.0
-    xpm2 = np.ones((M, D))
+    xpm2 = np.ones((D, M) + lead)
     for r in range(int(p.max(initial=2)) - 2):
         xpm2 = np.where(p - 2 > r, xpm2 * x, xpm2)
     # factor, first and second derivative of each x_i**p in each monomial
@@ -31,31 +35,28 @@ def poly_jet(powers, coeffs, coords):
     g = np.where(p == 0, 0.0, np.where(p == 1, 1.0, p * xpm2 * x))
     h = np.where(p >= 2, p * (p - 1) * xpm2, 0.0)
 
-    term = c
-    grad = c[:, None] * g
-    hess = grad[:, :, None] * g[:, None, :]
-    idx = np.arange(D)
-    hess[:, idx, idx] = c[:, None] * h
-    # below the diagonal, the product (c * g_i) * g_j taken with i < j
-    hess = np.where(idx[:, None] > idx, hess.transpose(0, 2, 1), hess)
-    # multiply in the factors of the other coordinates; a 1.0 stands in
-    # for the factors an entry skips, which leaves its value untouched
-    eye = idx[:, None] == idx
-    for k in range(D):
-        fk = f[:, k]
-        term = term * fk
-        grad = grad * np.where(eye[k], 1.0, fk[:, None])
-        hess = hess * np.where(eye[k][:, None] | eye[k][None, :], 1.0, fk[:, None, None])
+    # each jet entry of a monomial is a leading product times the factors
+    # f_k of the coordinates it skips, in ascending k: the value c, the
+    # gradient c * g_i, the Hessian c * h_i on and c * g_i * g_j (i < j)
+    # above the diagonal; the (j, i) slot copies the (i, j) sum
+    iu = np.triu_indices(D)
+    leads = [(c, ())] + [(c * g[i], (i,)) for i in range(D)]
+    leads += [(c * h[i] if i == j else c * g[i] * g[j], (i, j)) for i, j in zip(*iu)]
+    terms = np.empty((M,) + lead + (len(leads),))
+    for e, (term, skip) in enumerate(leads):
+        for k in range(D):
+            if k not in skip:
+                term = term * f[k]
+        terms[..., e] = term
 
-    # sum the monomials one after another from 0.0; np.add.accumulate
-    # keeps that order, where np.sum may add pairwise
-    terms = np.empty((M + 1, 1 + D + D * D))
-    terms[0] = 0.0
-    terms[1:, 0] = term
-    terms[1:, 1 : 1 + D] = grad
-    terms[1:, 1 + D :] = hess.reshape(M, D * D)
-    total = np.add.accumulate(terms, axis=0)[-1]
-    return total[0], total[1 : 1 + D], total[1 + D :].reshape(D, D)
+    # sum the monomials one after another from 0.0, as np.sum, which may
+    # add pairwise, would not
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    hess = np.empty(lead + (D, D))
+    hess[..., iu[0], iu[1]] = hess[..., iu[1], iu[0]] = total[..., 1 + D :]
+    return total[..., 0][()], total[..., 1 : 1 + D], hess
 
 
 def det(a):

@@ -50,8 +50,8 @@ from .symmetry import (
     pushforward_identity_gap,
     xn_transport,
 )
-from .verify import (GridSpec, _guarded, fd_point_errors, run_residual_suite,
-                     within_tolerance)
+from .verify import (GridSpec, _guarded, _batch_rows, fd_point_errors,
+                     run_residual_suite, within_tolerance)
 
 
 class CLIError(ValueError):
@@ -417,30 +417,37 @@ def cmd_identity(args):
     field = _random_field(args, params)
     n_lo, n_hi = parse_range(args.n)
     coords = _identity_samples(args.seed, args.points, params.spatial_dim)
-    base = field.evaluate_many(params, coords)
+    elements = [Xn(n, args.eps) for n in range(n_lo, n_hi + 1)]
+    # per element: rows out of branch, and the worst identity gap,
+    # derivative-law gap and obstruction term, carried batch after batch
+    excluded = [0] * len(elements)
+    worst = [[0.0] * 3 for _ in elements]
+    step = _batch_rows(params)
+    for start in range(0, len(coords), step):
+        batch = coords[start : start + step]
+        base = field.evaluate_many(params, batch)
+        for i, element in enumerate(elements):
+
+            def gaps(keep):
+                tr = xn_transport(element, params, field, batch[keep], base.take(keep))
+                return (pushforward_identity_gap(tr), derivative_law_gap(tr),
+                        np.abs(obstruction_term(tr)))
+
+            # out-of-branch rows are excluded; a row past the float range
+            # counts as evaluated and makes every gap inf
+            out, _, out_of_branch, overflowed = _guarded(gaps, len(batch))
+            excluded[i] += int(out_of_branch.sum())
+            for k, v in enumerate(out or (np.zeros(0),) * 3):
+                gap = (float(v.max(initial=0.0))
+                       if np.isfinite(v).all() and not overflowed.any() else math.inf)
+                worst[i][k] = max(worst[i][k], gap)
     rows = []
-    for n in range(n_lo, n_hi + 1):
-        element = Xn(n, args.eps)
-
-        def gaps(keep):
-            tr = xn_transport(element, params, field, coords[keep], base.take(keep))
-            return (pushforward_identity_gap(tr), derivative_law_gap(tr),
-                    np.abs(obstruction_term(tr)))
-
-        # out-of-branch rows are excluded; a row past the float range counts
-        # as evaluated and makes every gap inf
-        out, _, excluded, overflowed = _guarded(gaps, len(coords))
-        id_gap, law_gap, obs_max = (
-            float(v.max(initial=0.0)) if np.isfinite(v).all() and not overflowed.any()
-            else math.inf
-            for v in out or (np.zeros(0),) * 3
-        )
-        excluded = int(excluded.sum())
-        evaluated = len(coords) - excluded
-        enough = evaluated > 0 and excluded <= 0.5 * len(coords)
+    for element, dropped, (id_gap, law_gap, obs_max) in zip(elements, excluded, worst):
+        evaluated = len(coords) - dropped
+        enough = evaluated > 0 and dropped <= 0.5 * len(coords)
         rows.append(
             {
-                "n": n,
+                "n": element.n,
                 "z": args.z,
                 "N": args.N,
                 "eps": args.eps,

@@ -62,7 +62,11 @@ class ScalarField(abc.ABC):
         """Return the batched Jet2 of the field at the rows (t, x_1..x_N)
         of ``coords``, an array of shape (P, N + 1).
 
-        This default stacks :func:`evaluate` row by row, in row order.
+        This default stacks :func:`evaluate` row by row, in row order.  It
+        serves only fields that define ``evaluate`` alone, such as test
+        doubles and the benchmark's negative controls; the solution
+        families, pushforwards and random polynomials evaluate a batch at
+        once.
         Rows that raise DomainError, or else an ArithmeticError, raise it
         once for the batch: the first such row's error, carrying all of them
         as ``err.rows``, as a guard on a batch does.
@@ -273,9 +277,10 @@ class PolynomialFunction:
         return total
 
     def at(self, coords):
-        """The jet in the ``dim`` coordinate slots at ``coords``."""
+        """The jet in the ``dim`` coordinate slots at ``coords``, one point
+        (dim,) or rows (P, dim), by one call of the kernel."""
         coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.dim,):
+        if coords.ndim not in (1, 2) or coords.shape[-1:] != (self.dim,):
             raise DimensionMismatch(
                 f"expected {self.dim} coordinates, got shape {coords.shape}"
             )
@@ -351,12 +356,16 @@ class RandomPolynomialField(ScalarField):
         )
 
     def evaluate(self, params, point):
+        return self.evaluate_many(params, point.coords()[None]).take(0)
+
+    def evaluate_many(self, params, coords):
+        """All rows of ``coords`` by one call of the ``poly_jet`` kernel."""
         if params.spatial_dim != self.spatial_dim:
             raise DimensionMismatch(
                 f"field built for N={self.spatial_dim}, params have "
                 f"N={params.spatial_dim}"
             )
-        return self._poly.at(point.coords())
+        return self._poly.at(check_coords(params, coords))
 
     def __repr__(self):
         return (

@@ -186,6 +186,11 @@ class _Tally:
 _BATCH_ENTRIES = 2048
 
 
+def _batch_rows(params):
+    """The rows of one batch of jets in dimension N + 1."""
+    return max(1, _BATCH_ENTRIES // params.jet_dim**2)
+
+
 def _guarded(compute, count):
     """``compute(keep)`` on an index array ``keep`` into ``count`` rows,
     run again without the rows a failing guard names until none fails.
@@ -231,7 +236,7 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
     kinds = sorted(kinds, key=lambda k: k.value)
     tallies = [_Tally() for _ in kinds]
     coords = grid.coords()
-    step = max(1, _BATCH_ENTRIES // params.jet_dim**2)
+    step = _batch_rows(params)
 
     def field_rows(batch):
         jets = field.evaluate_many(params, batch)

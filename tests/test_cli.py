@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condsym import cli, fields
+from condsym import cli, fields, verify
 from condsym.cli import (
     CLIError,
     family_spec,
@@ -386,18 +386,65 @@ def test_identity_excludes_out_of_branch_samples(capsys, eps, code, points, pass
 
 
 def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
-    # one jet of u per point, then one inside the pushforward per (n, point)
-    calls = []
+    # one jet of u per point, then one inside the pushforward per (n, point),
+    # all of them in batches, each batch by one call of the kernel
+    batches, singles, kernel_rows = [], [], []
+    poly_jet = fields.poly_jet
 
     class Counted(cli.RandomPolynomialField):
         def evaluate(self, params, point):
-            calls.append(point)
+            singles.append(point)
             return super().evaluate(params, point)
 
+        def evaluate_many(self, params, coords):
+            batches.append(len(coords))
+            return super().evaluate_many(params, coords)
+
+    def counted(powers, coeffs, coords):
+        kernel_rows.append(len(coords))
+        return poly_jet(powers, coeffs, coords)
+
     monkeypatch.setattr(cli, "RandomPolynomialField", Counted)
+    monkeypatch.setattr(fields, "poly_jet", counted)
     code, _, _ = run_cli(capsys, "identity", "--seed", "3", "--n=-2..3", "--points", "50")
     assert code == 0
-    assert len(calls) == 50 + 6 * 50
+    assert sum(batches) == 50 + 6 * 50
+    assert singles == []
+    assert kernel_rows == batches
+
+
+@pytest.mark.parametrize("argv, spatial_dim, elements", [
+    (("--seed", "5", "--N", "3", "--points", "300", "--field", "random:deg=4,bound=2"), 3, 6),
+    (("--seed", "3", "--n=1..3", "--eps", "0.3", "--points", "120"), 2, 3),
+])
+def test_identity_runs_in_bounded_batches(capsys, monkeypatch, argv, spatial_dim, elements):
+    # under a small bound no batch is larger than it allows, and the report
+    # is that of the default bound; at eps 0.3 out-of-branch rows fall in
+    # several batches and are counted across them
+    want = run_cli(capsys, "identity", *argv)[:2]
+    batches, excluded = [], []
+
+    class Counted(cli.RandomPolynomialField):
+        def evaluate_many(self, params, coords):
+            batches.append(len(coords))
+            return super().evaluate_many(params, coords)
+
+    guarded = cli._guarded
+
+    def counted(compute, count):
+        out = guarded(compute, count)
+        excluded.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(cli, "RandomPolynomialField", Counted)
+    monkeypatch.setattr(cli, "_guarded", counted)
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 64)
+    assert run_cli(capsys, "identity", *argv)[:2] == want
+    assert max(batches) == 64 // (spatial_dim + 1) ** 2
+    # _guarded runs once per element in each batch, batch after batch
+    assert len(excluded) > elements
+    excluding = {k // elements for k, count in enumerate(excluded) if count}
+    assert len(excluding) > 1 if "--eps" in argv else not excluding
 
 
 def test_identity_non_finite_gap_fails_closed(capsys):

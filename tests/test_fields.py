@@ -133,6 +133,36 @@ def test_random_field_shape_checks():
         evaluate(field, params, Point(1.0, (0.5,)))
     with pytest.raises(DimensionMismatch):
         evaluate(field, ModelParams(3, 2.0), Point(1.0, (0.5, 0.1, -0.2)))
+    with pytest.raises(DimensionMismatch):
+        field.evaluate_many(params, np.ones((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        field.evaluate_many(ModelParams(3, 2.0), np.ones((4, 4)))
+
+
+def test_random_field_batch_is_its_points_bitwise():
+    # evaluate_many is one kernel call on the rows, evaluate its one-row case
+    params = ModelParams(3, 2.0)
+    field = RandomPolynomialField(7, params, 4)
+    rows = np.random.default_rng(7).uniform(-1.0, 1.0, (9, 4))
+    batch = field.evaluate_many(params, rows)
+    assert batch.value.shape == (9,) and batch.hess.shape == (9, 4, 4)
+    for k, row in enumerate(rows):
+        one = evaluate(field, params, Point(row[0], tuple(row[1:])))
+        assert np.ndim(one.value) == 0
+        for got, want in ((batch.value[k], one.value), (batch.grad[k], one.grad),
+                          (batch.hess[k], one.hess)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    empty = field.evaluate_many(params, np.zeros((0, 4)))
+    assert empty.grad.shape == (0, 4)
+
+
+def test_polynomial_at_takes_a_point_or_rows():
+    f = random_polynomial_function(2, 3, 3)
+    rows = np.array([[0.3, -0.8, 1.1], [1.0, 0.5, -0.25]])
+    assert f.at(rows).value.tobytes() == np.array([f.at(r).value for r in rows]).tobytes()
+    for bad in (np.ones(2), np.ones((2, 2)), np.ones((1, 2, 3))):
+        with pytest.raises(DimensionMismatch):
+            f.at(bad)
 
 
 def test_make_random_polynomial_coeff_bound():

@@ -120,3 +120,57 @@ def test_poly_jet_matches_scalar_loop_bitwise(dim, degree):
             assert _bits(g) == _bits(r)
         hess = got[2]
         assert _bits(hess) == _bits(hess.T)
+
+
+def _rows(rng, count, dim):
+    """Coordinate rows over ten orders of magnitude, with some zeros and
+    negative zeros."""
+    rows = rng.uniform(-1.0, 1.0, (count, dim)) * 10.0 ** rng.uniform(-5, 5, (count, dim))
+    rows[1::4, rng.integers(dim)] = 0.0
+    rows[2::4, rng.integers(dim)] = -0.0
+    rows[3::4] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("degree", [3, 4])
+def test_poly_jet_rows_match_single_calls_bitwise(dim, degree):
+    powers = monomial_table(dim, degree)
+    rng = np.random.default_rng(10 * dim + degree)
+    coeffs = rng.uniform(-1.0, 1.0, len(powers)) * 10.0 ** rng.uniform(-5, 5, len(powers))
+    rows = _rows(rng, 13, dim)
+    value, grad, hess = kernels.poly_jet(powers, coeffs, rows)
+    assert (value.shape, grad.shape, hess.shape) == ((13,), (13, dim), (13, dim, dim))
+    for k, row in enumerate(rows):
+        one = kernels.poly_jet(powers, coeffs, row)
+        for got, want in zip((value[k], grad[k], hess[k]), one):
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_poly_jet_shapes_of_empty_single_and_unbatched(dim):
+    powers = monomial_table(dim, 3)
+    coeffs = np.linspace(-1.0, 1.0, len(powers))
+    for coords, lead in ((np.zeros((0, dim)), (0,)), (np.full((1, dim), 0.7), (1,)),
+                         (np.full(dim, 0.7), ())):
+        value, grad, hess = kernels.poly_jet(powers, coeffs, coords)
+        assert (np.shape(value), grad.shape, hess.shape) == (lead, lead + (dim,),
+                                                             lead + (dim, dim))
+    assert np.ndim(kernels.poly_jet(powers, coeffs, np.full(dim, 0.7))[0]) == 0
+
+
+def test_poly_jet_rows_against_monomial_oracle():
+    # 3 x^2 y^3 - 2 x y + 5 y at several rows: every entry in closed form
+    powers = np.array([[2, 3], [1, 1], [0, 1]], dtype=np.int64)
+    coeffs = np.array([3.0, -2.0, 5.0])
+    rows = np.array([[1.5, -0.5], [-0.25, 2.0], [0.0, 1.0], [3.0, 0.0]])
+    value, grad, hess = kernels.poly_jet(powers, coeffs, rows)
+    x, y = rows.T
+    want = (
+        3 * x**2 * y**3 - 2 * x * y + 5 * y,
+        np.stack([6 * x * y**3 - 2 * y, 9 * x**2 * y**2 - 2 * x + 5], axis=1),
+        np.stack([np.stack([6 * y**3, 18 * x * y**2 - 2], axis=1),
+                  np.stack([18 * x * y**2 - 2, 18 * x**2 * y], axis=1)], axis=1),
+    )
+    for got, ref in zip((value, grad, hess), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
