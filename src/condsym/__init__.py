@@ -11,7 +11,7 @@ from .errors import BranchError, DimensionMismatch, DomainError, ZeroDynamicalEx
 from .fields import ModelParams, Point, ProfileFunction, parse_profile
 from .jet2 import Jet2, constant, seed
 from .operators import ResidualKind, evaluate_residual, monge_ampere, w1
-from .solutions import DEFAULT_FAMILIES, SolutionField, evaluate_solution
+from .solutions import DEFAULT_FAMILIES, SolutionField
 from .symmetry import (
     Rot,
     Xn,
@@ -42,7 +42,6 @@ __all__ = [
     "ZeroDynamicalExponent",
     "constant",
     "evaluate_residual",
-    "evaluate_solution",
     "fd_crosscheck",
     "monge_ampere",
     "parse_profile",

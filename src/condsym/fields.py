@@ -2,9 +2,13 @@
 
 Coordinate order everywhere is ``(t, x_1, ..., x_N)``: index 0 of a jet
 is the time slot, indices 1..N the spatial slots.
+
+A :class:`ScalarField` writes one method, ``evaluate_many(params,
+coords)``: one row (N + 1,) of coordinates gives an unbatched jet, rows
+(P, N + 1) a batch with a leading point axis.  ``evaluate(params,
+point)`` is the base class's reading of it at a :class:`Point`.
 """
 
-import abc
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,30 +55,42 @@ class Point:
         return np.array((self.t,) + self.x)
 
 
-class ScalarField(abc.ABC):
-    """Anything that yields a second-order jet at a space-time point."""
+class ScalarField:
+    """Anything that yields a second-order jet at space-time points.  A
+    subclass defines ``evaluate_many``, or else ``evaluate`` alone."""
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if (cls.evaluate is ScalarField.evaluate
+                and cls.evaluate_many is ScalarField.evaluate_many):
+            raise TypeError(f"{cls.__name__} defines neither evaluate nor evaluate_many")
+
     def evaluate(self, params, point):
-        """Return the Jet2 of the field at ``point`` in dim N + 1."""
+        """The unbatched Jet2 of the field at ``point``, in dim N + 1."""
+        check_point(params, point)
+        return self.evaluate_many(params, point.coords())
 
     def evaluate_many(self, params, coords):
-        """Return the batched Jet2 of the field at the rows (t, x_1..x_N)
-        of ``coords``, an array of shape (P, N + 1).
+        """The Jet2 of the field at ``coords``: one row (N + 1,) gives an
+        unbatched jet, rows (P, N + 1) a batch.
 
-        This default stacks :func:`evaluate` row by row, in row order.  It
-        serves only fields that define ``evaluate`` alone, such as test
-        doubles and the benchmark's negative controls; the solution
-        families, pushforwards and random polynomials evaluate a batch at
-        once.
+        This default reads :meth:`evaluate` row by row, in row order (no
+        rows give an empty batch).  It serves only fields that define
+        ``evaluate`` alone, such as test doubles and the benchmark's
+        negative controls.
         Rows that raise DomainError, or else an ArithmeticError, raise it
         once for the batch: the first such row's error, carrying all of them
         as ``err.rows``, as a guard on a batch does.
         """
+        coords = check_coords(params, coords)
+        if coords.ndim == 1:
+            return self.evaluate(params, Point(coords[0], tuple(coords[1:])))
+        if not len(coords):
+            return jet2.constant(params.jet_dim, np.empty(0))
         jets, failed = [], {}
         for k, row in enumerate(coords):
             try:
-                jets.append(evaluate(self, params, Point(row[0], tuple(row[1:]))))
+                jets.append(self.evaluate(params, Point(row[0], tuple(row[1:]))))
             except (DomainError, ArithmeticError) as exc:
                 failed[k] = exc
         if failed:
@@ -103,11 +119,12 @@ def _batch_error(failed, count):
 
 def check_coords(params, coords):
     """``coords`` as a float array, or :class:`DimensionMismatch` unless
-    its shape is (P, N + 1)."""
+    its shape is one row (N + 1,) or rows (P, N + 1)."""
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != params.jet_dim:
+    if coords.ndim not in (1, 2) or coords.shape[-1] != params.jet_dim:
         raise DimensionMismatch(
-            f"coords have shape {coords.shape}, expected (P, {params.jet_dim})"
+            f"coords have shape {coords.shape}, expected ({params.jet_dim},) "
+            f"or (P, {params.jet_dim})"
         )
     return coords
 
@@ -120,17 +137,6 @@ def check_point(params, point):
             f"point has {len(point.x)} spatial coordinates, expected "
             f"{params.spatial_dim}"
         )
-
-
-def evaluate(field, params, point):
-    """Evaluate ``field`` after validating dimensions."""
-    check_point(params, point)
-    jet = field.evaluate(params, point)
-    if jet.dim != params.jet_dim:
-        raise DimensionMismatch(
-            f"field returned dim {jet.dim}, expected {params.jet_dim}"
-        )
-    return jet
 
 
 @dataclass(frozen=True)
@@ -337,6 +343,8 @@ def random_polynomial_function(seed, dim, degree, coeff_bound=1.0):
     """Seeded random polynomial in ``dim`` variables, coefficients in ±bound."""
     if not 0.0 <= 2.0 * coeff_bound < math.inf:
         raise ValueError(f"coefficient bound {coeff_bound!r} is out of range")
+    if degree < 0:
+        raise ValueError(f"polynomial degree {degree!r} is negative")
     powers = monomial_table(dim, degree)
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-coeff_bound, coeff_bound, powers.shape[0])
@@ -355,11 +363,8 @@ class RandomPolynomialField(ScalarField):
             self.seed, params.spatial_dim + 1, self.degree, self.coeff_bound
         )
 
-    def evaluate(self, params, point):
-        return self.evaluate_many(params, point.coords()[None]).take(0)
-
     def evaluate_many(self, params, coords):
-        """All rows of ``coords`` by one call of the ``poly_jet`` kernel."""
+        """One row or rows of ``coords`` by one call of the ``poly_jet`` kernel."""
         if params.spatial_dim != self.spatial_dim:
             raise DimensionMismatch(
                 f"field built for N={self.spatial_dim}, params have "
@@ -380,7 +385,6 @@ __all__ = [
     "ScalarField",
     "check_coords",
     "check_point",
-    "evaluate",
     "ProfileFunction",
     "parse_finite",
     "parse_profile",

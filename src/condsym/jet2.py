@@ -41,8 +41,7 @@ def guard(bad, message, error=DomainError):
     is true at a bad point; NaN compares false, so a NaN value passes a
     guard on a batch as it does on a float.  On a batch the error carries
     the bad rows as ``err.rows``, a boolean (P,) array, so that a caller
-    can set them aside and evaluate the others again.  ``message`` is a
-    string, or a function that makes it when the guard fails.
+    can set them aside and evaluate the others again.
     """
     if bad is True or (bad is not False and bad.any()):
         raise _error(error, message, bad)
@@ -52,7 +51,7 @@ def _error(error, message, bad):
     # built outside ``guard``, so that no frame the error's traceback
     # holds refers back to it: a cycle would keep the batch alive until a
     # garbage collection
-    err = error(message() if callable(message) else message)
+    err = error(message)
     if isinstance(bad, np.ndarray):
         err.rows = bad
     return err
@@ -352,10 +351,7 @@ def rpow(base, p):
             guard(base == 0.0, "negative power of zero")
         p = int(p)
     else:
-        guard(
-            base <= 0.0,
-            lambda: f"fractional power {p!r} of non-positive value {base!r}",
-        )
+        guard(base <= 0.0, f"fractional power {p!r} of a non-positive value")
     if not batched:
         return float(base) ** p
     out = []

@@ -7,7 +7,9 @@ grid) and ``jet`` (its second-order jet over arbitrary coordinate jets).
 ``default_params`` and ``default_grid`` give the canonical verification
 setup.
 
-Every ``jet`` takes unbatched or batched coordinate jets alike.  Domain
+Every ``jet`` takes unbatched or batched coordinate jets alike, so
+:class:`SolutionField` seeds the jets of one row (floats, through
+``math``) or of rows (a batch, through numpy) and calls it once.  Domain
 guards (radicands, sector boundaries, coordinate poles) go through
 ``jet2.guard`` and raise DomainError if any point is outside, so that
 grid runners can count exclusions.
@@ -23,7 +25,6 @@ from .fields import (
     ProfileFunction,
     ScalarField,
     check_coords,
-    check_point,
 )
 from .operators import ResidualKind
 from .verify import GridSpec
@@ -277,34 +278,20 @@ def _check_family(fam, params):
         )
 
 
-def evaluate_solution(fam, params, point):
-    """Full second-order jet of the family at a point."""
-    _check_family(fam, params)
-    check_point(params, point)
-    return _seeded_jet(fam, params.jet_dim, (point.t,) + point.x)
-
-
-def _seeded_jet(fam, d, coords):
-    """The family's jet over the seed jets of ``coords``: d floats, or d
-    columns of a batch."""
-    jt = jet2.seed(d, 0, coords[0])
-    jx = [jet2.seed(d, 1 + i, v) for i, v in enumerate(coords[1:])]
-    return fam.jet(jt, jx)
-
-
 class SolutionField(ScalarField):
     """ScalarField adapter around a solution family."""
 
     def __init__(self, family):
         self.family = family
 
-    def evaluate(self, params, point):
-        return evaluate_solution(self.family, params, point)
-
     def evaluate_many(self, params, coords):
-        """All rows of ``coords`` as one batch through the family's jet."""
+        """The family's jet over the seed jets of one row of ``coords``
+        (floats), or of all its rows (columns of a batch)."""
         _check_family(self.family, params)
-        return _seeded_jet(self.family, params.jet_dim, check_coords(params, coords).T)
+        d = params.jet_dim
+        t, *x = check_coords(params, coords).T
+        jx = [jet2.seed(d, 1 + i, v) for i, v in enumerate(x)]
+        return self.family.jet(jet2.seed(d, 0, t), jx)
 
     def __repr__(self):
         return f"SolutionField({self.family!r})"
@@ -384,7 +371,6 @@ __all__ = [
     "Z0Linear",
     "GeneralYphi",
     "MAOnly",
-    "evaluate_solution",
     "SolutionField",
     "ansatz_profile",
     "default_params",

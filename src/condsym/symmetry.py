@@ -11,7 +11,8 @@ factor A by which the field scales.  ``act`` runs on seed jets only, of
 one point or of a batch of rows.  Its values move points
 (:func:`transform_point`, :func:`xn_transport`); its jets, under
 ``g.inverse()``, give the pullback of the pushforward field
-(:class:`PushforwardField`).  ``g.inverse()`` is the same element with
+(:class:`PushforwardField`, whose one ``evaluate_many`` serves a point
+and a batch alike).  ``g.inverse()`` is the same element with
 its parameter negated; ``g.check(params)`` rejects an element that does
 not fit the spatial dimension N.
 
@@ -41,14 +42,7 @@ import numpy as np
 
 from . import jet2
 from .errors import BranchError, DimensionMismatch
-from .fields import (
-    Point,
-    ProfileFunction,
-    ScalarField,
-    check_coords,
-    check_point,
-    evaluate,
-)
+from .fields import Point, ProfileFunction, ScalarField, check_coords, check_point
 from .jet2 import Jet2
 from .operators import monge_ampere, w1
 
@@ -88,7 +82,7 @@ class Xn:
         s = 1.0 - z * n * eps * jet2.power(t, n)
         jet2.guard(
             s.value <= 0.0,
-            lambda: f"outside the small-parameter branch: 1 - z*n*eps*t^n = {s.value!r}",
+            "outside the small-parameter branch: 1 - z*n*eps*t^n <= 0",
             BranchError,
         )
         beta = (n + 1.0) / (z * n)
@@ -214,12 +208,11 @@ def transform_point(g, params, p):
 class PushforwardField(ScalarField):
     """Field transported by a group element.
 
-    Evaluation at a query point q runs the inverse element's map on the
-    seed jets of q, reads the base field at the image, composes the jets
-    through that coordinate change and divides by the inverse's factor
-    (the forward factor at the source point).  ``evaluate_many`` does the
-    same for a batch of query points, with one ``base.evaluate_many`` at
-    their images.
+    Evaluation at query points q (one row or rows) runs the inverse
+    element's map on the seed jets of q, reads the base field at the
+    images by one ``base.evaluate_many``, composes the jets through that
+    coordinate change and divides by the inverse's factor (the forward
+    factor at the source points).
     """
 
     def __init__(self, element, base):
@@ -227,20 +220,9 @@ class PushforwardField(ScalarField):
         self.inverse = element.inverse()
         self.base = base
 
-    def evaluate(self, params, point):
-        check_point(params, point)
-        return self._pull(params, point.coords(),
-                          lambda s: evaluate(self.base, params, Point(s[0], s[1:])))
-
     def evaluate_many(self, params, coords):
-        return self._pull(params, check_coords(params, coords),
-                          lambda source: self.base.evaluate_many(params, source))
-
-    def _pull(self, params, coords, base_at):
-        """The pushforward's jet at ``coords`` (one point, or rows);
-        ``base_at`` gives the base field's jet at the source coordinates."""
-        image, a_inv = _act_on(self.inverse, params, coords)
-        out = jet2.compose(base_at(_values(image)), image)
+        image, a_inv = _act_on(self.inverse, params, check_coords(params, coords))
+        out = jet2.compose(self.base.evaluate_many(params, _values(image)), image)
         if isinstance(a_inv, Jet2) or a_inv != 1.0:
             out = out / a_inv
         return out

@@ -18,7 +18,6 @@ from condsym.fields import (
     ModelParams,
     Point,
     RandomPolynomialField,
-    evaluate,
     parse_profile,
 )
 from condsym.operators import (
@@ -35,7 +34,6 @@ from condsym.solutions import (
     ansatz_profile,
     default_grid,
     default_params,
-    evaluate_solution,
 )
 from condsym.symmetry import (
     GenJab,
@@ -293,7 +291,7 @@ def _fd_worst(field, params, rng, n_points, h):
         x = tuple(float(v) for v in rng.uniform(-0.9, 0.9, params.spatial_dim))
         p = Point(t, x)
         try:
-            if not _resolved_at_scale(evaluate(field, params, p), h):
+            if not _resolved_at_scale(field.evaluate(params, p), h):
                 continue
             err = fd_crosscheck(field, params, [p], h)
         except DomainError:
@@ -341,8 +339,8 @@ def test_criterion_7_general_family_reaches_radial_limit():
         t = float(rng.uniform(0.5, 2.0))
         x = tuple(float(v) for v in rng.uniform(-1.0, 1.0, 2))
         try:
-            a = evaluate_solution(gz, p_gz, Point(t, x)).value
-            b = evaluate_solution(rad, p_rad, Point(t, x)).value
+            a = SolutionField(gz).evaluate(p_gz, Point(t, x)).value
+            b = SolutionField(rad).evaluate(p_rad, Point(t, x)).value
         except DomainError:
             continue
         if abs(b) < 1e-6:

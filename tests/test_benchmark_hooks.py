@@ -52,3 +52,12 @@ def test_selftest_rejects_every_control(perfbench):
     controls = selftest.controls(cs)
     assert len(controls) == 6
     assert [name for name, rejected in controls if not rejected] == []
+
+
+def test_fd_crosscheck_sets_up(perfbench):
+    # the set-up reads SolutionField.evaluate at a Point as an unbatched jet
+    cs, _, _ = perfbench
+    import workloads  # on the path while the fixture is live
+
+    ops, problems = workloads.prepare("fd-crosscheck", 1, cs)
+    assert len(ops) == 9 and problems == []

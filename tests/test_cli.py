@@ -30,7 +30,6 @@ from condsym.fields import (
     Point,
     PolynomialFunction,
     RandomPolynomialField,
-    evaluate,
     parse_profile,
 )
 from condsym.operators import monge_ampere, w1
@@ -165,6 +164,17 @@ def test_random_field_bound_out_of_range_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err and "bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv,degree",
+    [(("identity", "--seed", "1", "--field", "random:deg=-1"), -1),
+     (("fd-check", "--field", "random:deg=-2", "--seed", "1"), -2)],
+)
+def test_random_field_negative_degree_is_usage_error(capsys, argv, degree):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: polynomial degree {degree} is negative\n"
 
 
 def test_parse_group_variants():
@@ -533,7 +543,7 @@ def _identity_per_point(seed, z, spatial_dim, eps, points=50, tol=1e-8):
     rng = np.random.default_rng(seed + 1000003)
     pts = [Point(rng.uniform(0.6, 1.2), rng.uniform(-1.0, 1.0, spatial_dim))
            for _ in range(points)]
-    bases = [evaluate(u, params, p) for p in pts]
+    bases = [u.evaluate(params, p) for p in pts]
     rows = []
     for n in range(-2, 4):
         g = Xn(n, eps)
@@ -542,7 +552,7 @@ def _identity_per_point(seed, z, spatial_dim, eps, points=50, tol=1e-8):
         for p, base in zip(pts, bases):
             try:
                 q, a_val = transform_point(g, params, p)
-                prime = evaluate(PushforwardField(g, u), params, q)
+                prime = PushforwardField(g, u).evaluate(params, q)
             except BranchError:
                 excluded += 1
                 continue

@@ -13,7 +13,6 @@ from condsym.fields import (
     PolynomialFunction,
     ProfileFunction,
     RandomPolynomialField,
-    evaluate,
     monomial_table,
     parse_profile,
     random_polynomial_function,
@@ -127,12 +126,12 @@ def test_polynomial_jet_arithmetic_matches_kernel(dim, degree):
 def test_random_field_shape_checks():
     params = ModelParams(2, 2.0)
     field = RandomPolynomialField(5, params, 3)
-    j = evaluate(field, params, Point(1.0, (0.5, -0.5)))
+    j = field.evaluate(params, Point(1.0, (0.5, -0.5)))
     assert j.dim == 3
     with pytest.raises(DimensionMismatch):
-        evaluate(field, params, Point(1.0, (0.5,)))
+        field.evaluate(params, Point(1.0, (0.5,)))
     with pytest.raises(DimensionMismatch):
-        evaluate(field, ModelParams(3, 2.0), Point(1.0, (0.5, 0.1, -0.2)))
+        field.evaluate(ModelParams(3, 2.0), Point(1.0, (0.5, 0.1, -0.2)))
     with pytest.raises(DimensionMismatch):
         field.evaluate_many(params, np.ones((4, 2)))
     with pytest.raises(DimensionMismatch):
@@ -147,7 +146,7 @@ def test_random_field_batch_is_its_points_bitwise():
     batch = field.evaluate_many(params, rows)
     assert batch.value.shape == (9,) and batch.hess.shape == (9, 4, 4)
     for k, row in enumerate(rows):
-        one = evaluate(field, params, Point(row[0], tuple(row[1:])))
+        one = field.evaluate(params, Point(row[0], tuple(row[1:])))
         assert np.ndim(one.value) == 0
         for got, want in ((batch.value[k], one.value), (batch.grad[k], one.grad),
                           (batch.hess[k], one.hess)):

@@ -465,8 +465,18 @@ def test_unbatched_guard_raises_the_old_error():
         assert getattr(info.value, "rows", None) is None
     with pytest.raises(DomainError) as info:
         jet2.rpow(-1.0, 0.5)
-    assert str(info.value) == "fractional power 0.5 of non-positive value -1.0"
+    assert str(info.value) == "fractional power 0.5 of a non-positive value"
     assert info.value.rows is None
+
+
+def test_batch_guard_message_is_short_and_rows_name_the_bad_points():
+    # the message is fixed text, whatever the size of the batch
+    base = np.linspace(-1.0, 2.0, 300)
+    with pytest.raises(DomainError) as info:
+        jet2.rpow(base, 0.5)
+    assert len(str(info.value)) < 120
+    assert "0.5" in str(info.value)
+    assert info.value.rows.tolist() == (base <= 0.0).tolist()
 
 
 def test_batched_rpow_is_the_float_power_row_by_row():

@@ -12,7 +12,6 @@ from condsym.fields import (
     ModelParams,
     Point,
     PolynomialFunction,
-    evaluate,
     parse_profile,
 )
 from condsym.operators import (
@@ -33,28 +32,27 @@ from condsym.solutions import (
     ansatz_profile,
     default_grid,
     default_params,
-    evaluate_solution,
 )
 from condsym.symmetry import Yphi, pushforward_field
 
 
 def test_radial_distance_oracle():
     fam = RadialZ1(1.0, 0.0, 0.0, 0)
-    j = evaluate_solution(fam, default_params(fam), Point(7.0, (3.0, 4.0)))
+    j = SolutionField(fam).evaluate(default_params(fam), Point(7.0, (3.0, 4.0)))
     assert j.value == pytest.approx(5.0, abs=1e-13)
 
 
 def test_z0_linear_oracle():
     fam = Z0Linear(parse_profile("const:2"), parse_profile("const:3"))
     params = default_params(fam)
-    j = evaluate_solution(fam, params, Point(1.0, (1.0, 1.0)))
+    j = SolutionField(fam).evaluate(params, Point(1.0, (1.0, 1.0)))
     assert j.value == pytest.approx(5.0, abs=1e-14)
     assert not j.hess[1:, 1:].any()
 
 
 def test_general_z_oracle():
     fam = GeneralZ(0.5, 0.0, 0.0, 1, 2.0)
-    j = evaluate_solution(fam, default_params(fam), Point(1.0, (1.0, 0.0)))
+    j = SolutionField(fam).evaluate(default_params(fam), Point(1.0, (1.0, 0.0)))
     assert j.value == pytest.approx(1.0, abs=1e-13)
 
 
@@ -75,7 +73,7 @@ def test_one_dim_z0_decaying_exponent_solves():
     worst = 0.0
     for t in np.linspace(0.5, 2.0, 7):
         for x in np.linspace(-1.0, 1.0, 7):
-            j = evaluate_solution(fam, params, Point(float(t), (float(x),)))
+            j = SolutionField(fam).evaluate(params, Point(float(t), (float(x),)))
             worst = max(worst, abs(diffusion_residual(j, params)))
     assert worst < 1e-13
 
@@ -93,15 +91,15 @@ def test_growing_exponent_is_not_a_solution():
 def test_z0_sqrt_radicand_sign():
     fam = Z0Sqrt(parse_profile("const:25"))
     params = default_params(fam)
-    j = evaluate_solution(fam, params, Point(1.0, (1.0, 1.0)))
+    j = SolutionField(fam).evaluate(params, Point(1.0, (1.0, 1.0)))
     # radicand = 25*1 - 2*1*(1+1) = 21
     assert j.value == pytest.approx(math.sqrt(21.0), abs=1e-13)
     assert abs(diffusion_residual(j, params)) < 1e-12
     # large t drives the radicand negative: excluded, not evaluated
     with pytest.raises(DomainError):
-        evaluate_solution(fam, params, Point(7.0, (1.0, 1.0)))
+        SolutionField(fam).evaluate(params, Point(7.0, (1.0, 1.0)))
     with pytest.raises(DomainError):
-        evaluate_solution(fam, params, Point(1.0, (1.0, 0.0)))
+        SolutionField(fam).evaluate(params, Point(1.0, (1.0, 0.0)))
 
 
 def test_ratio_polynomial_jet():
@@ -132,8 +130,8 @@ def test_ma_only_homogeneity_and_residual():
     params = default_params(fam)
     p = Point(1.0, (0.8, 0.5, 1.2))
     scaled = Point(1.0, (1.6, 1.0, 2.4))
-    j1 = evaluate_solution(fam, params, p)
-    j2 = evaluate_solution(fam, params, scaled)
+    j1 = SolutionField(fam).evaluate(params, p)
+    j2 = SolutionField(fam).evaluate(params, scaled)
     # degree-1 homogeneity in x forces the spatial Hessian determinant to zero
     assert j2.value == pytest.approx(2.0 * j1.value, rel=1e-12)
     assert abs(monge_ampere(j1, params)) < 1e-12
@@ -142,7 +140,7 @@ def test_ma_only_homogeneity_and_residual():
 def test_ma_only_two_dim_uses_profile():
     fam = MAOnly(2, parse_profile("poly:1,1"))
     params = default_params(fam)
-    j = evaluate_solution(fam, params, Point(1.0, (2.0, 1.0)))
+    j = SolutionField(fam).evaluate(params, Point(1.0, (2.0, 1.0)))
     # u = x1 * (1 + x1/x2) = 2 * 3 = 6
     assert j.value == pytest.approx(6.0, abs=1e-13)
     assert abs(monge_ampere(j, params)) < 1e-12
@@ -160,9 +158,9 @@ def test_ma_only_arity_guards():
 def test_family_z_and_dim_guards():
     fam = DEFAULT_FAMILIES["radial-z1"]
     with pytest.raises(ValueError):
-        evaluate_solution(fam, ModelParams(2, 2.0), Point(1.0, (0.5, 0.5)))
+        SolutionField(fam).evaluate(ModelParams(2, 2.0), Point(1.0, (0.5, 0.5)))
     with pytest.raises(DimensionMismatch):
-        evaluate_solution(fam, ModelParams(3, 1.0), Point(1.0, (0.5, 0.5, 0.5)))
+        SolutionField(fam).evaluate(ModelParams(3, 1.0), Point(1.0, (0.5, 0.5, 0.5)))
 
 
 def test_default_params_conflict():
@@ -175,7 +173,7 @@ def test_default_params_conflict():
     moved = dataclasses.replace(free, z=1.25)
     assert default_params(moved) == ModelParams(3, 1.25)
     with pytest.raises(ValueError, match="needs z = 1.25"):
-        evaluate_solution(moved, default_params(free), Point(1.0, (0.5, 0.4, 0.3)))
+        SolutionField(moved).evaluate(default_params(free), Point(1.0, (0.5, 0.4, 0.3)))
 
 
 def test_required_metadata():
@@ -201,7 +199,7 @@ def test_shift_by_yphi_preserves_solutions():
         for x1 in np.linspace(0.3, 1.5, 5):
             for x2 in np.linspace(-0.5, 0.5, 5):
                 try:
-                    j = evaluate(shifted, params, Point(float(t), (float(x1), float(x2))))
+                    j = shifted.evaluate(params, Point(float(t), (float(x1), float(x2))))
                 except DomainError:
                     continue
                 count += 1
@@ -220,7 +218,7 @@ def test_ansatz_profile_matches_field():
     prof = ansatz_profile(fam)
     t, x1, x2 = 1.2, 0.6, 0.3
     s = t ** ((fam.n + 1) / fam.z)
-    direct = evaluate_solution(fam, params, Point(t, (x1, x2)))
+    direct = SolutionField(fam).evaluate(params, Point(t, (x1, x2)))
     via_profile = s * prof.at(x1 / s, x2 / s).value
     assert via_profile == pytest.approx(direct.value, rel=1e-12)
 
@@ -243,7 +241,7 @@ def test_solution_field_adapter():
     fam = DEFAULT_FAMILIES["radial-z1"]
     field = SolutionField(fam)
     params = default_params(fam)
-    j = evaluate(field, params, Point(1.0, (0.6, 0.8)))
+    j = field.evaluate(params, Point(1.0, (0.6, 0.8)))
     assert j.dim == 3
     assert "radial" in repr(field).lower() or "RadialZ1" in repr(field)
 
@@ -261,7 +259,7 @@ def _interior_coords(fam, params, count, seed):
             ([rng.uniform(0.6, 1.9)], rng.uniform(-0.9, 0.9, params.spatial_dim))
         )
         try:
-            evaluate_solution(fam, params, Point(row[0], tuple(row[1:])))
+            SolutionField(fam).evaluate(params, Point(row[0], tuple(row[1:])))
         except DomainError:
             continue
         rows.append(row)
@@ -277,7 +275,7 @@ def test_evaluate_many_matches_pointwise_evaluate(name):
     d = params.jet_dim
     assert batch.value.shape == (200,) and batch.hess.shape == (200, d, d)
     for k, row in enumerate(coords):
-        jet = evaluate_solution(fam, params, Point(row[0], tuple(row[1:])))
+        jet = SolutionField(fam).evaluate(params, Point(row[0], tuple(row[1:])))
         got = (batch.value[k], batch.grad[k], batch.hess[k])
         for a, b in zip(got, (jet.value, jet.grad, jet.hess)):
             if name in _EXACT_FAMILIES:
@@ -305,7 +303,7 @@ def test_evaluate_many_fails_if_any_row_is_outside(name, outside):
     field = SolutionField(fam)
     coords = _interior_coords(fam, params, 4, 32)
     with pytest.raises(DomainError):
-        evaluate_solution(fam, params, Point(outside[0], outside[1:]))
+        SolutionField(fam).evaluate(params, Point(outside[0], outside[1:]))
     field.evaluate_many(params, coords)
     with pytest.raises(DomainError):
         field.evaluate_many(params, np.vstack([coords[:2], [outside], coords[2:]]))
@@ -316,7 +314,7 @@ def test_evaluate_many_lets_nan_through_as_evaluate_does():
     params = default_params(fam)
     coords = np.array([[1.0, 0.4, 0.3], [1.0, math.nan, 0.3]])
     batch = SolutionField(fam).evaluate_many(params, coords)
-    jet = evaluate_solution(fam, params, Point(1.0, (math.nan, 0.3)))
+    jet = SolutionField(fam).evaluate(params, Point(1.0, (math.nan, 0.3)))
     assert math.isnan(jet.value) and math.isnan(batch.value[1])
     assert math.isfinite(batch.value[0])
 

@@ -12,7 +12,6 @@ from condsym.fields import (
     Point,
     RandomPolynomialField,
     ScalarField,
-    evaluate,
     parse_profile,
 )
 from condsym.operators import monge_ampere, w1
@@ -148,8 +147,8 @@ def test_pushforward_defining_relation(label, make, params):
     p = Point(0.8, (0.4, -0.6))
     q, A = transform_point(g, params, p)
     pushed = pushforward_field(g, params, u)
-    lhs = evaluate(pushed, params, q).value
-    rhs = A * evaluate(u, params, p).value
+    lhs = pushed.evaluate(params, q).value
+    rhs = A * u.evaluate(params, p).value
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
@@ -159,7 +158,7 @@ def test_pole_at_zero_time_is_domain_error(g):
     with pytest.raises(DomainError):
         transform_point(g, P2, p)
     with pytest.raises(DomainError):
-        evaluate(pushforward_field(g, P2, RandomPolynomialField(4, P2, 3)), P2, p)
+        pushforward_field(g, P2, RandomPolynomialField(4, P2, 3)).evaluate(P2, p)
 
 
 def test_pushforward_by_yk_shifts_space():
@@ -168,8 +167,8 @@ def test_pushforward_by_yk_shifts_space():
     p = Point(0.8, (0.4, -0.6))
     shifted = pushforward_field(g, P2, u)
     moved = Point(p.t, (0.4 + 0.3 * 0.8**2, -0.6 - 0.1 * 0.8**2))
-    assert evaluate(shifted, P2, moved).value == pytest.approx(
-        evaluate(u, P2, p).value, rel=1e-12
+    assert shifted.evaluate(P2, moved).value == pytest.approx(
+        u.evaluate(P2, p).value, rel=1e-12
     )
 
 
@@ -209,7 +208,7 @@ def test_obstruction_is_necessary():
     p = Point(1.0, (0.6, -0.4))
     eps = 0.01
     g = Xn(1, eps)
-    base = evaluate(u, P2, p)
+    base = u.evaluate(P2, p)
     assert monge_ampere(base, P2) == pytest.approx(4.0, abs=1e-13)
     rows = np.array([p.coords()])
     tr = xn_transport(g, P2, u, rows, u.evaluate_many(P2, rows))
@@ -218,7 +217,7 @@ def test_obstruction_is_necessary():
     (obstruction,) = obstruction_term(tr)
     assert abs(obstruction) > 1e-3 * eps
     q, A = transform_point(g, P2, p)
-    prime = evaluate(pushforward_field(g, P2, u), P2, q)
+    prime = pushforward_field(g, P2, u).evaluate(P2, q)
     naive = abs(
         w1(prime, P2) - A ** (1.0 - P2.z - 2) * w1(base, P2)
     )
@@ -367,7 +366,7 @@ def test_pushforward_batch_matches_pointwise_and_names_branch_rows():
         field = pushforward_field(g, params, base)
         batch = field.evaluate_many(params, coords)
         for k, row in enumerate(coords):
-            jet = evaluate(field, params, Point(row[0], tuple(row[1:])))
+            jet = field.evaluate(params, Point(row[0], tuple(row[1:])))
             assert batch.value[k] == jet.value
             assert np.array_equal(batch.grad[k], jet.grad)
             assert np.array_equal(batch.hess[k], jet.hess)
@@ -377,5 +376,17 @@ def test_pushforward_batch_matches_pointwise_and_names_branch_rows():
         field.evaluate_many(params, coords)
     assert info.value.rows.tolist() == [False, False, True]
     with pytest.raises(BranchError, match="small-parameter branch") as info:
-        evaluate(field, params, Point(1.9, (0.7, -0.1)))
+        field.evaluate(params, Point(1.9, (0.7, -0.1)))
     assert info.value.rows is None
+
+
+def test_branch_guard_message_is_short_on_a_large_batch():
+    fam = DEFAULT_FAMILIES["radial-z1"]
+    params = default_params(fam)
+    t = np.linspace(0.6, 1.9, 300)
+    coords = np.column_stack([t, np.full(300, 0.3), np.full(300, -0.2)])
+    field = pushforward_field(Xn(1, -0.6), params, SolutionField(fam))
+    with pytest.raises(BranchError) as info:
+        field.evaluate_many(params, coords)
+    assert len(str(info.value)) < 120
+    assert info.value.rows.tolist() == (1.0 - 0.6 * t <= 0.0).tolist()

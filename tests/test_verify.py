@@ -14,7 +14,6 @@ from condsym.fields import (
     Point,
     RandomPolynomialField,
     ScalarField,
-    evaluate,
     parse_profile,
 )
 from condsym.operators import (
@@ -422,7 +421,7 @@ def test_fd_crosscheck_overflow_is_inf():
     params = default_params(fam)
     pts = [Point(1.0, (0.2,))]
     with pytest.raises(OverflowError):
-        evaluate(SolutionField(fam), params, pts[0])
+        SolutionField(fam).evaluate(params, pts[0])
     assert fd_crosscheck(SolutionField(fam), params, pts, 1e-4) == math.inf
 
 
@@ -480,7 +479,7 @@ def _residual_suite_scalar_loop(field, kinds, params, grid, tol, g=None):
     for combo in itertools.product(*grid.axes()):
         pt = Point(combo[0], tuple(combo[1:]))
         try:
-            jet = evaluate(field, params, pt)
+            jet = field.evaluate(params, pt)
         except DomainError:
             for tally in tallies:
                 tally["ex"] += 1
