@@ -1,6 +1,39 @@
-"""Numeric hot loops: polynomial jet evaluation and small determinants."""
+"""Numeric hot loops: polynomial jet evaluation and small determinants.
+
+``poly_jet`` gives the whole second-order jet of a polynomial, and
+``poly_value`` its value alone, in the same float order, for callers
+that read values only (the finite-difference stencils).
+"""
 
 import numpy as np
+
+
+def _factors(powers, coeffs, coords):
+    """The shared set-up of the polynomial kernels: the exponents ``p``
+    (D, M, 1...), the coefficients ``c`` (M, 1...), the coordinates ``x``
+    (D, 1, P...), ``x**(p - 2)`` by repeated multiplication from 1.0, and
+    the factor ``f = x**p`` of each coordinate in each monomial (D, M,
+    P...): coordinates first, then monomials, then points."""
+    x = np.asarray(coords, dtype=float)
+    M, D = np.shape(powers)
+    lead = x.shape[:-1]
+    p = np.reshape(np.transpose(powers), (D, M) + (1,) * len(lead))
+    c = np.asarray(coeffs, dtype=float).reshape(p.shape[1:])
+    x = np.moveaxis(x, -1, 0)[:, None]
+    xpm2 = np.ones((D, M) + lead)
+    for r in range(int(p.max(initial=2)) - 2):
+        xpm2 = np.where(p - 2 > r, xpm2 * x, xpm2)
+    f = np.where(p == 0, 1.0, np.where(p == 1, x, xpm2 * x * x))
+    return p, c, x, xpm2, f
+
+
+def _sum_monomials(terms):
+    """The sum over the leading (monomial) axis, one monomial after
+    another from 0.0, as np.sum, which may add pairwise, would not."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
 
 
 def poly_jet(powers, coeffs, coords):
@@ -19,19 +52,10 @@ def poly_jet(powers, coeffs, coords):
     a batch is bit for bit its own call.  The (j, i) Hessian slot copies
     the (i, j) one, so the Hessian is exactly symmetric.
     """
-    x = np.asarray(coords, dtype=float)
-    M, D = np.shape(powers)
-    lead = x.shape[:-1]
-    # coordinates on the first axis, monomials on the second, then points
-    p = np.reshape(np.transpose(powers), (D, M) + (1,) * len(lead))
-    c = np.asarray(coeffs, dtype=float).reshape(p.shape[1:])
-    x = np.moveaxis(x, -1, 0)[:, None]
-    # x**(p - 2) by repeated multiplication, starting at 1.0
-    xpm2 = np.ones((D, M) + lead)
-    for r in range(int(p.max(initial=2)) - 2):
-        xpm2 = np.where(p - 2 > r, xpm2 * x, xpm2)
-    # factor, first and second derivative of each x_i**p in each monomial
-    f = np.where(p == 0, 1.0, np.where(p == 1, x, xpm2 * x * x))
+    p, c, x, xpm2, f = _factors(powers, coeffs, coords)
+    D, M = p.shape[:2]
+    lead = f.shape[2:]
+    # first and second derivative of each x_i**p in each monomial
     g = np.where(p == 0, 0.0, np.where(p == 1, 1.0, p * xpm2 * x))
     h = np.where(p >= 2, p * (p - 1) * xpm2, 0.0)
 
@@ -49,14 +73,23 @@ def poly_jet(powers, coeffs, coords):
                 term = term * f[k]
         terms[..., e] = term
 
-    # sum the monomials one after another from 0.0, as np.sum, which may
-    # add pairwise, would not
-    total = np.zeros(terms.shape[1:])
-    for term in terms:
-        total += term
+    total = _sum_monomials(terms)
     hess = np.empty(lead + (D, D))
     hess[..., iu[0], iu[1]] = hess[..., iu[1], iu[0]] = total[..., 1 + D :]
     return total[..., 0][()], total[..., 1 : 1 + D], hess
+
+
+def poly_value(powers, coeffs, coords):
+    """The value entry of :func:`poly_jet` alone, bit for bit: a float
+    for one row (D,), a (P,) array for rows (P, D).  Each monomial is its
+    coefficient times the factors of the coordinates in ascending index
+    order, and the monomials are summed in table order from 0.0."""
+    _, c, _, _, f = _factors(powers, coeffs, coords)
+    term = c
+    for factor in f:
+        term = term * factor
+    total = _sum_monomials(term)
+    return total if total.ndim else float(total)
 
 
 def det(a):

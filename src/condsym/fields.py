@@ -6,7 +6,9 @@ is the time slot, indices 1..N the spatial slots.
 A :class:`ScalarField` writes one method, ``evaluate_many(params,
 coords)``: one row (N + 1,) of coordinates gives an unbatched jet, rows
 (P, N + 1) a batch with a leading point axis.  ``evaluate(params,
-point)`` is the base class's reading of it at a :class:`Point`.
+point)`` is the base class's reading of it at a :class:`Point`, and
+``values_many(params, coords)`` the values alone, which a field may
+compute without the derivatives.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jet2
-from ._kernels import poly_jet
+from ._kernels import poly_jet, poly_value
 from .errors import DimensionMismatch, DomainError
 from .jet2 import Jet2
 
@@ -57,7 +59,15 @@ class Point:
 
 class ScalarField:
     """Anything that yields a second-order jet at space-time points.  A
-    subclass defines ``evaluate_many``, or else ``evaluate`` alone."""
+    subclass defines ``evaluate_many``, or else ``evaluate`` alone; it may
+    also define ``values_many``, for callers that read values only, which
+    must give bit for bit the values of ``evaluate_many`` and raise where
+    it raises.  The bare base is no field and cannot be built."""
+
+    def __new__(cls, *args, **kwargs):
+        if cls is ScalarField:
+            raise TypeError("ScalarField is a base class; a field subclasses it")
+        return super().__new__(cls)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -100,6 +110,15 @@ class ScalarField:
             np.stack([j.grad for j in jets]),
             np.stack([j.hess for j in jets]),
         )
+
+    def values_many(self, params, coords):
+        """The values of the field at ``coords``: a float for one row
+        (N + 1,), a (P,) array for rows (P, N + 1).
+
+        This default reads them off :meth:`evaluate_many`; a field that can
+        skip the derivatives overrides it.
+        """
+        return self.evaluate_many(params, coords).value
 
 
 def _batch_error(failed, count):
@@ -285,12 +304,19 @@ class PolynomialFunction:
     def at(self, coords):
         """The jet in the ``dim`` coordinate slots at ``coords``, one point
         (dim,) or rows (P, dim), by one call of the kernel."""
+        return Jet2(*poly_jet(*self._arrays, self._checked(coords)))
+
+    def value_at(self, coords):
+        """``at(coords).value``, bit for bit, by the value kernel alone."""
+        return poly_value(*self._arrays, self._checked(coords))
+
+    def _checked(self, coords):
         coords = np.asarray(coords, dtype=float)
         if coords.ndim not in (1, 2) or coords.shape[-1:] != (self.dim,):
             raise DimensionMismatch(
                 f"expected {self.dim} coordinates, got shape {coords.shape}"
             )
-        return Jet2(*poly_jet(*self._arrays, coords))
+        return coords
 
     def spec(self):
         """Canonical ``poly2:`` text accepted by :func:`parse_poly2`.
@@ -365,12 +391,19 @@ class RandomPolynomialField(ScalarField):
 
     def evaluate_many(self, params, coords):
         """One row or rows of ``coords`` by one call of the ``poly_jet`` kernel."""
+        return self._poly.at(self._coords(params, coords))
+
+    def values_many(self, params, coords):
+        """The values alone, by one call of the ``poly_value`` kernel."""
+        return self._poly.value_at(self._coords(params, coords))
+
+    def _coords(self, params, coords):
         if params.spatial_dim != self.spatial_dim:
             raise DimensionMismatch(
                 f"field built for N={self.spatial_dim}, params have "
                 f"N={params.spatial_dim}"
             )
-        return self._poly.at(check_coords(params, coords))
+        return check_coords(params, coords)
 
     def __repr__(self):
         return (

@@ -15,6 +15,11 @@ gives, point for point, the unbatched result.  That holds bit for bit
 for ``+ - * /``, ``sqrt``, ``sin``, ``cos`` and integer powers.  ``exp``,
 ``ln``, ``atan``, ``atan2_jet`` and fractional powers of a batch go
 through numpy, whose last bit can differ from ``math``'s.
+
+Every combinator computes the value from values alone, so a jet in dim 0
+(``constant(0, v)``: a value with an empty gradient) carries, bit for
+bit, the value the same computation gives in any dim, and meets the same
+guards, at the cost of the value alone.
 """
 
 import math
@@ -215,9 +220,11 @@ def seed(dim, coord_index, value):
 
 
 def constant(dim, value):
-    """Jet of a constant: zero gradient and Hessian."""
-    if dim < 1:
-        raise DimensionMismatch("dim must be at least 1")
+    """Jet of a constant: zero gradient and Hessian.  In dim 0 it is a
+    value alone, which every combinator carries through as it would the
+    value of a jet in more variables."""
+    if dim < 0:
+        raise DimensionMismatch("dim must not be negative")
     value, shape = _as_value(value)
     shape += (dim,)
     return _make(value, np.zeros(shape), np.zeros(shape + (dim,)))

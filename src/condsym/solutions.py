@@ -9,8 +9,9 @@ setup.
 
 Every ``jet`` takes unbatched or batched coordinate jets alike, so
 :class:`SolutionField` seeds the jets of one row (floats, through
-``math``) or of rows (a batch, through numpy) and calls it once.  Domain
-guards (radicands, sector boundaries, coordinate poles) go through
+``math``) or of rows (a batch, through numpy) and calls it once; for
+values alone it passes jets in no variables through the same ``jet``.
+Domain guards (radicands, sector boundaries, coordinate poles) go through
 ``jet2.guard`` and raise DomainError if any point is outside, so that
 grid runners can count exclusions.
 """
@@ -287,11 +288,22 @@ class SolutionField(ScalarField):
     def evaluate_many(self, params, coords):
         """The family's jet over the seed jets of one row of ``coords``
         (floats), or of all its rows (columns of a batch)."""
+        return self._jet(params, coords, params.jet_dim)
+
+    def values_many(self, params, coords):
+        """The family's values alone: its jet over coordinate jets in no
+        variables, bit for bit the values of :meth:`evaluate_many`,
+        through the same guards."""
+        return self._jet(params, coords, 0).value
+
+    def _jet(self, params, coords, dim):
+        """The family's jet over the coordinate jets of ``coords`` in
+        ``dim`` variables: the seeds of the N + 1 coordinates, or, in dim
+        0, their values alone."""
         _check_family(self.family, params)
-        d = params.jet_dim
-        t, *x = check_coords(params, coords).T
-        jx = [jet2.seed(d, 1 + i, v) for i, v in enumerate(x)]
-        return self.family.jet(jet2.seed(d, 0, t), jx)
+        jets = [jet2.seed(dim, i, v) if dim else jet2.constant(0, v)
+                for i, v in enumerate(check_coords(params, coords).T)]
+        return self.family.jet(jets[0], jets[1:])
 
     def __repr__(self):
         return f"SolutionField({self.family!r})"

@@ -5,12 +5,13 @@ and evaluates it in bounded batches of rows: one ``evaluate_many`` of
 the field per batch, then each residual kind and its scale on the
 stacked jets.  A guard that fails on a batch names its bad rows; those
 rows are counted as excluded (or as overflowed) one by one, and the
-others are evaluated again.  The FD cross-check stacks the whole
-stencils of many points into one ``evaluate_many`` in the same way,
-under the same bound on a batch, and sets aside the points whose
-stencil rows a guard names.  Traversal and reduction orders are fixed
-(grid order, sums carried row after row), so every report is bitwise
-reproducible for identical inputs.
+others are evaluated again.  The FD cross-check reads the values alone
+of the whole stencils of many points, by one ``values_many`` call, and
+the jets of their base points, by one ``evaluate_many``, under the same
+bound on a batch, and sets aside the points whose stencil rows a guard
+names.  Traversal and reduction orders are fixed (grid order, sums
+carried row after row), so every report is bitwise reproducible for
+identical inputs.
 """
 
 import itertools
@@ -306,14 +307,17 @@ def fd_point_errors(field, params, coords, h):
     inf too).  First derivatives use (f(p+h) - f(p-h)) / 2h; second
     derivatives the standard three-point and four-point (mixed)
     second-order stencils.  The relative error denominator is
-    1 + |jet entry|, and the jet of a point is its stencil's first row.
+    1 + |jet entry|.
 
-    The stencils of many points are stacked into one ``evaluate_many``
-    call, whole stencils only, up to ``_BATCH_ENTRIES`` Hessian entries
-    per call as in the residual suite: 56 points at N = 1, 11 at N = 2
-    and 3 at N = 3.  A guard that fails names stencil rows; the points
-    they belong to are set aside and the rest are evaluated again.  An
-    error that names no rows sets aside every point of its batch.
+    A batch reads the values of the whole stencils of many points, base
+    rows included, by one ``values_many`` call, and the jets of the base
+    points alone by one ``evaluate_many`` call.  A point counts its
+    stencil's values and its jet's (N+1)² Hessian entries, and a batch
+    holds at most ``_BATCH_ENTRIES`` of them, as in the residual suite:
+    157 points at N = 1, 73 at N = 2 and 41 at N = 3.  A guard that fails
+    names stencil rows; the points they belong to are set aside and the
+    rest are evaluated again.  An error that names no rows sets aside
+    every point of its batch.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be positive and finite, got {h}")
@@ -322,7 +326,7 @@ def fd_point_errors(field, params, coords, h):
     n_rows, rows, axes, signs = _stencil_steps(d)
     steps = signs * h
     iu = np.triu_indices(d, 1)
-    per_batch = max(1, _BATCH_ENTRIES // (n_rows * d * d))
+    per_batch = max(1, _BATCH_ENTRIES // (n_rows + d * d))
     errors = np.full(len(coords), math.inf)
     outside = np.zeros(len(coords), dtype=bool)
 
@@ -330,17 +334,18 @@ def fd_point_errors(field, params, coords, h):
         stencils = np.repeat(points[:, None, :], n_rows, axis=1)
         stencils[:, rows, axes] += steps
         try:
-            jets = field.evaluate_many(params, stencils.reshape(-1, d))
+            values = field.values_many(params, stencils.reshape(-1, d))
         except (DomainError, ArithmeticError) as exc:
             bad = getattr(exc, "rows", None)
             if bad is not None:
                 exc.rows = bad.reshape(-1, n_rows).any(axis=1)
             raise
+        jets = field.evaluate_many(params, points)
         if jets.dim != params.jet_dim:
             raise DimensionMismatch(
                 f"field returned dim {jets.dim}, expected {params.jet_dim}"
             )
-        f = jets.value.reshape(-1, n_rows)
+        f = values.reshape(-1, n_rows)
         f0 = f[:, :1]
         plus, minus = f[:, 1 : 2 * d + 1 : 2], f[:, 2 : 2 * d + 2 : 2]
         fpp, fpm, fmm, fmp = np.moveaxis(f[:, 2 * d + 1 :].reshape(len(f), -1, 4), 2, 0)
@@ -349,7 +354,7 @@ def fd_point_errors(field, params, coords, h):
             (plus - 2.0 * f0 + minus) / (h * h),
             (fpp - fpm - fmp + fmm) / (4.0 * h * h),
         ), axis=1)
-        grad, hess = jets.grad[::n_rows], jets.hess[::n_rows]
+        grad, hess = jets.grad, jets.hess
         exact = np.concatenate(
             (grad, np.diagonal(hess, axis1=1, axis2=2), hess[:, iu[0], iu[1]]), axis=1
         )
@@ -370,7 +375,8 @@ def fd_point_errors(field, params, coords, h):
 def fd_crosscheck(field, params, points, h):
     """Max relative deviation of jet derivatives from central differences
     over ``points``, evaluated by :func:`fd_point_errors`, whose batches
-    hold the whole stencils of many points.
+    read the values of the whole stencils of many points and the jets of
+    their base points.
 
     A non-finite jet entry or stencil value, or an overflow, gives inf.
     A stencil that leaves the field's domain raises DomainError; an empty

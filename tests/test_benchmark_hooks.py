@@ -61,3 +61,17 @@ def test_fd_crosscheck_sets_up(perfbench):
 
     ops, problems = workloads.prepare("fd-crosscheck", 1, cs)
     assert len(ops) == 9 and problems == []
+
+
+def test_fd_crosscheck_ops_meet_the_benchmark_fd_oracle(perfbench):
+    # each family's FD error lies in (0, 1e-4), or in [0, 1e-4) where its
+    # third derivatives vanish, as the benchmark's own check demands
+    cs, _, _ = perfbench
+    import workloads  # on the path while the fixture is live
+
+    ops, _ = workloads.prepare("fd-crosscheck", 1, cs)
+    assert len(ops) == 9
+    for op in ops:
+        err = op.run()
+        assert op.check(err) == [], op.label
+        assert 0.0 <= err < 1e-4, op.label

@@ -21,6 +21,16 @@ def test_seed_and_constant():
     assert not c.grad.any()
 
 
+def test_constant_in_dim_zero_is_a_value_alone():
+    c = jet2.constant(0, 7.0)
+    assert c.value == 7.0 and c.dim == 0
+    assert c.grad.shape == (0,) and c.hess.shape == (0, 0)
+    batch = jet2.constant(0, [1.0, 2.0]) * 3.0
+    assert batch.value.tolist() == [3.0, 6.0] and batch.grad.shape == (2, 0)
+    with pytest.raises(DimensionMismatch):
+        jet2.constant(-1, 7.0)
+
+
 def test_jets_are_immutable():
     a = jet2.seed(2, 0, 1.0)
     with pytest.raises(AttributeError):
@@ -265,16 +275,23 @@ def _stack(jets):
     )
 
 
-def _curved(x, y):
+def _coordinates(x, y, dim):
+    """The coordinate jets at (x, y): seeds in dim 2, values alone in dim 0."""
+    if dim:
+        return jet2.seed(dim, 0, x), jet2.seed(dim, 1, y)
+    return jet2.constant(0, x), jet2.constant(0, y)
+
+
+def _curved(x, y, dim=2):
     """Jets with non-zero gradient and Hessian at the points (x, y)."""
-    jx, jy = jet2.seed(2, 0, x), jet2.seed(2, 1, y)
+    jx, jy = _coordinates(x, y, dim)
     return jx * jy + jx * jx * 0.5 + 1.5 - jy * 0.25, jx - jy * jy
 
 
-def _linear(x, y):
+def _linear(x, y, dim=2):
     """Jets with zero Hessian, so that each output entry is one product and
     a last-bit difference in f0, f1 or f2 stays within a few ulps."""
-    jx, jy = jet2.seed(2, 0, x), jet2.seed(2, 1, y)
+    jx, jy = _coordinates(x, y, dim)
     return jx * 0.75 + jy * 0.25 + 0.125, jy * 0.5 - jx * 0.25
 
 
@@ -327,6 +344,15 @@ def test_batched_combinator_is_pointwise_bitwise(name):
     assert np.array_equal(batch.value, [s.value for s in scalar])
     assert np.array_equal(batch.grad, np.stack([s.grad for s in scalar]))
     assert np.array_equal(batch.hess, np.stack([s.hess for s in scalar]))
+    # in dim 0 the values alone, bit for bit
+    a, b = _curved(x, y, dim=0)
+    if name == "compose":
+        # the outer jet is in as many variables as there are inner jets
+        values = jet2.compose(jet2.mul(*_curved(x, y)), [a, b])
+    else:
+        values = op(a, b)
+    assert values.grad.shape == (len(x), 0) and values.hess.shape == (len(x), 0, 0)
+    assert np.array_equal(values.value, batch.value)
 
 
 @pytest.mark.parametrize("name", sorted(_NUMPY_ELEMENTARY))
@@ -340,6 +366,8 @@ def test_batched_elementary_function_within_4_ulps(name):
     assert _ulps(batch.value, [s.value for s in scalar]) <= 4
     assert _ulps(batch.grad, np.stack([s.grad for s in scalar])) <= 4
     assert _ulps(batch.hess, np.stack([s.hess for s in scalar])) <= 4
+    # in dim 0 the batched values, bit for bit
+    assert np.array_equal(op(*_linear(x, y, dim=0)).value, batch.value)
 
 
 def test_unbatched_jets_keep_float_values():

@@ -115,3 +115,95 @@ def test_empty_batch_through_the_stacking_default():
     empty = _Paraboloid().evaluate_many(params, np.empty((0, 3)))
     assert empty.value.shape == (0,)
     assert empty.grad.shape == (0, 3) and empty.hess.shape == (0, 3, 3)
+
+
+def test_the_bare_base_is_no_field():
+    # its two methods would call each other without end
+    with pytest.raises(TypeError, match="base class"):
+        ScalarField()
+    assert isinstance(_Paraboloid(), ScalarField)
+
+
+def _outcome(evaluate):
+    """(values, None) of a call that returns, or (None, error) of one that
+    raises DomainError or ArithmeticError."""
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate(), None
+    except (DomainError, ArithmeticError) as exc:
+        return None, exc
+
+
+def _probe_rows(params):
+    """Rows at or past the edges of the library's domains: an exp that
+    overflows at t = -800, the axis x = 0 (also where radial-z1 shifts
+    it, to x_1 = -0.5 at t = 1), a pole at x_1 = 0."""
+    n = params.spatial_dim
+    return np.array([
+        [1.0] + [0.0] * n,
+        [1.0, -0.5] + [0.0] * (n - 1),
+        [-800.0] + [0.5] * n,
+        [1.0, 0.0] + [0.5] * (n - 1),
+        [1.0] + [0.5] * (n - 1) + [0.0],
+    ])
+
+
+# the library fields whose probe rows leave their domain or overflow
+_PROBED_OUTSIDE = {"general-yphi", "general-z", "ma-only", "one-dim-z0", "radial-z1",
+                   "z0-linear", "z0-sqrt", "Xn", "Yk", "Yphi", "Rot"}
+
+
+@pytest.mark.parametrize("label,field,params,grid", _LIBRARY, ids=[f[0] for f in _LIBRARY])
+def test_values_many_is_the_value_of_evaluate_many(label, field, params, grid):
+    rows = np.concatenate((grid.coords(), _probe_rows(params)))
+    values, err = _outcome(lambda: field.values_many(params, rows))
+    jets, jet_err = _outcome(lambda: field.evaluate_many(params, rows))
+    # the same guard names the same rows
+    assert (err is None) == (jet_err is None) == (label not in _PROBED_OUTSIDE)
+    while err is not None:
+        assert type(err) is type(jet_err) and str(err) == str(jet_err)
+        assert np.array_equal(err.rows, jet_err.rows)
+        rows = rows[~err.rows]
+        values, err = _outcome(lambda: field.values_many(params, rows))
+        jets, jet_err = _outcome(lambda: field.evaluate_many(params, rows))
+    assert jet_err is None and len(rows) >= 100
+    assert values.shape == (len(rows),)
+    assert values.tobytes() == jets.value.tobytes()
+    for row in rows[:: len(rows) // 5]:
+        one = field.values_many(params, row)
+        assert type(one) is float and one == field.evaluate_many(params, row).value
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_random_field_values_are_the_value_of_its_jets(N):
+    params = ModelParams(N, 2.0)
+    rows = np.random.default_rng(N).uniform(-3.0, 3.0, (500, N + 1))
+    for degree in range(6):
+        field = RandomPolynomialField(7, params, degree)
+        values = field.values_many(params, rows)
+        assert values.tobytes() == field.evaluate_many(params, rows).value.tobytes()
+        assert field.values_many(params, rows[0]) == field.evaluate_many(params, rows[0]).value
+    with pytest.raises(DimensionMismatch):
+        field.values_many(ModelParams(N + 1, 2.0), np.ones((3, N + 2)))
+
+
+class _RightHalf(ScalarField):
+    """The paraboloid for x1 > 0, defining only ``evaluate``."""
+
+    def evaluate(self, params, point):
+        if point.x[0] <= 0.0:
+            raise DomainError("left half plane excluded")
+        return _Paraboloid().evaluate(params, point)
+
+
+def test_evaluate_only_field_values_through_the_default():
+    params = ModelParams(2, 2.0)
+    rows = np.array([[1.0, 0.5, -0.5], [0.3, -1.0, 2.0], [0.2, 2.0, 1.0]])
+    assert _RightHalf().values_many(params, rows[::2]).tolist() == [1.5, 5.2]
+    assert _RightHalf().values_many(params, rows[2]) == 5.2
+    errors = []
+    for evaluate in (_RightHalf().values_many, _RightHalf().evaluate_many):
+        with pytest.raises(DomainError) as info:
+            evaluate(params, rows)
+        errors.append(info.value)
+    assert [e.rows.tolist() for e in errors] == [[False, True, False]] * 2

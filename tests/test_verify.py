@@ -358,34 +358,53 @@ def test_fd_crosscheck_of_many_points_is_the_worst_single_point(name):
 
 
 class _CountingField(ScalarField):
-    """``base``, recording the row count of each ``evaluate_many`` call."""
+    """``base``, recording the rows of each ``values_many`` and each
+    ``evaluate_many`` call."""
 
     def __init__(self, base):
         self.base = base
-        self.calls = []
+        self.value_calls = []
+        self.jet_calls = []
 
     def evaluate(self, params, point):
         raise AssertionError("the FD check evaluates stencils in batches")
 
+    def values_many(self, params, coords):
+        self.value_calls.append(np.array(coords))
+        return self.base.values_many(params, coords)
+
     def evaluate_many(self, params, coords):
-        self.calls.append(len(coords))
+        self.jet_calls.append(np.array(coords))
         return self.base.evaluate_many(params, coords)
 
 
-@pytest.mark.parametrize("N, per_batch", [(1, 56), (2, 11), (3, 3)])
+@pytest.mark.parametrize("N, per_batch", [(1, 157), (2, 73), (3, 41)])
 def test_fd_crosscheck_batches_whole_stencils_of_many_points(N, per_batch):
+    # the values of whole stencils and the jets of their base points only,
+    # under one bound on the entries of a batch
     params = ModelParams(N, 2.0)
     field = _CountingField(RandomPolynomialField(3, params, 3))
     rng = np.random.default_rng(5)
-    points = [Point(t, x) for t, x in
-              zip(rng.uniform(0.6, 1.9, 61), rng.uniform(-0.9, 0.9, (61, N)))]
-    fd_crosscheck(field, params, points, 1e-4)
+    count, h = 331, 1e-4  # a prime, so no batch size divides it
+    coords = np.column_stack(
+        (rng.uniform(0.6, 1.9, count), rng.uniform(-0.9, 0.9, (count, N)))
+    )
+    fd_crosscheck(field, params, [Point(r[0], tuple(r[1:])) for r in coords], h)
     d = N + 1
     stencil = 1 + 2 * d + 2 * d * (d - 1)
-    assert len(field.calls) == -(-61 // per_batch)
-    assert all(rows % stencil == 0 for rows in field.calls)
-    assert max(field.calls) == per_batch * stencil <= _BATCH_ENTRIES // d**2
-    assert sum(field.calls) == 61 * stencil
+    assert per_batch * (stencil + d * d) <= _BATCH_ENTRIES
+    assert (per_batch + 1) * (stencil + d * d) > _BATCH_ENTRIES
+    assert len(field.value_calls) == len(field.jet_calls) == -(-count // per_batch)
+    assert max(len(points) for points in field.jet_calls) == per_batch
+    # every point once, in order, as the base row of its own stencil
+    assert np.array_equal(np.concatenate(field.jet_calls), coords)
+    for rows, points in zip(field.value_calls, field.jet_calls):
+        stencils = rows.reshape(len(points), stencil, d)
+        assert np.array_equal(stencils[:, 0], points)
+        steps = stencils - points[:, None]
+        assert (np.count_nonzero(steps, axis=2) == [0] + [1] * 2 * d
+                + [2] * (stencil - 1 - 2 * d)).all()
+        assert np.allclose(np.abs(steps[steps != 0.0]), h, rtol=1e-6)
 
 
 class _HessianOffBy(ScalarField):
