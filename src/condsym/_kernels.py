@@ -8,23 +8,25 @@ that read values only (the finite-difference stencils).
 import numpy as np
 
 
-def _factors(powers, coeffs, coords):
+def _operands(powers, coeffs, coords):
     """The shared set-up of the polynomial kernels: the exponents ``p``
-    (D, M, 1...), the coefficients ``c`` (M, 1...), the coordinates ``x``
-    (D, 1, P...), ``x**(p - 2)`` by repeated multiplication from 1.0, and
-    the factor ``f = x**p`` of each coordinate in each monomial (D, M,
-    P...): coordinates first, then monomials, then points."""
+    (D, M, 1...), the coefficients ``c`` (M, 1...) and the coordinates
+    ``x`` (D, 1, P...): coordinates first, then monomials, then points."""
     x = np.asarray(coords, dtype=float)
     M, D = np.shape(powers)
     lead = x.shape[:-1]
     p = np.reshape(np.transpose(powers), (D, M) + (1,) * len(lead))
     c = np.asarray(coeffs, dtype=float).reshape(p.shape[1:])
-    x = np.moveaxis(x, -1, 0)[:, None]
-    xpm2 = np.ones((D, M) + lead)
+    return p, c, np.moveaxis(x, -1, 0)[:, None]
+
+
+def _factor(p, x):
+    """``x**(p - 2)`` by repeated multiplication from 1.0, and ``x**p``, for
+    the ``p`` and ``x`` of :func:`_operands` or for one coordinate's rows of them."""
+    xpm2 = np.ones(np.broadcast_shapes(p.shape, x.shape))
     for r in range(int(p.max(initial=2)) - 2):
         xpm2 = np.where(p - 2 > r, xpm2 * x, xpm2)
-    f = np.where(p == 0, 1.0, np.where(p == 1, x, xpm2 * x * x))
-    return p, c, x, xpm2, f
+    return xpm2, np.where(p == 0, 1.0, np.where(p == 1, x, xpm2 * x * x))
 
 
 def _sum_monomials(terms):
@@ -52,7 +54,8 @@ def poly_jet(powers, coeffs, coords):
     a batch is bit for bit its own call.  The (j, i) Hessian slot copies
     the (i, j) one, so the Hessian is exactly symmetric.
     """
-    p, c, x, xpm2, f = _factors(powers, coeffs, coords)
+    p, c, x = _operands(powers, coeffs, coords)
+    xpm2, f = _factor(p, x)
     D, M = p.shape[:2]
     lead = f.shape[2:]
     # first and second derivative of each x_i**p in each monomial
@@ -82,12 +85,13 @@ def poly_jet(powers, coeffs, coords):
 def poly_value(powers, coeffs, coords):
     """The value entry of :func:`poly_jet` alone, bit for bit: a float
     for one row (D,), a (P,) array for rows (P, D).  Each monomial is its
-    coefficient times the factors of the coordinates in ascending index
-    order, and the monomials are summed in table order from 0.0."""
-    _, c, _, _, f = _factors(powers, coeffs, coords)
+    coefficient times the factors of the coordinates, multiplied in one
+    coordinate at a time in ascending order (no (D, M, P) array is held),
+    and the monomials are summed in table order from 0.0."""
+    p, c, x = _operands(powers, coeffs, coords)
     term = c
-    for factor in f:
-        term = term * factor
+    for pk, xk in zip(p, x):
+        term = term * _factor(pk, xk)[1]
     total = _sum_monomials(term)
     return total if total.ndim else float(total)
 

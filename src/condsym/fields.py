@@ -77,8 +77,7 @@ class ScalarField:
 
     def evaluate(self, params, point):
         """The unbatched Jet2 of the field at ``point``, in dim N + 1."""
-        check_point(params, point)
-        return self.evaluate_many(params, point.coords())
+        return self.evaluate_many(params, check_coords(params, point.coords()))
 
     def evaluate_many(self, params, coords):
         """The Jet2 of the field at ``coords``: one row (N + 1,) gives an
@@ -139,23 +138,16 @@ def _batch_error(failed, count):
 def check_coords(params, coords):
     """``coords`` as a float array, or :class:`DimensionMismatch` unless
     its shape is one row (N + 1,) or rows (P, N + 1)."""
-    coords = np.asarray(coords, dtype=float)
+    try:
+        coords = np.asarray(coords, dtype=float)
+    except ValueError as exc:  # rows of unequal lengths
+        raise DimensionMismatch(f"coords do not form an array: {exc}") from None
     if coords.ndim not in (1, 2) or coords.shape[-1] != params.jet_dim:
         raise DimensionMismatch(
             f"coords have shape {coords.shape}, expected ({params.jet_dim},) "
             f"or (P, {params.jet_dim})"
         )
     return coords
-
-
-def check_point(params, point):
-    """Raise :class:`DimensionMismatch` unless ``point`` has N spatial
-    coordinates."""
-    if len(point.x) != params.spatial_dim:
-        raise DimensionMismatch(
-            f"point has {len(point.x)} spatial coordinates, expected "
-            f"{params.spatial_dim}"
-        )
 
 
 @dataclass(frozen=True)
@@ -417,7 +409,6 @@ __all__ = [
     "Point",
     "ScalarField",
     "check_coords",
-    "check_point",
     "ProfileFunction",
     "parse_finite",
     "parse_profile",

@@ -43,6 +43,10 @@ def w1_matrix(jet):
     return m
 
 
+def _spatial_hessian(jet):
+    return jet.hess[..., 1:, 1:]
+
+
 def w1(jet, params):
     _require_dim(jet, params)
     return det(w1_matrix(jet))
@@ -50,7 +54,7 @@ def w1(jet, params):
 
 def monge_ampere(jet, params):
     _require_dim(jet, params)
-    return det(jet.hess[..., 1:, 1:])
+    return det(_spatial_hessian(jet))
 
 
 def diffusion_residual(jet, params):
@@ -194,29 +198,36 @@ class HarmonicPhi:
         return self.jet(jet2.seed(2, 0, w1_val), jet2.seed(2, 1, w2_val))
 
 
-def evaluate_residual(kind, jet, params, g=None):
-    """Dispatch a residual of a field jet by kind."""
-    if kind is ResidualKind.DIFFUSION:
-        return diffusion_residual(jet, params)
-    if kind is ResidualKind.MONGE_AMPERE:
-        return monge_ampere(jet, params)
-    if kind is ResidualKind.GENERAL_INVARIANT:
-        if g is None:
-            raise ValueError("general-invariant residual needs a callback g")
-        return general_residual(jet, params, g)
-    raise ValueError(f"unknown residual kind {kind!r}")
+def _general_invariant(jet, params):
+    return general_residual(jet, params, diffusion_gcallback(params))
+
+
+# each kind's residual, and the matrix whose entries scale it; the class
+# residual of general-invariant is checked for the diffusion member's g
+_RULES = {
+    ResidualKind.DIFFUSION: (diffusion_residual, w1_matrix),
+    ResidualKind.GENERAL_INVARIANT: (_general_invariant, w1_matrix),
+    ResidualKind.MONGE_AMPERE: (monge_ampere, _spatial_hessian),
+}
+
+
+def _rule(kind):
+    if kind not in _RULES:
+        raise ValueError(f"unknown residual kind {kind!r}")
+    return _RULES[kind]
+
+
+def evaluate_residual(kind, jet, params):
+    """The residual of a field jet for ``kind``."""
+    return _rule(kind)[0](jet, params)
 
 
 def residual_scale(kind, jet, params):
     """Normalization (1 + max |matrix entry|) ** size for the kind's
     matrix, one per point on a batch."""
-    if kind is ResidualKind.MONGE_AMPERE:
-        entries = np.max(np.abs(jet.hess[..., 1:, 1:]), axis=(-2, -1))
-        size = params.spatial_dim
-    else:
-        entries = np.max(np.abs(w1_matrix(jet)), axis=(-2, -1))
-        size = params.spatial_dim + 1
-    return jet2.rpow(1.0 + entries, size)
+    matrix = _rule(kind)[1](jet)
+    entries = np.max(np.abs(matrix), axis=(-2, -1))
+    return jet2.rpow(1.0 + entries, matrix.shape[-1])
 
 
 __all__ = [

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import jet2
 from .errors import BranchError, DimensionMismatch
-from .fields import Point, ProfileFunction, ScalarField, check_coords, check_point
+from .fields import Point, ProfileFunction, ScalarField, check_coords
 from .jet2 import Jet2
 from .operators import monge_ampere, w1
 
@@ -200,8 +200,7 @@ def _image(g, params, coords):
 def transform_point(g, params, p):
     """Apply a group element to a point; also return the spatial scale A
     (the field scales by A; 1 for every element but Xn)."""
-    check_point(params, p)
-    (t, *x), a_val = _image(g, params, p.coords())
+    (t, *x), a_val = _image(g, params, check_coords(params, p.coords()))
     return Point(t, x), a_val
 
 

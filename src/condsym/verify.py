@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .fields import Point, check_coords, check_point
+from .fields import Point, check_coords
 from .operators import evaluate_residual, residual_scale
 
 
@@ -80,9 +80,8 @@ class ResidualReport:
 
     ``max_abs`` and ``rms`` are scale-normalized; the raw maximum is
     kept in ``raw_max_abs`` for diagnostics and is not serialized.
-    A report passes iff at least one point was evaluated, every evaluated
-    residual and scale is finite, the normalized maximum is within
-    tolerance, and no more than half the grid was excluded.
+    A report passes iff every evaluated residual and scale is finite and
+    the normalized maximum meets :func:`verdict`.
     """
 
     equation: str
@@ -115,6 +114,14 @@ def within_tolerance(gap, tol):
     """The pass rule of every check: a finite gap of at most ``tol``, so
     that a NaN gap fails even at an infinite ``tol``."""
     return math.isfinite(gap) and gap <= tol
+
+
+def verdict(evaluated, excluded, gap, tol):
+    """The pass rule of a check over samples: at least one sample
+    evaluated, no more than half of them excluded, and the worst gap
+    within tolerance."""
+    return (evaluated > 0 and excluded <= 0.5 * (evaluated + excluded)
+            and within_tolerance(gap, tol))
 
 
 class _Tally:
@@ -162,12 +169,7 @@ class _Tally:
 
     def report(self, equation, family, tol):
         evaluated, excluded = self.evaluated, self.excluded
-        ok = bool(
-            self.finite
-            and evaluated > 0
-            and within_tolerance(self.max_norm, tol)
-            and excluded <= 0.5 * (evaluated + excluded)
-        )
+        ok = self.finite and verdict(evaluated, excluded, self.max_norm, tol)
         return ResidualReport(
             equation=equation,
             family=family,
@@ -187,9 +189,18 @@ class _Tally:
 _BATCH_ENTRIES = 2048
 
 
-def _batch_rows(params):
-    """The rows of one batch of jets in dimension N + 1."""
-    return max(1, _BATCH_ENTRIES // params.jet_dim**2)
+def _batch_rows(params, values=0):
+    """The rows of one batch: each holds a jet in dim N + 1 and ``values`` more numbers."""
+    return max(1, _BATCH_ENTRIES // (values + params.jet_dim**2))
+
+
+def field_jets(field, params, rows):
+    """``field.evaluate_many`` at ``rows``, or DimensionMismatch unless
+    the field returned jets in dimension N + 1."""
+    jets = field.evaluate_many(params, rows)
+    if jets.dim != params.jet_dim:
+        raise DimensionMismatch(f"field returned dim {jets.dim}, expected {params.jet_dim}")
+    return jets
 
 
 def _guarded(compute, count):
@@ -219,7 +230,7 @@ def _guarded(compute, count):
     return None, keep, excluded, overflowed
 
 
-def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
+def run_residual_suite(field, kinds, params, grid, tol, family_id=None):
     """One ResidualReport per kind; domain errors count as exclusions,
     overflows as non-finite evaluations.
 
@@ -238,21 +249,12 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
     tallies = [_Tally() for _ in kinds]
     coords = grid.coords()
     step = _batch_rows(params)
-
-    def field_rows(batch):
-        jets = field.evaluate_many(params, batch)
-        if jets.dim != params.jet_dim:
-            raise DimensionMismatch(
-                f"field returned dim {jets.dim}, expected {params.jet_dim}"
-            )
-        return jets
-
     # a non-finite value is counted in its report, not raised as a warning
     with np.errstate(all="ignore"):
         for start in range(0, len(coords), step):
             batch = coords[start : start + step]
             jets, keep, excluded, overflowed = _guarded(
-                lambda rows: field_rows(batch[rows]), len(batch)
+                lambda rows: field_jets(field, params, batch[rows]), len(batch)
             )
             for tally in tallies:
                 tally.set_aside(excluded, overflowed)
@@ -263,7 +265,7 @@ def run_residual_suite(field, kinds, params, grid, tol, g=None, family_id=None):
 
                 def residual(rows):
                     sub = jets.take(rows)
-                    return (evaluate_residual(kind, sub, params, g),
+                    return (evaluate_residual(kind, sub, params),
                             residual_scale(kind, sub, params))
 
                 out, rows, excluded, overflowed = _guarded(residual, len(keep))
@@ -326,7 +328,7 @@ def fd_point_errors(field, params, coords, h):
     n_rows, rows, axes, signs = _stencil_steps(d)
     steps = signs * h
     iu = np.triu_indices(d, 1)
-    per_batch = max(1, _BATCH_ENTRIES // (n_rows + d * d))
+    per_batch = _batch_rows(params, n_rows)
     errors = np.full(len(coords), math.inf)
     outside = np.zeros(len(coords), dtype=bool)
 
@@ -340,11 +342,7 @@ def fd_point_errors(field, params, coords, h):
             if bad is not None:
                 exc.rows = bad.reshape(-1, n_rows).any(axis=1)
             raise
-        jets = field.evaluate_many(params, points)
-        if jets.dim != params.jet_dim:
-            raise DimensionMismatch(
-                f"field returned dim {jets.dim}, expected {params.jet_dim}"
-            )
+        jets = field_jets(field, params, points)
         f = values.reshape(-1, n_rows)
         f0 = f[:, :1]
         plus, minus = f[:, 1 : 2 * d + 1 : 2], f[:, 2 : 2 * d + 2 : 2]
@@ -385,8 +383,6 @@ def fd_crosscheck(field, params, points, h):
     """
     if not points:
         raise ValueError("fd_crosscheck needs at least one point")
-    for p in points:
-        check_point(params, p)
     errors, outside = fd_point_errors(
         field, params, [(p.t,) + p.x for p in points], h
     )
@@ -396,5 +392,5 @@ def fd_crosscheck(field, params, points, h):
     return float(errors.max())
 
 
-__all__ = ["GridSpec", "ResidualReport", "within_tolerance", "run_residual_suite",
-           "fd_point_errors", "fd_crosscheck"]
+__all__ = ["GridSpec", "ResidualReport", "within_tolerance", "verdict", "field_jets",
+           "run_residual_suite", "fd_point_errors", "fd_crosscheck"]

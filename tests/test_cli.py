@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condsym import cli, fields, verify
+from condsym import cli, fields, jet2, verify
 from condsym.cli import (
     CLIError,
     family_spec,
@@ -457,6 +457,17 @@ def test_identity_runs_in_bounded_batches(capsys, monkeypatch, argv, spatial_dim
     assert len(excluding) > 1 if "--eps" in argv else not excluding
 
 
+def test_identity_refuses_jets_of_the_wrong_dimension(capsys, monkeypatch):
+    class WrongDim(cli.RandomPolynomialField):
+        def evaluate_many(self, params, coords):
+            return jet2.constant(params.jet_dim + 1, np.zeros(len(coords)))
+
+    monkeypatch.setattr(cli, "RandomPolynomialField", WrongDim)
+    code, out, err = run_cli(capsys, "identity", "--seed", "3", "--points", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: field returned dim 4, expected 3\n"
+
+
 def test_identity_non_finite_gap_fails_closed(capsys):
     # the mixed determinants overflow, so the identity gap is NaN; the row
     # reports it as inf, and the JSON spells inf as a string
@@ -757,6 +768,20 @@ def test_commutators_non_finite_gap_fails_closed(capsys, monkeypatch):
         assert code == 1
         rows = json.loads(out)
         assert rows and all(r["gap"] == "Infinity" and r["pass"] is False for r in rows)
+
+
+@pytest.mark.parametrize("argv, overflowed", [
+    # a structure constant z*(m - n) past the float range
+    (("--n=0..2", "--k=0..0", "--N", "1", "--z", "1e308"), {("X(0)", "X(1)")}),
+    # t**n at t = 0.7 past the float range
+    (("--n=-2000..-1999", "--k=0..0", "--N", "1"), {("X(-2000)", "X(-1999)")}),
+])
+def test_commutators_overflow_fails_closed(capsys, argv, overflowed):
+    code, out, err = run_cli(capsys, "commutators", *argv)
+    assert code == 1 and err.count("\n") == 1 and "passed" in err
+    rows = {(r["g1"], r["g2"]): r for r in json.loads(out)}
+    for pair in overflowed:
+        assert rows[pair]["gap"] == "Infinity" and rows[pair]["pass"] is False
 
 
 def test_commutators_zero_gap_passes_at_zero_tolerance(capsys):

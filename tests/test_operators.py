@@ -105,11 +105,16 @@ def test_general_residual_recovers_diffusion():
     )
 
 
-def test_general_residual_requires_callback():
-    f = random_polynomial_function(9, 3, 2)
-    j = f.at(np.array([1.0, 0.4, -0.3]))
-    with pytest.raises(ValueError):
-        evaluate_residual(ResidualKind.GENERAL_INVARIANT, j, P2, None)
+@pytest.mark.parametrize("params", [P2, ModelParams(2, 0.0), ModelParams(3, 0.5)])
+def test_general_invariant_kind_is_the_diffusion_member(params):
+    # the kind runs general_residual with diffusion_gcallback, bit for bit,
+    # at one point and on a batch (at z = 0, N = 2 the u_a**2 term drops)
+    f = random_polynomial_function(9, params.jet_dim, 3)
+    rows = np.random.default_rng(2).uniform(0.2, 1.0, (7, params.jet_dim))
+    g = diffusion_gcallback(params)
+    for j in (f.at(rows[0]), f.at(rows)):
+        got = evaluate_residual(ResidualKind.GENERAL_INVARIANT, j, params)
+        assert np.asarray(got).tobytes() == np.asarray(general_residual(j, params, g)).tobytes()
 
 
 def test_diffusion_domain_error_on_negative_u():

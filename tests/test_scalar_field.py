@@ -95,6 +95,14 @@ def test_bad_shapes_are_dimension_mismatches(label, field, params, grid):
             field.evaluate_many(params, np.ones(shape))
 
 
+@pytest.mark.parametrize("label,field,params,grid", _LIBRARY, ids=[f[0] for f in _LIBRARY])
+def test_a_point_of_the_wrong_dimension_is_refused(label, field, params, grid):
+    n = params.spatial_dim
+    for x in ((0.5,) * (n - 1), (0.5,) * (n + 1)):
+        with pytest.raises(DimensionMismatch):
+            field.evaluate(params, Point(1.0, x))
+
+
 def test_evaluate_only_field_answers_one_row_and_rows():
     params = ModelParams(2, 2.0)
     field = _Paraboloid()

@@ -99,6 +99,17 @@ def test_element_dimension_checks():
         )
 
 
+@pytest.mark.parametrize("g", [
+    Xn(1, 0.01), Yk(1, (0.5, 0.5)), Yphi((parse_profile("const:1"),) * 2, (1.0, 2.0)),
+    Rot(1, 2, 0.1),
+], ids=["Xn", "Yk", "Yphi", "Rot"])
+def test_transform_point_refuses_a_point_of_the_wrong_dimension(g):
+    # act checks nothing itself: Yk would zip a short x down to its length
+    for x in ((0.3,), (0.3, 0.4, 0.5)):
+        with pytest.raises(DimensionMismatch):
+            transform_point(g, P2, Point(1.0, x))
+
+
 def _group_elements():
     sin_prof = parse_profile("sin:1,1,0")
     const_prof = parse_profile("const:1")

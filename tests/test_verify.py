@@ -16,12 +16,7 @@ from condsym.fields import (
     ScalarField,
     parse_profile,
 )
-from condsym.operators import (
-    ResidualKind,
-    diffusion_gcallback,
-    evaluate_residual,
-    residual_scale,
-)
+from condsym.operators import ResidualKind, evaluate_residual, residual_scale
 from condsym.solutions import (
     DEFAULT_FAMILIES,
     OneDimGeneric,
@@ -181,6 +176,35 @@ def test_non_finite_residual_fails(finite, passed):
     )
     assert report.points_evaluated == grid.total_points
     assert report.passed is passed
+
+
+class _WrongDim(ScalarField):
+    """Jets in one dimension too many."""
+
+    def evaluate_many(self, params, coords):
+        return jet2.constant(params.jet_dim + 1, np.zeros(len(coords)))
+
+
+@pytest.mark.parametrize("run", [
+    lambda f, grid: run_residual_suite(f, [ResidualKind.DIFFUSION], P2, grid, 1e-8),
+    lambda f, grid: fd_point_errors(f, P2, grid.coords(), 1e-4),
+], ids=["suite", "fd"])
+def test_jets_of_the_wrong_dimension_are_refused(run):
+    grid = GridSpec((0.5, 1.0, 2), ((0.5, 1.0, 2),) * 2)
+    with pytest.raises(DimensionMismatch, match="field returned dim 4, expected 3"):
+        run(_WrongDim(), grid)
+
+
+@pytest.mark.parametrize("xs", [
+    [(0.1,)],
+    [(0.1, 0.2, 0.3)],
+    [(0.1, 0.2), (0.1,)],
+    [(0.1, 0.2), (0.1, 0.2, 0.3), (0.1, 0.2)],
+], ids=["short", "long", "mixed-short", "mixed-long"])
+def test_fd_crosscheck_refuses_points_of_the_wrong_dimension(xs):
+    field = RandomPolynomialField(3, P2, 3)
+    with pytest.raises(DimensionMismatch):
+        fd_crosscheck(field, P2, [Point(1.0, x) for x in xs], 1e-4)
 
 
 def test_grid_params_dim_mismatch():
@@ -480,7 +504,7 @@ def test_within_tolerance_is_one_rule():
         assert not within_tolerance(gap, math.inf)
 
 
-def _residual_suite_scalar_loop(field, kinds, params, grid, tol, g=None):
+def _residual_suite_scalar_loop(field, kinds, params, grid, tol):
     """The reference: the per-point driver, one scalar jet per grid point,
     reduced by running aggregates in grid order.  Returns, per kind,
     (points_evaluated, points_excluded, max_abs, rms, worst_point, passed)."""
@@ -509,7 +533,7 @@ def _residual_suite_scalar_loop(field, kinds, params, grid, tol, g=None):
             continue
         for kind, tally in zip(kinds, tallies):
             try:
-                raw = evaluate_residual(kind, jet, params, g)
+                raw = evaluate_residual(kind, jet, params)
                 scale = residual_scale(kind, jet, params)
             except DomainError:
                 tally["ex"] += 1
@@ -589,10 +613,9 @@ _CASES = _parity_cases()
 def test_residual_suite_matches_scalar_loop(name):
     make, params, grid = _CASES[name]
     kinds = list(ResidualKind)
-    g = diffusion_gcallback(params)
-    got = run_residual_suite(make(), kinds, params, grid, 1e-8, g=g)
+    got = run_residual_suite(make(), kinds, params, grid, 1e-8)
     with np.errstate(all="ignore"):
-        want = _residual_suite_scalar_loop(make(), kinds, params, grid, 1e-8, g=g)
+        want = _residual_suite_scalar_loop(make(), kinds, params, grid, 1e-8)
     for report, (ev, ex, max_abs, rms, worst, passed) in zip(got, want):
         assert (report.points_evaluated, report.points_excluded, report.passed) == (
             ev, ex, passed), report.equation
