@@ -10,6 +10,7 @@ across runs for identical arguments.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -50,8 +51,7 @@ from .symmetry import (
     pushforward_identity_gap,
     xn_transport,
 )
-from .verify import (GridSpec, _guarded, _batch_rows, fd_point_errors, field_jets,
-                     run_residual_suite, verdict, within_tolerance)
+from .verify import GridSpec, Tally, fd_point_errors, run_residual_suite, scan, within_tolerance
 
 
 class CLIError(ValueError):
@@ -352,11 +352,6 @@ def emit(rows, fmt, out=None):
         writer.writerow({k: _csv_cell(row.get(k)) for k in fieldnames})
 
 
-def _worst(worst, gap):
-    """Running maximum of gaps that fails closed: a non-finite gap is inf."""
-    return max(worst, gap) if math.isfinite(gap) else math.inf
-
-
 def _summarize(rows, what):
     ok = sum(1 for r in rows if r.get("pass"))
     print(f"{what}: {ok}/{len(rows)} passed", file=sys.stderr)
@@ -415,44 +410,30 @@ def cmd_identity(args):
     n_lo, n_hi = parse_range(args.n)
     coords = _identity_samples(args.seed, args.points, params.spatial_dim)
     elements = [Xn(n, args.eps) for n in range(n_lo, n_hi + 1)]
-    # per element: rows out of branch, and the worst identity gap,
-    # derivative-law gap and obstruction term, carried batch after batch
-    excluded = [0] * len(elements)
-    worst = [[0.0] * 3 for _ in elements]
-    step = _batch_rows(params)
-    for start in range(0, len(coords), step):
-        batch = coords[start : start + step]
-        base = field_jets(field, params, batch)
-        for i, element in enumerate(elements):
 
-            def gaps(keep):
-                tr = xn_transport(element, params, field, batch[keep], base.take(keep))
-                return (pushforward_identity_gap(tr), derivative_law_gap(tr),
-                        np.abs(obstruction_term(tr)))
+    def laws(element, points, jets):
+        tr = xn_transport(element, params, field, points, jets)
+        return ((pushforward_identity_gap(tr), 1.0), (derivative_law_gap(tr), 1.0),
+                (obstruction_term(tr), 1.0))
 
-            # out-of-branch rows are excluded; a row past the float range
-            # counts as evaluated and makes every gap inf
-            out, _, out_of_branch, overflowed = _guarded(gaps, len(batch))
-            excluded[i] += int(out_of_branch.sum())
-            for k, v in enumerate(out or (np.zeros(0),) * 3):
-                gap = math.inf if overflowed.any() else float(v.max(initial=0.0))
-                worst[i][k] = _worst(worst[i][k], gap)
-    rows = []
-    for element, dropped, (id_gap, law_gap, obs_max) in zip(elements, excluded, worst):
-        evaluated = len(coords) - dropped
-        rows.append(
-            {
-                "n": element.n,
-                "z": args.z,
-                "N": args.N,
-                "eps": args.eps,
-                "points": evaluated,
-                "identity_gap": id_gap,
-                "derivative_gap": law_gap,
-                "obstruction_max": obs_max,
-                "pass": verdict(evaluated, dropped, max(id_gap, law_gap), args.tol),
-            }
-        )
+    # per element, the identity gap, derivative-law gap and obstruction term;
+    # out-of-branch rows are excluded, and overflowed rows make every gap inf
+    tallies = [(Tally(), Tally(), Tally()) for _ in elements]
+    scan(field, params, coords, [functools.partial(laws, e) for e in elements], tallies)
+    rows = [
+        {
+            "n": element.n,
+            "z": args.z,
+            "N": args.N,
+            "eps": args.eps,
+            "points": identity.evaluated,
+            "identity_gap": identity.gap,
+            "derivative_gap": law.gap,
+            "obstruction_max": obstruction.gap,
+            "pass": identity.passed(args.tol) and law.passed(args.tol),
+        }
+        for element, (identity, law, obstruction) in zip(elements, tallies)
+    ]
     emit(rows, args.format)
     return _summarize(rows, "identity")
 
@@ -484,9 +465,9 @@ def cmd_commutators(args):
         for g2 in gens[i + 1 :]:
             try:
                 expected = expected_commutator(g1, g2, params)
-                gap = 0.0
-                for y in points:
-                    gap = _worst(gap, commutator_gap(g1, g2, expected, params, y))
+                gaps = [commutator_gap(g1, g2, expected, params, y) for y in points]
+                # fails closed: a non-finite gap is inf
+                gap = max(0.0, *gaps) if all(map(math.isfinite, gaps)) else math.inf
             except ArithmeticError:  # a structure constant or a coefficient overflowed
                 gap = math.inf
             rows.append(
@@ -518,34 +499,30 @@ def cmd_fd_check(args):
     rng = np.random.default_rng(seed + 77)
     n = params.spatial_dim
     lo, hi = [0.6] + [-0.9] * n, [1.9] + [0.9] * n
-    accepted = 0
-    worst = 0.0
+    tally = Tally()
     attempts = 0
     limit = 200 * args.points
-    while accepted < args.points and attempts < limit:
+    while tally.evaluated < args.points and attempts < limit:
         # as many candidates as points are still needed, so that every
         # candidate drawn counts as an attempt; a row (t, x) reads the
         # generator's doubles in the order one point after another does
-        count = min(args.points - accepted, limit - attempts)
-        errors, outside = fd_point_errors(
-            field, params, rng.uniform(lo, hi, size=(count, n + 1)), args.h
-        )
+        count = min(args.points - tally.evaluated, limit - attempts)
+        candidates = rng.uniform(lo, hi, size=(count, n + 1))
+        errors, outside = fd_point_errors(field, params, candidates, args.h)
         attempts += count
-        inside = errors[~outside]
-        accepted += inside.size
-        worst = float(inside.max(initial=worst))
-    if accepted < args.points:
+        tally.add(candidates[~outside], errors[~outside])
+    if tally.evaluated < args.points:
         raise CLIError(
             f"could not find {args.points} interior points "
-            f"(accepted {accepted} of {attempts} candidates)"
+            f"(accepted {tally.evaluated} of {attempts} candidates)"
         )
     rows = [
         {
             "target": args.family if args.family is not None else args.field,
             "h": args.h,
-            "points": accepted,
-            "max_rel_err": worst,
-            "pass": within_tolerance(worst, args.tol),
+            "points": tally.evaluated,
+            "max_rel_err": tally.gap,
+            "pass": tally.passed(args.tol),
         }
     ]
     emit(rows, args.format)

@@ -155,13 +155,9 @@ class HarmonicPhi:
     seeds are rejected.
     """
 
-    def __init__(self, f, g, z):
+    def __init__(self, f, z):
         if not isinstance(f, ProfileFunction):
             raise TypeError("f must be a ProfileFunction")
-        if f != g:
-            raise DomainError(
-                "conjugate symmetry requires the two seeds to coincide"
-            )
         if f.kind == "sin":
             raise DomainError("sin seeds do not keep real coefficients")
         self.f = f

@@ -1,17 +1,17 @@
-"""Grid construction, residual aggregation and FD cross-validation.
+"""Grid construction, the batch walk and reduction of checks, and FD
+cross-validation.
 
-The residual suite walks a grid as a (P, N+1) array of coordinate rows
-and evaluates it in bounded batches of rows: one ``evaluate_many`` of
-the field per batch, then each residual kind and its scale on the
-stacked jets.  A guard that fails on a batch names its bad rows; those
-rows are counted as excluded (or as overflowed) one by one, and the
-others are evaluated again.  The FD cross-check reads the values alone
-of the whole stencils of many points, by one ``values_many`` call, and
-the jets of their base points, by one ``evaluate_many``, under the same
-bound on a batch, and sets aside the points whose stencil rows a guard
-names.  Traversal and reduction orders are fixed (grid order, sums
-carried row after row), so every report is bitwise reproducible for
-identical inputs.
+``scan`` walks (P, N+1) coordinate rows in bounded batches: one
+``evaluate_many`` of the field per batch, then each check (a residual
+kind, or the laws of one Xn) on the stacked jets.  A guard that fails on
+a batch names its bad rows; those rows are counted as excluded (or as
+overflowed), and the others are evaluated again.  A ``Tally`` reduces
+the gaps of each check to counts, a worst gap and a pass.  The FD
+cross-check reads the values alone of the whole stencils of many points
+and the jets of their base points under the same bound on a batch, and
+sets aside the points whose stencil rows a guard names.  Traversal and
+reduction orders are fixed (sample order, sums carried row after row),
+so every report is bitwise reproducible for identical inputs.
 """
 
 import itertools
@@ -70,18 +70,12 @@ class GridSpec:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _point(row):
-    return Point(row[0], tuple(row[1:]))
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Aggregate of one residual kind over one grid.
 
     ``max_abs`` and ``rms`` are scale-normalized; the raw maximum is
     kept in ``raw_max_abs`` for diagnostics and is not serialized.
-    A report passes iff every evaluated residual and scale is finite and
-    the normalized maximum meets :func:`verdict`.
     """
 
     equation: str
@@ -116,82 +110,96 @@ def within_tolerance(gap, tol):
     return math.isfinite(gap) and gap <= tol
 
 
-def verdict(evaluated, excluded, gap, tol):
-    """The pass rule of a check over samples: at least one sample
-    evaluated, no more than half of them excluded, and the worst gap
-    within tolerance."""
-    return (evaluated > 0 and excluded <= 0.5 * (evaluated + excluded)
-            and within_tolerance(gap, tol))
-
-
-class _Tally:
-    """Running aggregates of one residual kind, in grid order."""
+class Tally:
+    """The reduction of one check's gaps, in sample order: counts, the
+    worst normalized gap and its sample, the rms and the largest raw gap."""
 
     def __init__(self):
-        self.evaluated = 0
-        self.excluded = 0
+        self.evaluated = self.excluded = 0
         self.max_norm = 0.0
-        self.max_raw = 0.0
-        self.sumsq = 0.0
-        self.worst = None
         self.finite = True
+        self._best = None  # (rows, normalized gaps) of the batch that set max_norm
+        self._sumsq, self._max_raw, self._last = 0.0, 0.0, None
 
     def set_aside(self, excluded, overflowed):
         """Count the rows of two boolean masks: outside the domain, and
-        past the float range (a non-finite result)."""
-        self.excluded += int(excluded.sum())
-        overflows = int(overflowed.sum())
+        past the float range, which count as evaluated and not finite."""
+        self.excluded += int(np.count_nonzero(excluded))
+        overflows = int(np.count_nonzero(overflowed))
         self.evaluated += overflows
         self.finite = self.finite and not overflows
 
-    def add(self, points, raw, scale):
-        """Rows in grid order: coordinates (k, N+1), raw residuals and
-        scales (k,)."""
+    def add(self, points, raw, scale=1.0):
+        """Rows in sample order: coordinates (k, N+1), raw gaps and their
+        scales (k,), or one float scale for every row."""
         size = np.abs(raw)
+        if not size.size:
+            return
         norm = size / scale
+        top = np.maximum.reduce(norm)  # NaN where any row is
         self.evaluated += norm.size
-        self.finite = self.finite and bool(
-            np.isfinite(raw).all() and np.isfinite(scale).all()
-        )
-        # np.cumsum adds one row after another, as a running sum does;
-        # np.sum may add pairwise
-        self.sumsq = float(np.cumsum(np.append(self.sumsq, norm * norm))[-1])
-        larger = size[size > self.max_raw]
-        if larger.size:
-            self.max_raw = float(larger.max())
-        if self.worst is None:
+        scale_ok = math.isfinite(scale) if isinstance(scale, float) else np.isfinite(scale).all()
+        self.finite = self.finite and math.isfinite(top) and bool(scale_ok)
+        self._fold()
+        self._last = (size, norm)
+        if top != top:  # a NaN row never is the worst
+            top = np.fmax.reduce(norm)
+        if self._best is None:
             # the first row sets the maximum, even a NaN that no row beats
-            self.max_norm, self.worst = float(norm[0]), _point(points[0])
-        # the first row that reaches the maximum; a NaN never does
-        k = int(np.argmax(np.where(np.isnan(norm), -np.inf, norm)))
-        if norm[k] > self.max_norm:
-            self.max_norm, self.worst = float(norm[k]), _point(points[k])
+            self.max_norm, self._best = float(norm[0]), (points, norm)
+        if top > self.max_norm:
+            self.max_norm, self._best = float(top), (points, norm)
 
-    def report(self, equation, family, tol):
-        evaluated, excluded = self.evaluated, self.excluded
-        ok = self.finite and verdict(evaluated, excluded, self.max_norm, tol)
-        return ResidualReport(
-            equation=equation,
-            family=family,
-            points_evaluated=evaluated,
-            points_excluded=excluded,
-            max_abs=self.max_norm,
-            rms=math.sqrt(self.sumsq / evaluated) if evaluated else 0.0,
-            worst_point=self.worst,
-            tolerance=tol,
-            passed=ok,
-            raw_max_abs=self.max_raw,
-        )
+    def _fold(self):
+        """Carry the last batch into the sums that only :meth:`spread` reads."""
+        if self._last is not None:
+            size, norm = self._last
+            # one row after another, as a running sum adds; np.sum may not
+            squares = norm * norm
+            squares[0] += self._sumsq
+            self._sumsq = float(np.add.accumulate(squares)[-1])
+            self._max_raw = max(self._max_raw, float(np.fmax.reduce(size)))  # NaN rows left out
+            self._last = None
+
+    def spread(self):
+        """(root mean square of the normalized gaps, largest raw gap)."""
+        self._fold()
+        return (math.sqrt(self._sumsq / self.evaluated) if self.evaluated else 0.0), self._max_raw
+
+    @property
+    def worst(self):
+        """The first sample that reaches the worst gap, as a Point, or None."""
+        if self._best is None:
+            return None
+        points, norm = self._best
+        # no row equals a NaN maximum, which only the first row sets
+        row = points[int(np.argmax(norm == self.max_norm))]
+        return Point(row[0], tuple(row[1:]))
+
+    @property
+    def gap(self):
+        """The worst normalized gap, or inf once a gap was not finite."""
+        return self.max_norm if self.finite else math.inf
+
+    def passed(self, tol):
+        """The pass rule of every check over samples: some evaluated, at
+        most half excluded, and the worst gap within tolerance."""
+        return (self.evaluated > 0
+                and self.excluded <= 0.5 * (self.evaluated + self.excluded)
+                and within_tolerance(self.gap, tol))
 
 
-# A batch of grid rows holds 2048 Hessian entries: 512 rows at N = 1, 227
-# at N = 2 and 128 at N = 3, which bounds the memory a batch takes.
+# A batch of rows holds 2048 Hessian entries: 512 rows at N = 1, 227 at
+# N = 2 and 128 at N = 3, which bounds the memory a batch takes.
 _BATCH_ENTRIES = 2048
 
 
-def _batch_rows(params, values=0):
-    """The rows of one batch: each holds a jet in dim N + 1 and ``values`` more numbers."""
-    return max(1, _BATCH_ENTRIES // (values + params.jet_dim**2))
+def batches(params, coords, values=0):
+    """(start, rows) of consecutive batches of ``coords``, each row holding
+    a jet in dim N + 1 and ``values`` more numbers."""
+    step = max(1, _BATCH_ENTRIES // (values + params.jet_dim**2))
+    for start in range(0, len(coords), step):
+        yield start, coords[start : start + step]
 
 
 def field_jets(field, params, rows):
@@ -230,15 +238,39 @@ def _guarded(compute, count):
     return None, keep, excluded, overflowed
 
 
-def run_residual_suite(field, kinds, params, grid, tol, family_id=None):
-    """One ResidualReport per kind; domain errors count as exclusions,
-    overflows as non-finite evaluations.
+def scan(field, params, coords, checks, tallies):
+    """Walk the rows ``coords`` in batches and reduce each check's gaps.
 
-    The grid is evaluated in batches of rows, each batch by one
-    ``field.evaluate_many`` whose jets every kind shares.  A row that the
-    field rejects counts for every kind, one that a kind's residual or
-    scale rejects only for that kind.
+    Per batch, one ``field_jets``; a row that the field rejects counts in
+    every tally.  Then each ``checks[i](points, jets)`` runs on the rows
+    left, and returns one (gaps, scales) pair for each tally in
+    ``tallies[i]``; a row that it rejects counts in those tallies only.
     """
+    # a non-finite value is counted in its tally, not raised as a warning
+    with np.errstate(all="ignore"):
+        for _, batch in batches(params, coords):
+            jets, keep, excluded, overflowed = _guarded(
+                lambda rows: field_jets(field, params, batch[rows]), len(batch)
+            )
+            for tally in itertools.chain(*tallies) if keep.size < len(batch) else ():
+                tally.set_aside(excluded, overflowed)
+            if jets is None:
+                continue
+            points = batch[keep]
+            for check, group in zip(checks, tallies):
+                out, rows, excluded, overflowed = _guarded(
+                    lambda rows: check(points[rows], jets.take(rows)), len(keep)
+                )
+                for tally in group if rows.size < len(keep) else ():
+                    tally.set_aside(excluded, overflowed)
+                if out is not None:
+                    kept = points[rows]
+                    for tally, (gaps, scales) in zip(group, out, strict=True):
+                        tally.add(kept, gaps, scales)
+
+
+def run_residual_suite(field, kinds, params, grid, tol, family_id=None):
+    """One ResidualReport per kind, from one :func:`scan` of the grid."""
     if grid.spatial_dim != params.spatial_dim:
         raise DimensionMismatch(
             f"grid has {grid.spatial_dim} spatial axes, params expect "
@@ -246,33 +278,29 @@ def run_residual_suite(field, kinds, params, grid, tol, family_id=None):
         )
     fid = repr(field) if family_id is None else str(family_id)
     kinds = sorted(kinds, key=lambda k: k.value)
-    tallies = [_Tally() for _ in kinds]
-    coords = grid.coords()
-    step = _batch_rows(params)
-    # a non-finite value is counted in its report, not raised as a warning
-    with np.errstate(all="ignore"):
-        for start in range(0, len(coords), step):
-            batch = coords[start : start + step]
-            jets, keep, excluded, overflowed = _guarded(
-                lambda rows: field_jets(field, params, batch[rows]), len(batch)
-            )
-            for tally in tallies:
-                tally.set_aside(excluded, overflowed)
-            if jets is None:
-                continue
-            points = batch[keep]
-            for kind, tally in zip(kinds, tallies):
-
-                def residual(rows):
-                    sub = jets.take(rows)
-                    return (evaluate_residual(kind, sub, params),
-                            residual_scale(kind, sub, params))
-
-                out, rows, excluded, overflowed = _guarded(residual, len(keep))
-                tally.set_aside(excluded, overflowed)
-                if out is not None:
-                    tally.add(points[rows], *out)
-    return [tally.report(kind.value, fid, tol) for kind, tally in zip(kinds, tallies)]
+    tallies = [Tally() for _ in kinds]
+    checks = [
+        lambda points, jets, kind=kind: (
+            (evaluate_residual(kind, jets, params), residual_scale(kind, jets, params)),
+        )
+        for kind in kinds
+    ]
+    scan(field, params, grid.coords(), checks, [[tally] for tally in tallies])
+    return [
+        ResidualReport(
+            equation=kind.value,
+            family=fid,
+            points_evaluated=tally.evaluated,
+            points_excluded=tally.excluded,
+            max_abs=tally.max_norm,
+            rms=tally.spread()[0],
+            worst_point=tally.worst,
+            tolerance=tol,
+            passed=tally.passed(tol),
+            raw_max_abs=tally.spread()[1],
+        )
+        for kind, tally in zip(kinds, tallies)
+    ]
 
 
 def _rel(a, b):
@@ -328,7 +356,6 @@ def fd_point_errors(field, params, coords, h):
     n_rows, rows, axes, signs = _stencil_steps(d)
     steps = signs * h
     iu = np.triu_indices(d, 1)
-    per_batch = _batch_rows(params, n_rows)
     errors = np.full(len(coords), math.inf)
     outside = np.zeros(len(coords), dtype=bool)
 
@@ -359,8 +386,7 @@ def fd_point_errors(field, params, coords, h):
         return _rel(fd, exact).max(axis=1)
 
     with np.errstate(all="ignore"):
-        for start in range(0, len(coords), per_batch):
-            batch = coords[start : start + per_batch]
+        for start, batch in batches(params, coords, n_rows):
             out, keep, excluded, _ = _guarded(
                 lambda points: deviations(batch[points]), len(batch)
             )
@@ -392,5 +418,5 @@ def fd_crosscheck(field, params, points, h):
     return float(errors.max())
 
 
-__all__ = ["GridSpec", "ResidualReport", "within_tolerance", "verdict", "field_jets",
-           "run_residual_suite", "fd_point_errors", "fd_crosscheck"]
+__all__ = ["GridSpec", "ResidualReport", "within_tolerance", "Tally", "batches",
+           "field_jets", "scan", "run_residual_suite", "fd_point_errors", "fd_crosscheck"]

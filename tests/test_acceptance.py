@@ -243,7 +243,7 @@ def test_criterion_5_reduction_chain():
     for z in (1.0, 2.0):
         for text, (lo1, hi1, lo2, hi2) in windows.items():
             f = parse_profile(text)
-            phi = HarmonicPhi(f, f, z)
+            phi = HarmonicPhi(f, z)
             rng = np.random.default_rng(51)
             for _ in range(40):
                 a = float(rng.uniform(lo1, hi1))

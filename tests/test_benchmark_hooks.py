@@ -47,6 +47,23 @@ def test_tracer_installs_and_uninstalls(perfbench):
     assert cs.fields.poly_jet is poly_jet
 
 
+def test_tracer_sees_the_checks_that_scan_runs(perfbench, capsys):
+    # the residual and law callbacks look the traced names up when they
+    # run, so the spans count them
+    cs, spans, _ = perfbench
+    tracer = spans.Tracer(clock=time.perf_counter)
+    tracer.install(cs)
+    try:
+        assert cs.cli.main(["check", "--family", "radial-z1"]) == 0
+        assert cs.cli.main(["identity", "--seed", "3", "--points", "5"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    layers = tracer.layers()
+    for layer in ("operators.residual", "operators.scale", "symmetry.laws"):
+        assert layers.get(layer, (0,))[0] > 0, layer
+
+
 def test_selftest_rejects_every_control(perfbench):
     cs, _, selftest = perfbench
     controls = selftest.controls(cs)

@@ -1,6 +1,7 @@
 """Command-line interface: grammars, formats, exit codes, determinism."""
 
 import argparse
+import ast
 import csv
 import dataclasses
 import io
@@ -24,7 +25,7 @@ from condsym.cli import (
     parse_kinds,
     parse_range,
 )
-from condsym.errors import BranchError
+from condsym.errors import BranchError, DomainError
 from condsym.fields import (
     ModelParams,
     Point,
@@ -439,7 +440,7 @@ def test_identity_runs_in_bounded_batches(capsys, monkeypatch, argv, spatial_dim
             batches.append(len(coords))
             return super().evaluate_many(params, coords)
 
-    guarded = cli._guarded
+    guarded = verify._guarded
 
     def counted(compute, count):
         out = guarded(compute, count)
@@ -447,14 +448,56 @@ def test_identity_runs_in_bounded_batches(capsys, monkeypatch, argv, spatial_dim
         return out
 
     monkeypatch.setattr(cli, "RandomPolynomialField", Counted)
-    monkeypatch.setattr(cli, "_guarded", counted)
+    monkeypatch.setattr(verify, "_guarded", counted)
     monkeypatch.setattr(verify, "_BATCH_ENTRIES", 64)
     assert run_cli(capsys, "identity", *argv)[:2] == want
-    assert max(batches) == 64 // (spatial_dim + 1) ** 2
-    # _guarded runs once per element in each batch, batch after batch
-    assert len(excluded) > elements
-    excluding = {k // elements for k, count in enumerate(excluded) if count}
+    step = 64 // (spatial_dim + 1) ** 2
+    assert max(batches) == step
+    # _guarded runs once for the field, then once per element, in each
+    # batch, batch after batch; the field excludes no row
+    calls = elements + 1
+    points = int(argv[argv.index("--points") + 1])
+    assert len(excluded) == calls * math.ceil(points / step)
+    assert not any(excluded[::calls])
+    excluding = {k // calls for k, count in enumerate(excluded) if count}
     assert len(excluding) > 1 if "--eps" in argv else not excluding
+
+
+def test_identity_excludes_the_rows_its_field_rejects(capsys, monkeypatch):
+    # a guard in the field that names rows sets those samples aside for
+    # every n, and the scan runs on
+    holes = cli._identity_samples(3, 50, 2)[[0, 7, 19]]
+
+    class Holes(cli.RandomPolynomialField):
+        def evaluate_many(self, params, coords):
+            bad = (coords[:, None, :] == holes).all(axis=-1).any(axis=-1)
+            if bad.any():
+                err = DomainError("a hole in the field")
+                err.rows = bad
+                raise err
+            return super().evaluate_many(params, coords)
+
+    want = json.loads(run_cli(capsys, "identity", "--seed", "3")[1])
+    monkeypatch.setattr(cli, "RandomPolynomialField", Holes)
+    code, out, err = run_cli(capsys, "identity", "--seed", "3")
+    assert (code, err) == (0, "identity: 6/6 passed\n")
+    rows = json.loads(out)
+    assert [r["points"] for r in rows] == [47] * 6
+    assert all(r["identity_gap"] <= w["identity_gap"] for r, w in zip(rows, want))
+
+
+def test_cli_imports_no_private_name():
+    # the CLI reaches the library through public names only
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("condsym"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_identity_refuses_jets_of_the_wrong_dimension(capsys, monkeypatch):
@@ -585,7 +628,7 @@ def _identity_per_point(seed, z, spatial_dim, eps, points=50, tol=1e-8):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_identity_batch_matches_per_point_scan(capsys, seed):
-    # the driver transports all samples of an n as one batch; per sample
+    # identity transports the samples of an n in batches; per sample
     # the counts and verdicts agree, and the gaps up to the last bits
     # that numpy's pow and exp on a batch leave against math's
     excluding = 0

@@ -153,7 +153,7 @@ def test_reduced_residuals_need_two_variables():
 )
 def test_harmonic_phi_kills_first_reduced_equation(z, text, w_window):
     f = parse_profile(text)
-    phi = HarmonicPhi(f, f, z)
+    phi = HarmonicPhi(f, z)
     lo1, hi1, lo2, hi2 = w_window
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -172,7 +172,7 @@ def test_harmonic_phi_kills_first_reduced_equation(z, text, w_window):
 
 def test_harmonic_phi_poly_is_real_part():
     # f = w^2: real part of (w1 + i w2)^2 is w1^2 - w2^2, doubled
-    phi = HarmonicPhi(parse_profile("poly:0,0,1"), parse_profile("poly:0,0,1"), 1.0)
+    phi = HarmonicPhi(parse_profile("poly:0,0,1"), 1.0)
     j = phi.harmonic_jet(jet2.seed(2, 0, 1.2), jet2.seed(2, 1, 0.5))
     assert j.value == pytest.approx(2 * (1.2**2 - 0.5**2), abs=1e-14)
     lap = j.hess[0, 0] + j.hess[1, 1]
@@ -180,7 +180,7 @@ def test_harmonic_phi_poly_is_real_part():
 
 
 def test_harmonic_phi_exp_is_harmonic():
-    phi = HarmonicPhi(parse_profile("exp:1,0.5"), parse_profile("exp:1,0.5"), 2.0)
+    phi = HarmonicPhi(parse_profile("exp:1,0.5"), 2.0)
     j = phi.harmonic_jet(jet2.seed(2, 0, 0.3), jet2.seed(2, 1, -0.9))
     assert j.value == pytest.approx(
         2 * math.exp(0.5 * 0.3) * math.cos(0.5 * -0.9), abs=1e-13
@@ -188,15 +188,11 @@ def test_harmonic_phi_exp_is_harmonic():
     assert j.hess[0, 0] + j.hess[1, 1] == pytest.approx(0.0, abs=1e-13)
 
 
-def test_harmonic_phi_rejects_mismatch_and_sin():
-    f = parse_profile("poly:0,1")
-    g = parse_profile("poly:0,2")
+def test_harmonic_phi_rejects_sin():
     with pytest.raises(DomainError):
-        HarmonicPhi(f, g, 2.0)
-    with pytest.raises(DomainError):
-        HarmonicPhi(parse_profile("sin:1,1,0"), parse_profile("sin:1,1,0"), 2.0)
+        HarmonicPhi(parse_profile("sin:1,1,0"), 2.0)
     with pytest.raises(TypeError):
-        HarmonicPhi("poly:0,1", "poly:0,1", 2.0)
+        HarmonicPhi("poly:0,1", 2.0)
 
 
 def test_residual_scale_values():

@@ -28,6 +28,7 @@ from condsym.symmetry import Rot, Xn, Yk, Yphi, pushforward_field
 from condsym.verify import (
     _BATCH_ENTRIES,
     GridSpec,
+    Tally,
     fd_crosscheck,
     fd_point_errors,
     run_residual_suite,
@@ -502,6 +503,71 @@ def test_within_tolerance_is_one_rule():
     # a non-finite gap fails, even at an infinite tolerance
     for gap in (math.nan, math.inf):
         assert not within_tolerance(gap, math.inf)
+
+
+def _tally(*batches, excluded=0):
+    tally = Tally()
+    for gaps in batches:
+        gaps = np.array(gaps, dtype=float)
+        tally.add(np.zeros((len(gaps), 3)), gaps)
+    tally.set_aside(np.ones(excluded, dtype=bool), np.zeros(0, dtype=bool))
+    return tally
+
+
+def test_tally_reduces_gaps_in_sample_order():
+    tally = Tally()
+    tally.add(np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([-3.0, 1.0]), np.array([2.0, 1.0]))
+    tally.add(np.array([[2.0, 3.0], [3.0, 4.0]]), np.array([1.0, 1.5]))
+    # 1.5 / 1.0 only ties -3 / 2, so the first sample that reached it stays
+    assert (tally.evaluated, tally.excluded, tally.finite) == (4, 0, True)
+    assert (tally.max_norm, tally.gap, tally.spread()[1]) == (1.5, 1.5, 3.0)
+    assert tally.worst == Point(0.0, (1.0,))
+    tally.add(np.array([[4.0, 5.0], [5.0, 6.0]]), np.array([2.0, 2.0]))
+    assert (tally.max_norm, tally.worst) == (2.0, Point(4.0, (5.0,)))
+    sumsq = ((((1.5**2 + 1.0) + 1.0) + 1.5**2) + 4.0) + 4.0
+    assert tally.spread() == (math.sqrt(sumsq / 6), 3.0)
+    assert tally.passed(2.0) and not tally.passed(1.9)
+
+
+def test_tally_add_of_no_rows_changes_nothing():
+    tally = _tally([0.5, 0.25])
+    before = dict(vars(tally))
+    tally.add(np.zeros((0, 3)), np.zeros(0))
+    tally.add(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+    assert vars(tally) == before
+    empty = Tally()
+    empty.add(np.zeros((0, 3)), np.zeros(0))
+    assert (empty.evaluated, empty.gap, empty.worst, empty.passed(1.0)) == (0, 0.0, None, False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tally_fails_closed_on_a_non_finite_gap(bad):
+    for batches in (([bad, 0.1],), ([0.1], [0.2, bad]), ([0.1, bad, 0.2],)):
+        tally = _tally(*batches)
+        assert tally.gap == math.inf
+        assert not tally.passed(math.inf)
+    # a finite gap over an infinite scale normalizes to 0, and still fails
+    tally = Tally()
+    tally.add(np.zeros((1, 3)), np.array([1.0]), np.array([math.inf]))
+    assert (tally.max_norm, tally.gap) == (0.0, math.inf)
+
+
+def test_tally_fails_closed_on_an_overflowed_row():
+    tally = _tally([0.1, 0.2])
+    tally.set_aside(np.array([False, False]), np.array([False, True]))
+    assert (tally.evaluated, tally.excluded) == (3, 0)
+    assert tally.max_norm == 0.2 and tally.gap == math.inf
+    assert not tally.passed(math.inf)
+    overflowed = Tally()
+    overflowed.set_aside(np.zeros(2, dtype=bool), np.ones(2, dtype=bool))
+    assert (overflowed.evaluated, overflowed.gap, overflowed.worst) == (2, math.inf, None)
+    assert not overflowed.passed(math.inf)
+
+
+def test_tally_caps_exclusions_at_half():
+    assert _tally([0.1, 0.2], excluded=2).passed(1.0)
+    assert not _tally([0.1, 0.2], excluded=3).passed(1.0)
+    assert not _tally(excluded=1).passed(1.0)  # nothing evaluated is no pass
 
 
 def _residual_suite_scalar_loop(field, kinds, params, grid, tol):
