@@ -36,6 +36,7 @@ from .solutions import (
     default_params,
 )
 from .symmetry import (
+    Coefficients,
     GenJab,
     GenXn,
     GenYk,
@@ -412,7 +413,7 @@ def cmd_identity(args):
     elements = [Xn(n, args.eps) for n in range(n_lo, n_hi + 1)]
 
     def laws(element, points, jets):
-        tr = xn_transport(element, params, field, points, jets)
+        tr = xn_transport(element, params, points, jets)
         return ((pushforward_identity_gap(tr), 1.0), (derivative_law_gap(tr), 1.0),
                 (obstruction_term(tr), 1.0))
 
@@ -459,17 +460,17 @@ def cmd_commutators(args):
         for a in range(1, args.N + 1)
         for b in range(a + 1, args.N + 1)
     ]
-    points = _commutator_points(args.N)
+    coeffs = Coefficients(params, _commutator_points(args.N))
     rows = []
     for i, g1 in enumerate(gens):
         for g2 in gens[i + 1 :]:
             try:
                 expected = expected_commutator(g1, g2, params)
-                gaps = [commutator_gap(g1, g2, expected, params, y) for y in points]
-                # fails closed: a non-finite gap is inf
-                gap = max(0.0, *gaps) if all(map(math.isfinite, gaps)) else math.inf
+                gap = commutator_gap(g1, g2, expected, coeffs)
             except ArithmeticError:  # a structure constant or a coefficient overflowed
                 gap = math.inf
+            # fails closed: a non-finite gap is inf
+            gap = gap if math.isfinite(gap) else math.inf
             rows.append(
                 {
                     "g1": str(g1),

@@ -59,7 +59,8 @@ class Point:
 
 class ScalarField:
     """Anything that yields a second-order jet at space-time points.  A
-    subclass defines ``evaluate_many``, or else ``evaluate`` alone; it may
+    subclass defines ``evaluate_many``, which refuses coordinates of the
+    wrong shape (:func:`check_coords`), or else ``evaluate`` alone; it may
     also define ``values_many``, for callers that read values only, which
     must give bit for bit the values of ``evaluate_many`` and raise where
     it raises.  The bare base is no field and cannot be built."""
@@ -76,8 +77,9 @@ class ScalarField:
             raise TypeError(f"{cls.__name__} defines neither evaluate nor evaluate_many")
 
     def evaluate(self, params, point):
-        """The unbatched Jet2 of the field at ``point``, in dim N + 1."""
-        return self.evaluate_many(params, check_coords(params, point.coords()))
+        """The unbatched Jet2 of the field at ``point``, in dim N + 1; a
+        point of the wrong dimension is refused by ``evaluate_many``."""
+        return self.evaluate_many(params, point.coords())
 
     def evaluate_many(self, params, coords):
         """The Jet2 of the field at ``coords``: one row (N + 1,) gives an

@@ -7,19 +7,20 @@ that this module checks are the quantitative heart of the package.
 
 Each group element ``g`` writes its map once, as
 ``g.act(params, t, x) -> (t', x', A)``: the image of the point and the
-factor A by which the field scales.  ``act`` runs on seed jets only, of
-one point or of a batch of rows.  Its values move points
-(:func:`transform_point`, :func:`xn_transport`); its jets, under
-``g.inverse()``, give the pullback of the pushforward field
-(:class:`PushforwardField`, whose one ``evaluate_many`` serves a point
-and a batch alike).  ``g.inverse()`` is the same element with
-its parameter negated; ``g.check(params)`` rejects an element that does
-not fit the spatial dimension N.
+factor A by which the field scales.  ``act`` runs on coordinate jets, of
+one point or of a batch of rows.  On jets in no variables it moves points
+(:func:`transform_point`, :func:`xn_transport`); on seed jets, under
+``g.inverse()``, it gives the pullback of the pushforward field
+(:class:`PushforwardField`, whose one composition step also serves
+:func:`xn_transport`).  ``g.inverse()`` is the same element with its
+parameter negated; ``g.check(params)`` rejects an element that does not
+fit the spatial dimension N.
 
 Each generator writes its vector field once, as
 ``gen.coeffs(params, y) -> (xi, dxi)``: the coefficients at
-y = (t, x_1..x_N, u) and their Jacobian.  :func:`commutator_gap` compares
-the bracket of two such fields with the structure-constant table of
+y = (t, x_1..x_N, u) and their Jacobian, which a :class:`Coefficients`
+table holds once per point.  :func:`commutator_gap` compares the bracket
+of two such fields with the structure-constant table of
 :func:`expected_commutator`, coefficient by coefficient.
 
 Conventions:
@@ -174,13 +175,14 @@ class Rot:
         return t, tuple(x), 1.0
 
 
-def _act_on(g, params, coords):
-    """``g.act`` on the seed jets of ``coords``, one point (t, x_1..x_N)
-    or the rows of a (P, N + 1) array: the jets of the image coordinates
-    and the factor A, a jet or, where it is constant, a float."""
+def _act_on(g, params, coords, dim):
+    """``g.act`` on the seed jets in ``dim`` variables (values alone in dim
+    0) of ``coords``, one point (t, x_1..x_N) or the rows of a (P, N + 1)
+    array: the jets of the image coordinates and the factor A, a jet or,
+    where it is constant, a float."""
     g.check(params)
-    d = params.jet_dim
-    t, *x = (jet2.seed(d, i, c) for i, c in enumerate(np.asarray(coords, dtype=float).T))
+    t, *x = (jet2.seed(dim, i, c) if dim else jet2.constant(0, c)
+             for i, c in enumerate(np.asarray(coords, dtype=float).T))
     t, x, a = g.act(params, t, x)
     return (t,) + x, a
 
@@ -192,8 +194,8 @@ def _values(jets):
 
 def _image(g, params, coords):
     """The image of ``coords`` under ``g`` (a point or rows, as given) and
-    the factor A there."""
-    image, a = _act_on(g, params, coords)
+    the factor A there, from values alone."""
+    image, a = _act_on(g, params, coords, 0)
     return _values(image), a.value if isinstance(a, Jet2) else a
 
 
@@ -208,10 +210,10 @@ class PushforwardField(ScalarField):
     """Field transported by a group element.
 
     Evaluation at query points q (one row or rows) runs the inverse
-    element's map on the seed jets of q, reads the base field at the
-    images by one ``base.evaluate_many``, composes the jets through that
-    coordinate change and divides by the inverse's factor (the forward
-    factor at the source points).
+    element's map on the seed jets of q and reads the base field at
+    g⁻¹(q) by one ``base.evaluate_many``; :meth:`pull` composes those jets
+    through that coordinate change and divides by the inverse's factor
+    (the forward factor at the source points).
     """
 
     def __init__(self, element, base):
@@ -220,8 +222,15 @@ class PushforwardField(ScalarField):
         self.base = base
 
     def evaluate_many(self, params, coords):
-        image, a_inv = _act_on(self.inverse, params, check_coords(params, coords))
-        out = jet2.compose(self.base.evaluate_many(params, _values(image)), image)
+        coords = check_coords(params, coords)
+        source, a_inv = _act_on(self.inverse, params, coords, params.jet_dim)
+        return self.pull(self.base.evaluate_many(params, _values(source)), source, a_inv)
+
+    @staticmethod
+    def pull(jets, source, a_inv):
+        """The base field's ``jets`` at g⁻¹(q), composed through the
+        inverse's seed jets ``source`` at q and divided by its factor."""
+        out = jet2.compose(jets, source)
         if isinstance(a_inv, Jet2) or a_inv != 1.0:
             out = out / a_inv
         return out
@@ -267,21 +276,27 @@ class XnTransport(NamedTuple):
     E: float
 
 
-def xn_transport(g, params, u, coords, base):
-    """Transport ``u`` by ``g`` at the rows (t, x_1..x_N) of ``coords``
-    once, with one ``evaluate_many`` of the pushforward; the derivative
-    laws, the determinant identity and the obstruction term are read from
-    it, one value per row.
+def xn_transport(g, params, coords, base):
+    """Transport a field u by ``g`` at the rows (t, x_1..x_N) of ``coords``
+    once; the derivative laws, the determinant identity and the
+    obstruction term are read from it, one value per row.
 
     ``base`` is the batched jet of ``u`` at ``coords``
     (``u.evaluate_many(params, coords)``), which the caller builds once
-    for all elements it transports."""
+    for all elements it transports, and the pushforward pulls it through
+    the inverse's seed jets at the images g(q) with no new evaluation.
+    A row where g⁻¹(g(q)) misses q by more than 1e-12·(1 + |q|) in some
+    coordinate, or is not finite, raises FloatingPointError, so that it
+    counts as evaluated and not finite, as an overflow does."""
     if not isinstance(g, Xn):
         raise TypeError("the transport laws are stated for Xn elements")
     coords = check_coords(params, coords)
     image, a_val = _image(g, params, coords)
     cn, e_obs = _xn_obstruction(g, params, coords[:, 0])
-    prime = PushforwardField(g, u).evaluate_many(params, image)
+    source, a_inv = _act_on(g.inverse(), params, image, params.jet_dim)
+    returned = np.abs(_values(source) - coords) <= 1e-12 * (1.0 + np.abs(coords))
+    jet2.guard(~returned.all(axis=1), "g^-1(g(q)) does not give back q", FloatingPointError)
+    prime = PushforwardField.pull(base, source, a_inv)
     return XnTransport(params, coords, base, prime, a_val, cn, e_obs)
 
 
@@ -426,8 +441,24 @@ class GenJab:
         return xi, dxi
 
 
-def commutator_gap(g1, g2, expected, params, y):
-    """Largest coefficient of [g1, g2] - expected at y = (t, x_1..x_N, u).
+class Coefficients(dict):
+    """Generator -> its (xi, dxi) at the rows y = (t, x_1..x_N, u) of
+    ``ys``, stacked over the rows, evaluated on first use.  A generator
+    whose ``coeffs`` raises is not stored, so each read of it raises."""
+
+    def __init__(self, params, ys):
+        super().__init__()
+        self.params, self.ys = params, [np.asarray(y, dtype=float) for y in ys]
+
+    def __missing__(self, gen):
+        xi, dxi = zip(*(gen.coeffs(self.params, y) for y in self.ys))
+        self[gen] = out = np.stack(xi), np.stack(dxi)
+        return out
+
+
+def commutator_gap(g1, g2, expected, coeffs):
+    """Largest coefficient of [g1, g2] - expected over the rows of the
+    :class:`Coefficients` table ``coeffs``.
 
     The bracket of two vector fields is the vector field
     [xi1, xi2] = dxi2 . xi1 - dxi1 . xi2 (Olver, *Applications of Lie
@@ -436,12 +467,11 @@ def commutator_gap(g1, g2, expected, params, y):
     no t slot and its dxi only a t column, so a [Y, Y] gap is a maximum
     of exact zeros.  A NaN coefficient gives a NaN gap.
     """
-    y = np.asarray(y, dtype=float)
-    xi1, dxi1 = g1.coeffs(params, y)
-    xi2, dxi2 = g2.coeffs(params, y)
-    gap = dxi2 @ xi1 - dxi1 @ xi2
+    xi1, dxi1 = coeffs[g1]
+    xi2, dxi2 = coeffs[g2]
+    gap = (dxi2 @ xi1[..., None] - dxi1 @ xi2[..., None])[..., 0]
     for coeff, gen in expected:
-        gap -= float(coeff) * gen.coeffs(params, y)[0]
+        gap -= float(coeff) * coeffs[gen][0]
     return float(np.max(np.abs(gap)))
 
 
@@ -517,6 +547,7 @@ __all__ = [
     "GenXn",
     "GenYk",
     "GenJab",
+    "Coefficients",
     "commutator_gap",
     "expected_commutator",
 ]

@@ -36,6 +36,7 @@ from condsym.solutions import (
     default_params,
 )
 from condsym.symmetry import (
+    Coefficients,
     GenJab,
     GenXn,
     GenYk,
@@ -96,7 +97,7 @@ def law_sweep():
                 ma_big = np.abs(monge_ampere(bases, params)) > 0.1
                 for i, n in enumerate((-2, -1, 0, 1, 2, 3)):
                     eps = EPS_CYCLE[(seed + i) % len(EPS_CYCLE)]
-                    tr = xn_transport(Xn(n, eps), params, u, coords, bases)
+                    tr = xn_transport(Xn(n, eps), params, coords, bases)
                     law = _worst(0.0, float(derivative_law_gap(tr).max()))
                     idg = _worst(0.0, float(pushforward_identity_gap(tr).max()))
                     witness = 0.0
@@ -188,6 +189,7 @@ def test_criterion_4_commutator_table_with_exact_y_brackets():
         ]
         for z in (1.0, 2.0):
             params = ModelParams(spatial_dim, z)
+            tables = [Coefficients(params, [y]) for y in points]
             gens = [GenXn(n) for n in range(-2, 3)]
             gens += [
                 GenYk(k, axis)
@@ -203,8 +205,8 @@ def test_criterion_4_commutator_table_with_exact_y_brackets():
                 for g2 in gens[i + 1 :]:
                     expected = expected_commutator(g1, g2, params)
                     pairs += 1
-                    for y in points:
-                        gap = commutator_gap(g1, g2, expected, params, y)
+                    for table in tables:
+                        gap = commutator_gap(g1, g2, expected, table)
                         worst = _worst(worst, gap)
                         if isinstance(g1, GenYk) and isinstance(g2, GenYk):
                             yy_worst = _worst(yy_worst, gap)

@@ -397,8 +397,8 @@ def test_identity_excludes_out_of_branch_samples(capsys, eps, code, points, pass
 
 
 def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
-    # one jet of u per point, then one inside the pushforward per (n, point),
-    # all of them in batches, each batch by one call of the kernel
+    # one jet of u per point, in batches, each batch by one call of the
+    # kernel; every Xn transports those jets and evaluates u no more
     batches, singles, kernel_rows = [], [], []
     poly_jet = fields.poly_jet
 
@@ -419,7 +419,7 @@ def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
     monkeypatch.setattr(fields, "poly_jet", counted)
     code, _, _ = run_cli(capsys, "identity", "--seed", "3", "--n=-2..3", "--points", "50")
     assert code == 0
-    assert sum(batches) == 50 + 6 * 50
+    assert sum(batches) == 50
     assert singles == []
     assert kernel_rows == batches
 
@@ -509,6 +509,24 @@ def test_identity_refuses_jets_of_the_wrong_dimension(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "identity", "--seed", "3", "--points", "5")
     assert (code, out) == (2, "")
     assert err == "error: field returned dim 4, expected 3\n"
+
+
+def test_identity_fails_closed_where_the_inverse_misses_the_sample(capsys, monkeypatch):
+    # an inverse that does not give back the sample must not reuse u's jets
+    # there: each such row counts as evaluated and not finite, so every
+    # element fails with an infinite gap and no row is excluded
+    class Doctored(Xn):
+        def inverse(self):
+            return Xn(self.n, -self.eps * (1.0 + 1e-6))
+
+    monkeypatch.setattr(cli, "Xn", Doctored)
+    code, out, err = run_cli(capsys, "identity", "--seed", "3")
+    assert (code, err) == (1, "identity: 0/6 passed\n")
+    rows = json.loads(out)
+    assert [r["n"] for r in rows] == list(range(-2, 4))
+    for r in rows:
+        assert (r["points"], r["pass"]) == (50, False)
+        assert r["identity_gap"] == r["derivative_gap"] == "Infinity"
 
 
 def test_identity_non_finite_gap_fails_closed(capsys):
@@ -799,6 +817,35 @@ def test_commutators_build_no_jets(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)) == 190
     assert calls == []
+
+
+def test_commutators_evaluate_each_generator_once_per_point(capsys, monkeypatch):
+    # every generator that the table lists or that a structure constant
+    # names, X(3) among them, is evaluated once at each of the two
+    # points
+    calls = []
+    for kind in (cli.GenXn, cli.GenYk, cli.GenJab):
+        def counted(self, params, y, coeffs=kind.coeffs):
+            calls.append(str(self))
+            return coeffs(self, params, y)
+
+        monkeypatch.setattr(kind, "coeffs", counted)
+    code, out, _ = run_cli(capsys, "commutators", "--N", "3")
+    assert code == 0
+    params = ModelParams(3, 2.0)
+    listed = [cli.GenXn(n) for n in range(-2, 3)]
+    listed += [cli.GenYk(k, a) for k in range(-1, 3) for a in (1, 2, 3)]
+    listed += [cli.GenJab(a, b) for a, b in ((1, 2), (1, 3), (2, 3))]
+    named = {
+        str(gen)
+        for i, g1 in enumerate(listed)
+        for g2 in listed[i + 1 :]
+        for _, gen in cli.expected_commutator(g1, g2, params)
+    }
+    distinct = {str(g) for g in listed} | named
+    assert "X(3)" in distinct - {str(g) for g in listed}
+    assert len(json.loads(out)) == 190
+    assert sorted(calls) == sorted(list(distinct) * 2)
 
 
 def test_commutators_non_finite_gap_fails_closed(capsys, monkeypatch):

@@ -103,6 +103,17 @@ def test_a_point_of_the_wrong_dimension_is_refused(label, field, params, grid):
             field.evaluate(params, Point(1.0, x))
 
 
+def test_an_evaluate_only_field_refuses_a_point_of_the_wrong_dimension():
+    # its stacking evaluate_many checks the row, alone and under a pushforward
+    params = ModelParams(2, 2.0)
+    pushed = pushforward_field(parse_group("Xn:n=1,eps=0.05"), params, _Paraboloid())
+    for x in ((0.5,), (0.5,) * 3):
+        with pytest.raises(DimensionMismatch):
+            _Paraboloid().evaluate_many(params, Point(1.0, x).coords())
+        with pytest.raises(DimensionMismatch):
+            pushed.evaluate(params, Point(1.0, x))
+
+
 def test_evaluate_only_field_answers_one_row_and_rows():
     params = ModelParams(2, 2.0)
     field = _Paraboloid()

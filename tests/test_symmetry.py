@@ -17,6 +17,7 @@ from condsym.fields import (
 from condsym.operators import monge_ampere, w1
 from condsym.solutions import DEFAULT_FAMILIES, SolutionField, default_params
 from condsym.symmetry import (
+    Coefficients,
     GenJab,
     GenXn,
     GenYk,
@@ -70,7 +71,7 @@ def test_xn_z0_branch():
     assert q.x[0] == pytest.approx(s, abs=1e-14)
     u = RandomPolynomialField(4, params, 3)
     rows = np.array([p.coords()])
-    tr = xn_transport(Xn(2, 0.1), params, u, rows, u.evaluate_many(params, rows))
+    tr = xn_transport(Xn(2, 0.1), params, rows, u.evaluate_many(params, rows))
     assert tr.C == pytest.approx([0.1 * 2 * 1.5], abs=1e-14)
 
 
@@ -190,7 +191,7 @@ def test_derivative_law_gap_small():
     u = RandomPolynomialField(9, P2, 3)
     base = u.evaluate_many(P2, _LAW_ROWS)
     for n in (-2, -1, 0, 1, 2, 3):
-        gaps = derivative_law_gap(xn_transport(Xn(n, 0.015), P2, u, _LAW_ROWS, base))
+        gaps = derivative_law_gap(xn_transport(Xn(n, 0.015), P2, _LAW_ROWS, base))
         assert gaps.shape == (2,) and (gaps < 1e-11).all()
 
 
@@ -198,7 +199,7 @@ def test_identity_gap_small():
     u = RandomPolynomialField(9, P2, 3)
     base = u.evaluate_many(P2, _LAW_ROWS)
     for n in (-2, -1, 0, 1, 2, 3):
-        tr = xn_transport(Xn(n, 0.015), P2, u, _LAW_ROWS, base)
+        tr = xn_transport(Xn(n, 0.015), P2, _LAW_ROWS, base)
         gaps = pushforward_identity_gap(tr)
         assert gaps.shape == (2,) and (gaps < 1e-11).all()
 
@@ -222,7 +223,7 @@ def test_obstruction_is_necessary():
     base = u.evaluate(P2, p)
     assert monge_ampere(base, P2) == pytest.approx(4.0, abs=1e-13)
     rows = np.array([p.coords()])
-    tr = xn_transport(g, P2, u, rows, u.evaluate_many(P2, rows))
+    tr = xn_transport(g, P2, rows, u.evaluate_many(P2, rows))
     (full_gap,) = pushforward_identity_gap(tr)
     assert full_gap < 1e-12
     (obstruction,) = obstruction_term(tr)
@@ -240,14 +241,14 @@ def test_obstruction_vanishes_for_shift_and_dilate():
     rows = np.array([[1.0, 0.6, -0.4], [0.8, -0.3, 0.9]])
     base = u.evaluate_many(P2, rows)
     for g in (Xn(-1, 0.01), Xn(0, 0.01)):
-        assert obstruction_term(xn_transport(g, P2, u, rows, base)).tolist() == [0.0, 0.0]
+        assert obstruction_term(xn_transport(g, P2, rows, base)).tolist() == [0.0, 0.0]
 
 
 def test_law_gap_requires_xn():
     u = RandomPolynomialField(2, P2, 2)
     rows = np.array([[1.0, 0.1, 0.1]])
     with pytest.raises(TypeError):
-        xn_transport(Yk(1, (0.1, 0.1)), P2, u, rows, u.evaluate_many(P2, rows))
+        xn_transport(Yk(1, (0.1, 0.1)), P2, rows, u.evaluate_many(P2, rows))
 
 
 def test_zero_z_general_branch_is_guarded():
@@ -298,24 +299,24 @@ def test_commutator_x0_x1_oracle():
     y = np.array([1.0, 1.0, 0.5, 1.0])
     expected = expected_commutator(GenXn(0), GenXn(1), P2)
     assert expected == ((2.0, GenXn(1)),)
-    assert commutator_gap(GenXn(0), GenXn(1), expected, P2, y) < 1e-13
+    assert commutator_gap(GenXn(0), GenXn(1), expected, Coefficients(P2, [y])) < 1e-13
     # a wrong table entry is detected
     wrong = ((2.0, GenXn(0)),)
-    assert commutator_gap(GenXn(0), GenXn(1), wrong, P2, y) > 1e-3
+    assert commutator_gap(GenXn(0), GenXn(1), wrong, Coefficients(P2, [y])) > 1e-3
 
 
 def test_commutator_gap_propagates_nan():
-    y = np.array([1.0, math.nan, 0.5, 1.0])
-    assert math.isnan(commutator_gap(GenXn(0), GenXn(1), ((2.0, GenXn(1)),), P2, y))
+    table = Coefficients(P2, [np.array([1.0, math.nan, 0.5, 1.0])])
+    assert math.isnan(commutator_gap(GenXn(0), GenXn(1), ((2.0, GenXn(1)),), table))
 
 
 def test_y_brackets_vanish_exactly():
-    y = np.array([1.2, 0.7, -0.4, 0.9])
+    table = Coefficients(P2, [np.array([1.2, 0.7, -0.4, 0.9])])
     for k1 in (-1, 0, 1, 2):
         for k2 in (-1, 0, 1, 2):
             for a1 in (1, 2):
                 for a2 in (1, 2):
-                    gap = commutator_gap(GenYk(k1, a1), GenYk(k2, a2), (), P2, y)
+                    gap = commutator_gap(GenYk(k1, a1), GenYk(k2, a2), (), table)
                     assert gap == 0.0
 
 
@@ -357,7 +358,7 @@ def test_rotation_algebra_closes_in_3d():
     )
     y = np.array([1.1, 0.4, -0.3, 0.6, 0.9])
     expected = expected_commutator(GenJab(1, 2), GenJab(2, 3), params)
-    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, params, y) < 1e-13
+    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, Coefficients(params, [y])) < 1e-13
 
 
 def test_generator_axis_bounds():
@@ -365,7 +366,7 @@ def test_generator_axis_bounds():
     with pytest.raises(DimensionMismatch):
         GenYk(1, 3).coeffs(P2, y)
     with pytest.raises(DimensionMismatch):
-        commutator_gap(GenJab(1, 3), GenJab(1, 2), (), P2, y)
+        commutator_gap(GenJab(1, 3), GenJab(1, 2), (), Coefficients(P2, [y]))
 
 
 def test_pushforward_batch_matches_pointwise_and_names_branch_rows():
@@ -389,6 +390,49 @@ def test_pushforward_batch_matches_pointwise_and_names_branch_rows():
     with pytest.raises(BranchError, match="small-parameter branch") as info:
         field.evaluate(params, Point(1.9, (0.7, -0.1)))
     assert info.value.rows is None
+
+
+def _elements(spatial_dim):
+    """One element of each kind that fits N, Xn for every n in -2..3."""
+    profiles = ("sin:1,1,0", "exp:0.5,0.2", "poly:0.1,0.3,-0.2")
+    yield from (Xn(n, 0.2) for n in range(-2, 4))
+    yield Yk(2, tuple(0.1 * (-1) ** a for a in range(spatial_dim)))
+    yield Yk(-1, (0.3,) * spatial_dim)
+    yield Yphi(tuple(map(parse_profile, profiles[:spatial_dim])), (0.2,) * spatial_dim)
+    if spatial_dim > 1:
+        yield Rot(1, spatial_dim, 0.4)
+
+
+def _seeded_act(g, params, coords):
+    """``g.act`` on the seed jets of one point: its image and factor."""
+    t, *x = (jet2.seed(params.jet_dim, i, c) for i, c in enumerate(coords))
+    t, x, a = g.act(params, t, x)
+    return (t,) + x, a
+
+
+@pytest.mark.parametrize("spatial_dim", [1, 2, 3])
+@pytest.mark.parametrize("z", [0.0, 2.0])
+def test_transform_point_reads_the_values_of_the_seeded_jets(spatial_dim, z):
+    # transform_point acts on coordinate values alone; they are bit for bit
+    # the values of the seeded jets, and the branch guard fails at the same
+    # points
+    params = ModelParams(spatial_dim, z)
+    rng = np.random.default_rng(spatial_dim)
+    points = [Point(t, rng.uniform(-1.0, 1.0, spatial_dim)) for t in (0.6, 0.9, 1.3, 2.4)]
+    for g in _elements(spatial_dim):
+        for big in (False, True):
+            g = Xn(g.n, 5.0) if big and isinstance(g, Xn) else g
+            for p in points:
+                try:
+                    image, a = _seeded_act(g, params, p.coords())
+                except BranchError:
+                    with pytest.raises(BranchError):
+                        transform_point(g, params, p)
+                    continue
+                q, a_val = transform_point(g, params, p)
+                assert (q.t,) + q.x == tuple(j.value for j in image), (g, p)
+                assert a_val == (a.value if isinstance(a, jet2.Jet2) else a), (g, p)
+                assert type(q.t) is float and type(a_val) is float
 
 
 def test_branch_guard_message_is_short_on_a_large_batch():
