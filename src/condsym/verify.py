@@ -189,9 +189,13 @@ class Tally:
                 and within_tolerance(self.gap, tol))
 
 
-# A batch of rows holds 2048 Hessian entries: 512 rows at N = 1, 227 at
-# N = 2 and 128 at N = 3, which bounds the memory a batch takes.
-_BATCH_ENTRIES = 2048
+# A batch of rows holds 4096 Hessian entries: 1024 rows at N = 1, 455 at
+# N = 2 and 256 at N = 3.  A batch's field call costs about the same
+# whatever its row count, so fuller batches run faster; the bound caps
+# the memory a batch takes.  Against 2048, 4096 runs the FD check about
+# 1.4 times and the grid suite about 1.2 times as fast, for 0.5 MB more
+# peak memory; larger bounds gain less per megabyte (BENCH_22.json).
+_BATCH_ENTRIES = 4096
 
 
 def batches(params, coords, values=0):
@@ -344,7 +348,7 @@ def fd_point_errors(field, params, coords, h):
     points alone by one ``evaluate_many`` call.  A point counts its
     stencil's values and its jet's (N+1)² Hessian entries, and a batch
     holds at most ``_BATCH_ENTRIES`` of them, as in the residual suite:
-    157 points at N = 1, 73 at N = 2 and 41 at N = 3.  A guard that fails
+    315 points at N = 1, 146 at N = 2 and 83 at N = 3.  A guard that fails
     names stencil rows; the points they belong to are set aside and the
     rest are evaluated again.  An error that names no rows sets aside
     every point of its batch.

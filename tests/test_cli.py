@@ -463,6 +463,23 @@ def test_identity_runs_in_bounded_batches(capsys, monkeypatch, argv, spatial_dim
     assert len(excluding) > 1 if "--eps" in argv else not excluding
 
 
+@pytest.mark.parametrize("code, argv", [
+    (0, ("check", "--family", "general-yphi")),  # 600 rows excluded per kind
+    (0, ("check", "--family", "z0-sqrt")),  # 280 excluded
+    (1, ("check", "--family", "one-dim-generic:q=exp:1,800")),  # every row overflows
+    (0, ("transform", "--family", "radial-z1", "--group", "Xn:n=1,eps=0.3")),
+    (1, ("fd-check", "--family", "z0-sqrt")),
+    (0, ("fd-check", "--field", "random:deg=3", "--seed", "4", "--N", "3")),
+])
+def test_reports_do_not_depend_on_the_batch_bound(capsys, monkeypatch, code, argv):
+    # batch boundaries move no bit of a report: exclusions, overflows and
+    # failures that fall in many small batches read as in a few full ones
+    want = run_cli(capsys, *argv)
+    assert want[0] == code
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 64)
+    assert run_cli(capsys, *argv) == want
+
+
 def test_identity_excludes_the_rows_its_field_rejects(capsys, monkeypatch):
     # a guard in the field that names rows sets those samples aside for
     # every n, and the scan runs on
@@ -608,8 +625,9 @@ def _scalar_laws(params, p, base, prime, g, a_val):
 
 def _identity_per_point(seed, z, spatial_dim, eps, points=50, tol=1e-8):
     """The identity scan one sample at a time: ``transform_point``, then
-    ``evaluate`` of the pushforward at the image; a sample outside the
-    branch is excluded."""
+    the jet of the pushforward at the image, read from one
+    ``evaluate_many`` per n over the images kept; a sample outside the
+    branch, at the image or in the pullback, is excluded."""
     params = ModelParams(spatial_dim, z)
     u = RandomPolynomialField(seed, params, 3)
     rng = np.random.default_rng(seed + 1000003)
@@ -621,13 +639,22 @@ def _identity_per_point(seed, z, spatial_dim, eps, points=50, tol=1e-8):
         g = Xn(n, eps)
         worst = [0.0, 0.0, 0.0]
         excluded = 0
+        kept = []
         for p, base in zip(pts, bases):
             try:
-                q, a_val = transform_point(g, params, p)
-                prime = PushforwardField(g, u).evaluate(params, q)
+                kept.append((p, base, *transform_point(g, params, p)))
             except BranchError:
                 excluded += 1
-                continue
+        while kept:
+            try:
+                primes = PushforwardField(g, u).evaluate_many(
+                    params, np.array([q.coords() for _, _, q, _ in kept]))
+                break
+            except BranchError as err:
+                excluded += int(np.count_nonzero(err.rows))
+                kept = [k for k, bad in zip(kept, err.rows) if not bad]
+        for i, (p, base, _, a_val) in enumerate(kept):
+            prime = primes.take(i)
             for k, gap in enumerate(_scalar_laws(params, p, base, prime, g, a_val)):
                 gap = abs(gap)
                 worst[k] = max(worst[k], gap) if math.isfinite(gap) else math.inf
@@ -699,7 +726,9 @@ def test_check_evaluates_field_once_per_point(capsys, monkeypatch):
     assert [r["points_evaluated"] for r in json.loads(out)] == [1728, 1728]
     rows = np.concatenate(batches)
     assert len(rows) == len(np.unique(rows, axis=0)) == 1728
-    assert max(len(b) for b in batches) == 2048 // 3**2
+    step = verify._BATCH_ENTRIES // 3**2
+    assert max(len(b) for b in batches) == step
+    assert len(batches) == -(-1728 // step) >= 2
     assert not calls
 
 

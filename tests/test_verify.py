@@ -403,8 +403,8 @@ class _CountingField(ScalarField):
         return self.base.evaluate_many(params, coords)
 
 
-@pytest.mark.parametrize("N, per_batch", [(1, 157), (2, 73), (3, 41)])
-def test_fd_crosscheck_batches_whole_stencils_of_many_points(N, per_batch):
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_fd_crosscheck_batches_whole_stencils_of_many_points(N):
     # the values of whole stencils and the jets of their base points only,
     # under one bound on the entries of a batch
     params = ModelParams(N, 2.0)
@@ -417,9 +417,10 @@ def test_fd_crosscheck_batches_whole_stencils_of_many_points(N, per_batch):
     fd_crosscheck(field, params, [Point(r[0], tuple(r[1:])) for r in coords], h)
     d = N + 1
     stencil = 1 + 2 * d + 2 * d * (d - 1)
+    per_batch = _BATCH_ENTRIES // (stencil + d * d)
     assert per_batch * (stencil + d * d) <= _BATCH_ENTRIES
     assert (per_batch + 1) * (stencil + d * d) > _BATCH_ENTRIES
-    assert len(field.value_calls) == len(field.jet_calls) == -(-count // per_batch)
+    assert len(field.value_calls) == len(field.jet_calls) == -(-count // per_batch) >= 2
     assert max(len(points) for points in field.jet_calls) == per_batch
     # every point once, in order, as the base row of its own stencil
     assert np.array_equal(np.concatenate(field.jet_calls), coords)
