@@ -4,7 +4,9 @@ Subcommands: check, transform, identity, commutators, fd-check, catalog.
 JSON (default) or CSV reports go to standard output, a one-line human
 summary to standard error.  Exit codes: 0 all checks passed, 1 some
 check failed, 2 usage or configuration error.  Output is byte-identical
-across runs for identical arguments.
+across runs for identical arguments.  ``main`` builds its parser once per
+process, so in-process callers pay for it once, and a shell run is
+unchanged.
 """
 
 import argparse
@@ -642,8 +644,20 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(build):
+    """The parser ``build`` returns, built on first use and then shared.
+
+    Keyed by the builder, which ``main`` looks up at call time: a
+    replaced ``build_parser`` builds once and its parser is reused, and
+    restoring the original builds afresh.  Sharing is safe because
+    ``parse_args`` keeps its state on a fresh namespace per call.
+    """
+    return build()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser(build_parser)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

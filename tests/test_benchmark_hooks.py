@@ -92,3 +92,31 @@ def test_fd_crosscheck_ops_meet_the_benchmark_fd_oracle(perfbench):
         err = op.run()
         assert op.check(err) == [], op.label
         assert 0.0 <= err < 1e-4, op.label
+
+
+def test_tracer_spans_the_shared_parser_once_per_call(perfbench, capsys):
+    # ``main`` shares one parser per builder: the tracer's builder runs
+    # once, and its ``parse_args`` span wraps the parser once, not once
+    # more per call
+    cs, spans, _ = perfbench
+    tracer = spans.Tracer(clock=time.perf_counter)
+    tracer.install(cs)
+    counts = []
+    try:
+        for _ in range(4):
+            assert cs.cli.main(["commutators"]) == 0
+            counts.append(tracer.layers()["cli.parse"][0])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    added = [b - a for a, b in zip(counts, counts[1:])]
+    assert added == [added[0]] * 3 and added[0] < counts[0]
+    name_of, parent, _, _ = tracer.arrays()
+    parse = tracer.names.index("cli.parse")
+    spanned = name_of == parse
+    assert not (name_of[parent[spanned & (parent >= 0)]] == parse).any()
+    # restoring the builder restores an unwrapped parser
+    assert "build_parser" in vars(cs.cli)
+    assert cs.cli.main(["commutators", "--N", "1"]) == 0
+    capsys.readouterr()
+    assert "parse_args" not in vars(cs.cli._parser(cs.cli.build_parser))

@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -1022,6 +1023,92 @@ def test_help_exits_zero(capsys):
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def _counting(build):
+    def counted():
+        counted.builds += 1
+        return build()
+
+    counted.builds = 0
+    return counted
+
+
+def test_main_builds_its_parser_once_per_builder(capsys, monkeypatch):
+    original = cli.build_parser
+    first = _counting(original)
+    monkeypatch.setattr(cli, "build_parser", first)
+    calls = [
+        (("check", "--family", "radial-z1"), 0),
+        (("transform", "--family", "radial-z1", "--group", "Xn:n=1,eps=0.05"), 0),
+        (("identity", "--seed", "3", "--points", "5"), 0),
+        (("commutators", "--N", "1"), 0),
+        (("fd-check", "--family", "radial-z1", "--points", "3"), 0),
+        (("catalog",), 0),
+        (("check",), 2),
+        (("identity", "--help"), 0),
+    ]
+    for argv, code in calls:
+        assert run_cli(capsys, *argv)[0] == code, argv
+    assert first.builds == 1
+    # a builder swapped in later is looked up on the next call and builds once
+    second = _counting(original)
+    monkeypatch.setattr(cli, "build_parser", second)
+    assert run_cli(capsys, "catalog")[0] == 0
+    assert run_cli(capsys, "commutators", "--N", "1")[0] == 0
+    assert (first.builds, second.builds) == (1, 1)
+
+
+def test_shared_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    # each call on the shared parser reads as the same command on a parser
+    # of its own: its golden where one exists, else its first call on a
+    # freshly built parser
+    sequence = [
+        ("transform", "--family", "radial-z1", "--group", "Xn:n=1,eps=0.05"),
+        ("check", "--family", "radial-z1"),  # --group falls back to None
+        ("identity", "--seed", "5", "--N", "3", "--points", "7"),
+        ("check",),  # usage error: no --family
+        ("identity", "--seed", "3"),  # --N and --points fall back to defaults
+    ]
+    goldens = {tuple(case["argv"]): name for name, case in GOLDEN_CASES.items()}
+    expected = {}
+    for argv in sequence:
+        if argv in goldens:
+            case = GOLDEN_CASES[goldens[argv]]
+            out = (GOLDEN / f"{goldens[argv]}.json").read_bytes().decode()
+            expected[argv] = (case["exit"], out, case["stderr"])
+        else:
+            cli._parser.cache_clear()
+            expected[argv] = run_cli(capsys, *argv)
+    assert expected[("check",)][0] == 2
+    assert expected[sequence[0]] != expected[sequence[1]]
+    builds = _counting(cli.build_parser)
+    monkeypatch.setattr(cli, "build_parser", builds)
+    for argv in sequence:
+        assert run_cli(capsys, *argv) == expected[argv], argv
+    assert builds.builds == 1
+
+
+def test_main_leaves_no_argparse_garbage(capsys):
+    # a parser built per call dies as a reference cycle; the shared one
+    # leaves none behind, which is what kept peak RSS growing per call
+    main(["commutators"])
+    capsys.readouterr()
+    flags = gc.get_debug()
+    saved = list(gc.garbage)
+    gc.collect()
+    del gc.garbage[:]
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["commutators"]) == 0
+        gc.collect()
+        leaked = sorted({type(o).__name__ for o in gc.garbage
+                         if type(o).__module__ == "argparse"})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+    capsys.readouterr()
+    assert leaked == []
 
 
 def _readme_block(heading, lang):
