@@ -92,33 +92,50 @@ def _to_float(key, value):
 
 
 def _to_tol(key, value):
-    """A tolerance: any number but NaN, so that ``inf`` passes every finite gap."""
+    """A tolerance: any number but NaN or a negative one, so that ``inf``
+    passes every finite gap."""
     try:
         tol = float(value)
     except ValueError as exc:
         raise CLIError(f"bad number for {key}: {exc}") from None
     if math.isnan(tol):
         raise CLIError(f"bad number for {key}: a tolerance cannot be NaN")
+    if tol < 0.0:
+        raise CLIError(f"bad number for {key}: a tolerance cannot be negative, got {tol!r}")
     return tol
+
+
+def _to_count(key, value):
+    """An integer, or None where the flag is not given."""
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise CLIError(f"bad number for {key}: {value!r} is not an integer") from None
 
 
 def _to_seed(key, value):
     """A seed: a non-negative integer, or None where the flag is not given."""
-    if value is None:
-        return None
-    try:
-        seed = int(value)
-    except ValueError:
-        raise CLIError(f"bad number for {key}: {value!r} is not an integer") from None
-    if seed < 0:
+    seed = _to_count(key, value)
+    if seed is not None and seed < 0:
         raise CLIError(f"bad number for {key}: a seed cannot be negative, got {seed}")
     return seed
+
+
+def _to_points(key, value):
+    """A number of sample points: at least 1."""
+    points = _to_count(key, value)
+    if points < 1:
+        raise CLIError(f"{key} must be at least 1, got {points}")
+    return points
 
 
 # number flags that argparse leaves as text; ``main`` reads them, so that a
 # bad value is one "error:" line like every other usage error
 _NUMBER_FLAGS = {
     "h": _to_float, "eps": _to_float, "z": _to_float, "tol": _to_tol, "seed": _to_seed,
+    "N": _to_count, "points": _to_points,
 }
 
 
@@ -393,11 +410,6 @@ def _identity_samples(seed, n_points, spatial_dim):
     return rng.uniform(lo, hi, size=(n_points, spatial_dim + 1))
 
 
-def _require_points(args):
-    if args.points < 1:
-        raise CLIError(f"--points must be at least 1, got {args.points}")
-
-
 def _random_field(args, params):
     """The ``--field`` test field, seeded by ``--seed``."""
     degree, bound = parse_field_spec(args.field)
@@ -407,7 +419,6 @@ def _random_field(args, params):
 
 
 def cmd_identity(args):
-    _require_points(args)
     params = ModelParams(args.N, args.z)
     field = _random_field(args, params)
     n_lo, n_hi = parse_range(args.n)
@@ -488,7 +499,6 @@ def cmd_commutators(args):
 def cmd_fd_check(args):
     if (args.family is None) == (args.field is None):
         raise CLIError("give exactly one of --family or --field")
-    _require_points(args)
     if args.family is not None:
         if args.N is not None:
             raise CLIError("--N sets a random field's N; a family carries its own")
@@ -611,9 +621,9 @@ def build_parser():
     p.add_argument("--seed", default=None)
     p.add_argument("--n", default="-2..3", help="inclusive n window A..B")
     p.add_argument("--z", default=2.0)
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--N", default=2)
     p.add_argument("--eps", default=0.01)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--points", default=50)
     _add_common(p, 1e-8)
     p.set_defaults(func=cmd_identity)
 
@@ -621,7 +631,7 @@ def build_parser():
     p.add_argument("--n", default="-2..2", help="inclusive n window A..B")
     p.add_argument("--k", default="-1..2", help="inclusive k window A..B")
     p.add_argument("--z", default=2.0)
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--N", default=2)
     _add_common(p, 1e-9)
     p.set_defaults(func=cmd_commutators)
 
@@ -630,9 +640,9 @@ def build_parser():
     )
     p.add_argument("--family", default=None)
     p.add_argument("--field", default=None)
-    p.add_argument("--N", type=int, default=None, help="N of a random --field")
+    p.add_argument("--N", default=None, help="N of a random --field")
     p.add_argument("--h", default=1e-4)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", default=100)
     p.add_argument("--seed", default=None)
     _add_common(p, 1e-4)
     p.set_defaults(func=cmd_fd_check)

@@ -72,11 +72,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Aggregate of one residual kind over one grid.
-
-    ``max_abs`` and ``rms`` are scale-normalized; the raw maximum is
-    kept in ``raw_max_abs`` for diagnostics and is not serialized.
-    """
+    """Aggregate of one residual kind over one grid; ``max_abs`` and
+    ``rms`` are scale-normalized."""
 
     equation: str
     family: str
@@ -87,7 +84,6 @@ class ResidualReport:
     worst_point: object
     tolerance: float
     passed: bool
-    raw_max_abs: float
 
     def to_dict(self):
         wp = self.worst_point
@@ -112,14 +108,13 @@ def within_tolerance(gap, tol):
 
 class Tally:
     """The reduction of one check's gaps, in sample order: counts, the
-    worst normalized gap and its sample, the rms and the largest raw gap."""
+    worst normalized gap and its sample, and the rms."""
 
     def __init__(self):
         self.evaluated = self.excluded = 0
-        self.max_norm = 0.0
+        self.max_norm = self._sumsq = 0.0
         self.finite = True
         self._best = None  # (rows, normalized gaps) of the batch that set max_norm
-        self._sumsq, self._max_raw, self._last = 0.0, 0.0, None
 
     def set_aside(self, excluded, overflowed):
         """Count the rows of two boolean masks: outside the domain, and
@@ -132,16 +127,17 @@ class Tally:
     def add(self, points, raw, scale=1.0):
         """Rows in sample order: coordinates (k, N+1), raw gaps and their
         scales (k,), or one float scale for every row."""
-        size = np.abs(raw)
-        if not size.size:
+        norm = np.abs(raw) / scale
+        if not norm.size:
             return
-        norm = size / scale
         top = np.maximum.reduce(norm)  # NaN where any row is
         self.evaluated += norm.size
         scale_ok = math.isfinite(scale) if isinstance(scale, float) else np.isfinite(scale).all()
         self.finite = self.finite and math.isfinite(top) and bool(scale_ok)
-        self._fold()
-        self._last = (size, norm)
+        # one row after another, as a running sum adds; np.sum may not
+        squares = norm * norm
+        squares[0] += self._sumsq
+        self._sumsq = float(np.add.accumulate(squares)[-1])
         if top != top:  # a NaN row never is the worst
             top = np.fmax.reduce(norm)
         if self._best is None:
@@ -150,21 +146,10 @@ class Tally:
         if top > self.max_norm:
             self.max_norm, self._best = float(top), (points, norm)
 
-    def _fold(self):
-        """Carry the last batch into the sums that only :meth:`spread` reads."""
-        if self._last is not None:
-            size, norm = self._last
-            # one row after another, as a running sum adds; np.sum may not
-            squares = norm * norm
-            squares[0] += self._sumsq
-            self._sumsq = float(np.add.accumulate(squares)[-1])
-            self._max_raw = max(self._max_raw, float(np.fmax.reduce(size)))  # NaN rows left out
-            self._last = None
-
-    def spread(self):
-        """(root mean square of the normalized gaps, largest raw gap)."""
-        self._fold()
-        return (math.sqrt(self._sumsq / self.evaluated) if self.evaluated else 0.0), self._max_raw
+    @property
+    def rms(self):
+        """The root mean square of the normalized gaps, 0.0 before any."""
+        return math.sqrt(self._sumsq / self.evaluated) if self.evaluated else 0.0
 
     @property
     def worst(self):
@@ -297,11 +282,10 @@ def run_residual_suite(field, kinds, params, grid, tol, family_id=None):
             points_evaluated=tally.evaluated,
             points_excluded=tally.excluded,
             max_abs=tally.max_norm,
-            rms=tally.spread()[0],
+            rms=tally.rms,
             worst_point=tally.worst,
             tolerance=tol,
             passed=tally.passed(tol),
-            raw_max_abs=tally.spread()[1],
         )
         for kind, tally in zip(kinds, tallies)
     ]

@@ -8,7 +8,10 @@ import gc
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +319,15 @@ def test_check_csv_format(capsys):
     assert json.loads(rows[0]["worst_point"])  # compact json cell
 
 
+def test_check_csv_leaves_a_missing_worst_point_empty(capsys):
+    # every point overflows, so no row is the worst: its cell is empty
+    code, out, _ = run_cli(
+        capsys, "check", "--family", "one-dim-generic:q=exp:1,800", "--format", "csv"
+    )
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert code == 1 and (row["worst_point"], row["pass"]) == ("", "false")
+
+
 def test_transform_pass(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -364,6 +376,18 @@ def test_usage_errors_print_one_line(capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: rotation axes exceed spatial dimension\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "--family", "radial-z1:n=x"), "bad integer for n: 'x'"),
+    (("check", "--family", "radial-z1", "--grid", "t=0.5:2,x=-1:1:10"),
+     "bad axis t='0.5:2', expected lo:hi:count"),
+    (("check", "--family", "radial-z1", "--grid", "t=0.5:2:4,y=-1:1:4"),
+     "unknown grid axis 'y'"),
+    (("identity", "--seed", "3", "--n=1-3"), "bad range '1-3', expected A..B"),
+])
+def test_grammar_errors_print_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_identity_requires_seed(capsys):
@@ -785,12 +809,38 @@ def test_check_and_transform_match_goldens(capsys, name):
         (("identity", "--seed", "3", "--z", "inf"), "--z"),
         (("commutators", "--z", "nan"), "--z"),
         (("check", "--family", "radial-z1", "--tol", "nan"), "--tol"),
+        (("check", "--family", "radial-z1", "--tol", "abc"), "--tol"),
+        # --N and --points read integers
+        (("identity", "--seed", "3", "--N", "x"), "--N"),
+        (("identity", "--seed", "3", "--N", "2.0"), "--N"),
+        (("commutators", "--N", "1.5"), "--N"),
+        (("fd-check", "--field", "random:deg=3", "--seed", "1", "--N", "x"), "--N"),
+        (("identity", "--seed", "3", "--points", "1.5"), "--points"),
+        (("fd-check", "--family", "radial-z1", "--points", "x"), "--points"),
     ],
 )
 def test_non_finite_float_flags_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: bad number for {flag}: ") and err.count("\n") == 1
+
+
+_SCORING = [
+    ("check", "--family", "radial-z1"),
+    ("transform", "--family", "radial-z1", "--group", "Yk:k=1,v=0.1,-0.05"),
+    ("identity", "--seed", "3"),
+    ("commutators",),
+    ("fd-check", "--family", "radial-z1"),
+]
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-8", "-inf"])
+@pytest.mark.parametrize("argv", _SCORING, ids=[a[0] for a in _SCORING])
+def test_negative_tolerance_is_usage_error(capsys, argv, tol):
+    # exit 1 means a check failed; a tolerance nothing can meet is a bad flag
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad number for --tol: a tolerance cannot be negative, got {float(tol)!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -905,13 +955,15 @@ def test_commutators_overflow_fails_closed(capsys, argv, overflowed):
 
 
 def test_commutators_zero_gap_passes_at_zero_tolerance(capsys):
-    # the pass rule is gap <= tol, so an exact [Y, Y] passes at --tol 0
-    code, out, _ = run_cli(
-        capsys, "commutators", "--tol", "0", "--n=0..0", "--k=0..1", "--N", "1"
-    )
-    assert code == 0
-    yy = [r for r in json.loads(out) if r["g1"].startswith("Y") and r["g2"].startswith("Y")]
-    assert yy and all(r["gap"] == 0.0 and r["pass"] is True for r in yy)
+    # the pass rule is gap <= tol, so an exact [Y, Y] passes at --tol 0,
+    # and -0.0 is no negative tolerance
+    for tol in ("0", "-0.0"):
+        code, out, _ = run_cli(
+            capsys, "commutators", "--tol", tol, "--n=0..0", "--k=0..1", "--N", "1"
+        )
+        assert code == 0
+        yy = [r for r in json.loads(out) if r["g1"].startswith("Y") and r["g2"].startswith("Y")]
+        assert yy and all(r["gap"] == 0.0 and r["pass"] is True for r in yy)
 
 
 def test_fd_check_family(capsys):
@@ -951,7 +1003,7 @@ def test_fd_check_takes_n_from_family(capsys):
 )
 def test_zero_points_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--points", "0")
-    assert code == 2 and out == "" and "--points" in err
+    assert (code, out, err) == (2, "", "error: --points must be at least 1, got 0\n")
 
 
 def test_fd_check_field_needs_seed(capsys):
@@ -1129,3 +1181,19 @@ def test_readme_examples_run(capsys):
     for argv in lines:
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
+
+
+def test_module_entry_point_exits_with_mains_code(capsys):
+    # ``python -m condsym.cli`` hands main's return value to the interpreter's exit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "condsym.cli", *argv],
+                              capture_output=True, env=env, check=False)
+
+    catalog = run("catalog")
+    assert (catalog.returncode, catalog.stdout.decode()) == (0, run_cli(capsys, "catalog")[1])
+    bad = run("identity", "--seed", "3", "--tol", "-1")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr == b"error: bad number for --tol: a tolerance cannot be negative, got -1.0\n"

@@ -75,6 +75,13 @@ def test_profile_arity_checked():
         parse_profile("nope:1")
 
 
+def test_profile_needs_a_kind_and_parameters():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        ProfileFunction("poly", ())
+    with pytest.raises(ValueError, match="expected kind:params"):
+        parse_profile("poly")
+
+
 def test_monomial_table_counts():
     # dim 2, degree 3: C(2+3, 3) = 10 monomials
     table = monomial_table(2, 3)

@@ -204,6 +204,14 @@ def test_compose_chain_rule():
     assert composed.hess == pytest.approx(direct.hess, abs=1e-12)
 
 
+def test_compose_refuses_mismatched_dimensions():
+    outer = jet2.seed(2, 0, 1.0)
+    with pytest.raises(DimensionMismatch, match="outer jet dim 2 does not match 1 inner jets"):
+        jet2.compose(outer, [jet2.seed(3, 0, 1.0)])
+    with pytest.raises(DimensionMismatch, match="share one source dimension"):
+        jet2.compose(outer, [jet2.seed(3, 0, 1.0), jet2.seed(2, 0, 1.0)])
+
+
 @given(
     st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
     st.integers(0, 3),
@@ -239,6 +247,12 @@ def test_univariate_direct_derivatives():
     a = jet2.seed(1, 0, 2.0)
     j = jet2.univariate(a, 8.0, 12.0, 12.0)  # t^3 at t=2
     assert j.value == 8.0 and j.grad[0] == 12.0 and j.hess[0, 0] == 12.0
+
+
+def test_zero_d_array_value_is_one_point():
+    j = jet2.Jet2(np.array(2.5), [1.0, 0.0], np.zeros((2, 2)))
+    assert type(j.value) is float and j.value == 2.5
+    assert repr(j) == "Jet2(value=2.5, grad=[1.0, 0.0])"
 
 
 def test_dim_mismatch_rejected():

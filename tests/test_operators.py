@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from condsym import jet2
 from condsym._kernels import det
-from condsym.errors import DomainError
+from condsym.errors import DimensionMismatch, DomainError
 from condsym.fields import ModelParams, parse_profile, random_polynomial_function
 from condsym.operators import (
     HarmonicPhi,
@@ -193,6 +193,18 @@ def test_harmonic_phi_rejects_sin():
         HarmonicPhi(parse_profile("sin:1,1,0"), 2.0)
     with pytest.raises(TypeError):
         HarmonicPhi("poly:0,1", 2.0)
+
+
+def test_harmonic_phi_const_is_constant():
+    phi = HarmonicPhi(parse_profile("const:1.5"), 2.0)
+    j = phi.harmonic_jet(jet2.seed(2, 0, 0.3), jet2.seed(2, 1, -0.9))
+    assert (j.value, j.dim) == (3.0, 2)
+    assert not j.grad.any() and not j.hess.any()
+
+
+def test_operators_refuse_jets_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatch, match=r"jet dim 2 does not match N\+1 = 3"):
+        w1(jet2.seed(2, 0, 1.0), P2)
 
 
 def test_residual_scale_values():

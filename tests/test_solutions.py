@@ -163,6 +163,11 @@ def test_family_z_and_dim_guards():
         SolutionField(fam).evaluate(ModelParams(3, 1.0), Point(1.0, (0.5, 0.5, 0.5)))
 
 
+def test_family_n_must_be_an_integer():
+    with pytest.raises(ValueError, match="n must be an integer"):
+        dataclasses.replace(DEFAULT_FAMILIES["radial-z1"], n=1.5)
+
+
 def test_default_params_conflict():
     fam = DEFAULT_FAMILIES["general-z"]  # fixes z = 2
     assert default_params(fam).z == 2.0

@@ -98,6 +98,17 @@ def test_element_dimension_checks():
         transform_point(
             Yphi((parse_profile("const:1"),), (1.0, 2.0)), P2, Point(1.0, (0.0, 0.0))
         )
+    with pytest.raises(DimensionMismatch, match="shift vector length must equal N"):
+        transform_point(Yphi((parse_profile("const:1"),), (1.0,)), P2, Point(1.0, (0.0, 0.0)))
+
+
+def test_element_labels_and_profiles_are_checked():
+    with pytest.raises(ValueError, match="n must be an integer"):
+        Xn(1.5, 0.01)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        Yk(0.5, (1.0, 0.0))
+    with pytest.raises(TypeError, match="ProfileFunction"):
+        Yphi(("const:1",), (1.0,))
 
 
 @pytest.mark.parametrize("g", [
@@ -318,6 +329,13 @@ def test_y_brackets_vanish_exactly():
                 for a2 in (1, 2):
                     gap = commutator_gap(GenYk(k1, a1), GenYk(k2, a2), (), table)
                     assert gap == 0.0
+
+
+def test_generator_guards():
+    with pytest.raises(DimensionMismatch, match="distinct 1-based axes"):
+        GenJab(1, 1)
+    with pytest.raises(TypeError, match="unsupported generator pair"):
+        expected_commutator(GenXn(0), Xn(1, 0.01), P2)
 
 
 def test_expected_commutator_table():

@@ -1,5 +1,6 @@
 """Grids, residual reports, finite-difference cross-checks."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -28,10 +29,12 @@ from condsym.symmetry import Rot, Xn, Yk, Yphi, pushforward_field
 from condsym.verify import (
     _BATCH_ENTRIES,
     GridSpec,
+    ResidualReport,
     Tally,
     fd_crosscheck,
     fd_point_errors,
     run_residual_suite,
+    scan,
     within_tolerance,
 )
 
@@ -100,7 +103,6 @@ def test_suite_reports_raw_and_normalized():
     (report,) = run_residual_suite(
         _Paraboloid(), [ResidualKind.MONGE_AMPERE], P2, grid, 1e-8
     )
-    assert report.raw_max_abs == pytest.approx(4.0, abs=1e-13)
     assert report.max_abs == pytest.approx(4.0 / 9.0, abs=1e-13)
     assert report.rms == pytest.approx(4.0 / 9.0, abs=1e-13)
     assert report.points_evaluated == 8
@@ -130,6 +132,14 @@ def test_report_dict_shape():
     assert isinstance(d["pass"], bool)
     assert set(d["worst_point"]) == {"t", "x"}
     json.dumps(d)  # plain types only
+
+
+def test_report_serializes_every_field():
+    # a report holds nothing that its dict leaves out; ``passed`` is "pass"
+    grid = GridSpec((0.5, 1.0, 2), ((0.5, 1.0, 2), (0.5, 1.0, 2)))
+    (report,) = run_residual_suite(_Paraboloid(), [ResidualKind.MONGE_AMPERE], P2, grid, 1e-8)
+    names = [f.name for f in dataclasses.fields(ResidualReport)]
+    assert [{"passed": "pass"}.get(name, name) for name in names] == list(report.to_dict())
 
 
 def test_domain_errors_count_as_exclusions():
@@ -206,6 +216,26 @@ def test_fd_crosscheck_refuses_points_of_the_wrong_dimension(xs):
     field = RandomPolynomialField(3, P2, 3)
     with pytest.raises(DimensionMismatch):
         fd_crosscheck(field, P2, [Point(1.0, x) for x in xs], 1e-4)
+
+
+class _Nowhere(ScalarField):
+    """Refuses every batch by an error that names no rows."""
+
+    def evaluate_many(self, params, coords):
+        raise DomainError("defined nowhere")
+
+
+def test_an_error_that_names_no_rows_sets_aside_every_row_left():
+    grid = GridSpec((0.5, 1.0, 2), ((0.5, 1.0, 2),) * 2)
+    (report,) = run_residual_suite(_Nowhere(), [ResidualKind.DIFFUSION], P2, grid, 1e-8)
+    assert (report.points_evaluated, report.points_excluded, report.passed) == (0, 8, False)
+
+    def overflows(points, jets):
+        raise OverflowError("no rows named")
+
+    tally = Tally()
+    scan(RandomPolynomialField(3, P2, 3), P2, grid.coords(), [overflows], [[tally]])
+    assert (tally.evaluated, tally.excluded, tally.gap) == (8, 0, math.inf)
 
 
 def test_grid_params_dim_mismatch():
@@ -521,12 +551,12 @@ def test_tally_reduces_gaps_in_sample_order():
     tally.add(np.array([[2.0, 3.0], [3.0, 4.0]]), np.array([1.0, 1.5]))
     # 1.5 / 1.0 only ties -3 / 2, so the first sample that reached it stays
     assert (tally.evaluated, tally.excluded, tally.finite) == (4, 0, True)
-    assert (tally.max_norm, tally.gap, tally.spread()[1]) == (1.5, 1.5, 3.0)
+    assert (tally.max_norm, tally.gap) == (1.5, 1.5)
     assert tally.worst == Point(0.0, (1.0,))
     tally.add(np.array([[4.0, 5.0], [5.0, 6.0]]), np.array([2.0, 2.0]))
     assert (tally.max_norm, tally.worst) == (2.0, Point(4.0, (5.0,)))
     sumsq = ((((1.5**2 + 1.0) + 1.0) + 1.5**2) + 4.0) + 4.0
-    assert tally.spread() == (math.sqrt(sumsq / 6), 3.0)
+    assert tally.rms == math.sqrt(sumsq / 6)
     assert tally.passed(2.0) and not tally.passed(1.9)
 
 
