@@ -54,7 +54,7 @@ from .symmetry import (
     pushforward_identity_gap,
     xn_transport,
 )
-from .verify import GridSpec, Tally, fd_point_errors, run_residual_suite, scan, within_tolerance
+from .verify import GridSpec, Tally, fd_check, run_residual_suite, scan, within_tolerance
 
 
 class CLIError(ValueError):
@@ -512,6 +512,7 @@ def cmd_fd_check(args):
     rng = np.random.default_rng(seed + 77)
     n = params.spatial_dim
     lo, hi = [0.6] + [-0.9] * n, [1.9] + [0.9] * n
+    check, values = fd_check(field, params, args.h)
     tally = Tally()
     attempts = 0
     limit = 200 * args.points
@@ -521,9 +522,8 @@ def cmd_fd_check(args):
         # generator's doubles in the order one point after another does
         count = min(args.points - tally.evaluated, limit - attempts)
         candidates = rng.uniform(lo, hi, size=(count, n + 1))
-        errors, outside = fd_point_errors(field, params, candidates, args.h)
+        scan(field, params, candidates, [check], [[tally]], values)
         attempts += count
-        tally.add(candidates[~outside], errors[~outside])
     if tally.evaluated < args.points:
         raise CLIError(
             f"could not find {args.points} interior points "
@@ -535,7 +535,8 @@ def cmd_fd_check(args):
             "h": args.h,
             "points": tally.evaluated,
             "max_rel_err": tally.gap,
-            "pass": tally.passed(args.tol),
+            # a candidate whose stencil leaves the domain is redrawn, not a sample
+            "pass": within_tolerance(tally.gap, args.tol),
         }
     ]
     emit(rows, args.format)

@@ -3,17 +3,17 @@ cross-validation.
 
 ``scan`` walks (P, N+1) coordinate rows in bounded batches: one
 ``evaluate_many`` of the field per batch, then each check (a residual
-kind, or the laws of one Xn) on the stacked jets.  A guard that fails on
-a batch names its bad rows; those rows are counted as excluded (or as
-overflowed), and the others are evaluated again.  A ``Tally`` reduces
-the gaps of each check to counts, a worst gap and a pass.  The FD
-cross-check reads the values alone of the whole stencils of many points
-and the jets of their base points under the same bound on a batch, and
-sets aside the points whose stencil rows a guard names.  Traversal and
+kind, the laws of one Xn, or the FD comparison) on the stacked jets.  A
+guard that fails on a batch names its bad rows; those rows are counted as
+excluded (or as overflowed), and the others are evaluated again.  A
+``Tally`` reduces the gaps of each check to counts, a worst gap and a
+pass.  The FD check reads the values alone of the whole stencils of a
+batch's points, and the bound on a batch counts them.  Traversal and
 reduction orders are fixed (sample order, sums carried row after row),
 so every report is bitwise reproducible for identical inputs.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,7 +111,7 @@ class Tally:
     worst normalized gap and its sample, and the rms."""
 
     def __init__(self):
-        self.evaluated = self.excluded = 0
+        self.evaluated = self.excluded = self._added = 0
         self.max_norm = self._sumsq = 0.0
         self.finite = True
         self._best = None  # (rows, normalized gaps) of the batch that set max_norm
@@ -132,6 +132,7 @@ class Tally:
             return
         top = np.maximum.reduce(norm)  # NaN where any row is
         self.evaluated += norm.size
+        self._added += norm.size
         scale_ok = math.isfinite(scale) if isinstance(scale, float) else np.isfinite(scale).all()
         self.finite = self.finite and math.isfinite(top) and bool(scale_ok)
         # one row after another, as a running sum adds; np.sum may not
@@ -148,8 +149,9 @@ class Tally:
 
     @property
     def rms(self):
-        """The root mean square of the normalized gaps, 0.0 before any."""
-        return math.sqrt(self._sumsq / self.evaluated) if self.evaluated else 0.0
+        """The root mean square of the normalized gaps that ``add`` got,
+        0.0 before any; an overflowed row has no gap to square."""
+        return math.sqrt(self._sumsq / self._added) if self._added else 0.0
 
     @property
     def worst(self):
@@ -184,11 +186,11 @@ _BATCH_ENTRIES = 4096
 
 
 def batches(params, coords, values=0):
-    """(start, rows) of consecutive batches of ``coords``, each row holding
-    a jet in dim N + 1 and ``values`` more numbers."""
+    """Consecutive batches of the rows ``coords``, each row holding a jet in
+    dim N + 1 and ``values`` more numbers."""
     step = max(1, _BATCH_ENTRIES // (values + params.jet_dim**2))
     for start in range(0, len(coords), step):
-        yield start, coords[start : start + step]
+        yield coords[start : start + step]
 
 
 def field_jets(field, params, rows):
@@ -201,8 +203,10 @@ def field_jets(field, params, rows):
 
 
 def _guarded(compute, count):
-    """``compute(keep)`` on an index array ``keep`` into ``count`` rows,
-    run again without the rows a failing guard names until none fails.
+    """``compute(keep)`` on the ``count`` rows of a batch, run again without
+    the rows a failing guard names until none fails.  ``keep`` selects the
+    rows: ``slice(None)`` at first, so that no row is copied, then an index
+    array.
 
     Returns (result, keep, excluded, overflowed), the last two boolean
     (count,) masks of the rows dropped by DomainError and by an
@@ -211,49 +215,51 @@ def _guarded(compute, count):
     the result is None when no row is left.  Each guard site fails at
     most once, so there are at most as many retries as guard sites.
     """
-    keep = np.arange(count)
+    keep, left = slice(None), np.arange(count)
     excluded = np.zeros(count, dtype=bool)
     overflowed = np.zeros(count, dtype=bool)
-    while keep.size:
+    while left.size:
         try:
             return compute(keep), keep, excluded, overflowed
         except (DomainError, ArithmeticError) as exc:
             bad = getattr(exc, "rows", None)
             if bad is None:
-                bad = np.ones(keep.size, dtype=bool)
+                bad = np.ones(left.size, dtype=bool)
             dropped = excluded if isinstance(exc, DomainError) else overflowed
-            dropped[keep[bad]] = True
-            keep = keep[~bad]
-    return None, keep, excluded, overflowed
+            dropped[left[bad]] = True
+            keep = left = left[~bad]
+    return None, left, excluded, overflowed
 
 
-def scan(field, params, coords, checks, tallies):
+def scan(field, params, coords, checks, tallies, values=0):
     """Walk the rows ``coords`` in batches and reduce each check's gaps.
 
     Per batch, one ``field_jets``; a row that the field rejects counts in
     every tally.  Then each ``checks[i](points, jets)`` runs on the rows
     left, and returns one (gaps, scales) pair for each tally in
     ``tallies[i]``; a row that it rejects counts in those tallies only.
+    The checks read ``values`` numbers per row besides its jet, which the
+    bound on a batch counts.
     """
     # a non-finite value is counted in its tally, not raised as a warning
     with np.errstate(all="ignore"):
-        for _, batch in batches(params, coords):
+        for batch in batches(params, coords, values):
             jets, keep, excluded, overflowed = _guarded(
                 lambda rows: field_jets(field, params, batch[rows]), len(batch)
             )
-            for tally in itertools.chain(*tallies) if keep.size < len(batch) else ():
+            points = batch[keep]
+            for tally in itertools.chain(*tallies) if len(points) < len(batch) else ():
                 tally.set_aside(excluded, overflowed)
             if jets is None:
                 continue
-            points = batch[keep]
             for check, group in zip(checks, tallies):
                 out, rows, excluded, overflowed = _guarded(
-                    lambda rows: check(points[rows], jets.take(rows)), len(keep)
+                    lambda rows: check(points[rows], jets.take(rows)), len(points)
                 )
-                for tally in group if rows.size < len(keep) else ():
+                kept = points[rows]
+                for tally in group if len(kept) < len(points) else ():
                     tally.set_aside(excluded, overflowed)
                 if out is not None:
-                    kept = points[rows]
                     for tally, (gaps, scales) in zip(group, out, strict=True):
                         tally.add(kept, gaps, scales)
 
@@ -298,58 +304,45 @@ def _rel(a, b):
     return err
 
 
-def _stencil_steps(d):
-    """The FD stencil in dimension d: its row count and the (row, axis,
-    sign) of each step, as arrays.  Row 0 is the base point, then come +h
-    and -h on each axis, then the (++, +-, --, -+) corners of each axis
-    pair in ``np.triu_indices`` order."""
-    steps = []
-    for i in range(d):
-        steps += [(1 + 2 * i, i, 1.0), (2 + 2 * i, i, -1.0)]
-    row = 1 + 2 * d
-    for i, j in itertools.combinations(range(d), 2):
-        for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
-            steps += [(row, i, si), (row, j, sj)]
-            row += 1
-    rows, axes, signs = zip(*steps)
-    return row, np.array(rows), np.array(axes), np.array(signs)
+@functools.lru_cache
+def _stencil(d):
+    """The FD stencil in dimension d: a read-only (rows, d) table of steps
+    in units of h.  Row 0 is the base point, then come +1 and -1 on each
+    axis, then the (++, +-, --, -+) corners of each axis pair in
+    ``np.triu_indices`` order.  Its zeros are -0.0, so that p + h * step
+    keeps every coordinate that is not stepped bit for bit."""
+    eye = np.eye(d)
+    steps = [np.zeros(d)] + [sign * eye[i] for i in range(d) for sign in (1.0, -1.0)]
+    steps += [si * eye[i] + sj * eye[j] for i, j in itertools.combinations(range(d), 2)
+              for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0))]
+    offsets = np.array(steps)
+    offsets[offsets == 0.0] = -0.0
+    offsets.flags.writeable = False
+    return offsets
 
 
-def fd_point_errors(field, params, coords, h):
-    """Per-point deviations of jet derivatives from central differences.
+def fd_check(field, params, h):
+    """The FD cross-check as a check for :func:`scan`, and the number of
+    stencil values it reads per point.
 
-    ``coords`` holds one point (t, x_1..x_N) per row.  Returns (errors,
-    outside): the max relative deviation of each point, inf where its
-    stencil overflows or meets a non-finite value, and a boolean mask of
-    the points whose stencil leaves the field's domain (their errors are
-    inf too).  First derivatives use (f(p+h) - f(p-h)) / 2h; second
-    derivatives the standard three-point and four-point (mixed)
-    second-order stencils.  The relative error denominator is
-    1 + |jet entry|.
-
-    A batch reads the values of the whole stencils of many points, base
-    rows included, by one ``values_many`` call, and the jets of the base
-    points alone by one ``evaluate_many`` call.  A point counts its
-    stencil's values and its jet's (N+1)² Hessian entries, and a batch
-    holds at most ``_BATCH_ENTRIES`` of them, as in the residual suite:
-    315 points at N = 1, 146 at N = 2 and 83 at N = 3.  A guard that fails
-    names stencil rows; the points they belong to are set aside and the
-    rest are evaluated again.  An error that names no rows sets aside
-    every point of its batch.
+    Its gap at a point is the max relative deviation of the jet's
+    derivatives from central differences, with denominator 1 + |jet
+    entry|, and inf where a stencil value or jet entry is not finite.
+    First derivatives use (f(p+h) - f(p-h)) / 2h; second derivatives the
+    standard three-point and four-point (mixed) second-order stencils.
+    One ``values_many`` call reads the whole stencils of the points,
+    base rows included; a guard that names stencil rows names the points
+    they belong to.  ValueError unless ``h`` is positive and finite.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be positive and finite, got {h}")
-    coords = check_coords(params, coords)
     d = params.jet_dim
-    n_rows, rows, axes, signs = _stencil_steps(d)
-    steps = signs * h
+    steps = h * _stencil(d)
+    n_rows = len(steps)
     iu = np.triu_indices(d, 1)
-    errors = np.full(len(coords), math.inf)
-    outside = np.zeros(len(coords), dtype=bool)
 
-    def deviations(points):
-        stencils = np.repeat(points[:, None, :], n_rows, axis=1)
-        stencils[:, rows, axes] += steps
+    def deviations(points, jets):
+        stencils = points[:, None, :] + steps
         try:
             values = field.values_many(params, stencils.reshape(-1, d))
         except (DomainError, ArithmeticError) as exc:
@@ -357,7 +350,6 @@ def fd_point_errors(field, params, coords, h):
             if bad is not None:
                 exc.rows = bad.reshape(-1, n_rows).any(axis=1)
             raise
-        jets = field_jets(field, params, points)
         f = values.reshape(-1, n_rows)
         f0 = f[:, :1]
         plus, minus = f[:, 1 : 2 * d + 1 : 2], f[:, 2 : 2 * d + 2 : 2]
@@ -371,24 +363,15 @@ def fd_point_errors(field, params, coords, h):
         exact = np.concatenate(
             (grad, np.diagonal(hess, axis1=1, axis2=2), hess[:, iu[0], iu[1]]), axis=1
         )
-        return _rel(fd, exact).max(axis=1)
+        return ((_rel(fd, exact).max(axis=1), 1.0),)
 
-    with np.errstate(all="ignore"):
-        for start, batch in batches(params, coords, n_rows):
-            out, keep, excluded, _ = _guarded(
-                lambda points: deviations(batch[points]), len(batch)
-            )
-            if out is not None:
-                errors[start + keep] = out
-            outside[start : start + len(batch)] = excluded
-    return errors, outside
+    return deviations, n_rows
 
 
 def fd_crosscheck(field, params, points, h):
     """Max relative deviation of jet derivatives from central differences
-    over ``points``, evaluated by :func:`fd_point_errors`, whose batches
-    read the values of the whole stencils of many points and the jets of
-    their base points.
+    over ``points``: the gap of :func:`fd_check`, reduced by one
+    :func:`scan` of the points.
 
     A non-finite jet entry or stencil value, or an overflow, gives inf.
     A stencil that leaves the field's domain raises DomainError; an empty
@@ -397,14 +380,16 @@ def fd_crosscheck(field, params, points, h):
     """
     if not points:
         raise ValueError("fd_crosscheck needs at least one point")
-    errors, outside = fd_point_errors(
-        field, params, [(p.t,) + p.x for p in points], h
-    )
-    if outside.any():
-        p = points[int(np.argmax(outside))]
-        raise DomainError(f"the FD stencil at t={p.t}, x={p.x} leaves the domain")
-    return float(errors.max())
+    check, values = fd_check(field, params, h)
+    coords = check_coords(params, [(p.t,) + p.x for p in points])
+    tally = Tally()
+    scan(field, params, coords, [check], [[tally]], values)
+    if tally.excluded:
+        raise DomainError(
+            f"the FD stencils of {tally.excluded} of {len(points)} points leave the domain"
+        )
+    return tally.gap
 
 
 __all__ = ["GridSpec", "ResidualReport", "within_tolerance", "Tally", "batches",
-           "field_jets", "scan", "run_residual_suite", "fd_point_errors", "fd_crosscheck"]
+           "field_jets", "scan", "run_residual_suite", "fd_check", "fd_crosscheck"]

@@ -1,11 +1,14 @@
 """Finite transformations, derivative laws, generators, commutators."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from condsym import jet2
+from condsym.cli import _commutator_points
 from condsym.errors import BranchError, DimensionMismatch, DomainError
 from condsym.fields import (
     ModelParams,
@@ -329,6 +332,38 @@ def test_y_brackets_vanish_exactly():
                 for a2 in (1, 2):
                     gap = commutator_gap(GenYk(k1, a1), GenYk(k2, a2), (), table)
                     assert gap == 0.0
+
+
+def test_the_massless_algebra_at_n1_z2_contains_sch1():
+    # the abstract's claim: span{X_-1, X_0, X_1, Y_0, Y_1} closes, and with
+    # X~_n = -X_n / 2 and Y_k read as Y_m, m = k - 1/2, it is sch_1:
+    # [X~_n, X~_m] = (n - m) X~_{n+m}, [X~_n, Y_m] = (n/2 - m) Y_{n+m}, [Y, Y] = 0
+    params = ModelParams(1, 2.0)
+    span = [GenXn(-1), GenXn(0), GenXn(1), GenYk(0, 1), GenYk(1, 1)]
+    half = Fraction(1, 2)
+
+    def in_sch1_basis(scale, terms):
+        """``scale`` times ``terms``, as {("X~", n) or ("Y", m): coefficient}"""
+        return {
+            ("X~", gen.n) if isinstance(gen, GenXn) else ("Y", gen.k - half):
+            scale * Fraction(c) * (-2 if isinstance(gen, GenXn) else 1)
+            for c, gen in terms
+        }
+
+    coeffs = Coefficients(params, _commutator_points(1))
+    for g1, g2 in itertools.combinations(span, 2):
+        expected = expected_commutator(g1, g2, params)
+        assert all(gen in span for _, gen in expected), (g1, g2)
+        if isinstance(g2, GenXn):  # [X~_n, X~_m] = [X_n, X_m] / 4
+            n, m = g1.n, g2.n
+            got, want = in_sch1_basis(half * half, expected), {("X~", n + m): n - m}
+        elif isinstance(g1, GenXn):  # [X~_n, Y_m] = -[X_n, Y_m] / 2
+            n, m = g1.n, g2.k - half
+            got, want = in_sch1_basis(-half, expected), {("Y", n + m): n * half - m}
+        else:
+            got, want = in_sch1_basis(1, expected), {}
+        assert got == {key: c for key, c in want.items() if c != 0}, (g1, g2)
+        assert commutator_gap(g1, g2, expected, coeffs) <= 1e-12, (g1, g2)
 
 
 def test_generator_guards():

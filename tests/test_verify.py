@@ -31,8 +31,9 @@ from condsym.verify import (
     GridSpec,
     ResidualReport,
     Tally,
+    _stencil,
+    fd_check,
     fd_crosscheck,
-    fd_point_errors,
     run_residual_suite,
     scan,
     within_tolerance,
@@ -198,7 +199,7 @@ class _WrongDim(ScalarField):
 
 @pytest.mark.parametrize("run", [
     lambda f, grid: run_residual_suite(f, [ResidualKind.DIFFUSION], P2, grid, 1e-8),
-    lambda f, grid: fd_point_errors(f, P2, grid.coords(), 1e-4),
+    lambda f, grid: fd_crosscheck(f, P2, [Point(r[0], tuple(r[1:])) for r in grid.coords()], 1e-4),
 ], ids=["suite", "fd"])
 def test_jets_of_the_wrong_dimension_are_refused(run):
     grid = GridSpec((0.5, 1.0, 2), ((0.5, 1.0, 2),) * 2)
@@ -408,8 +409,33 @@ def test_fd_crosscheck_of_many_points_is_the_worst_single_point(name):
     points = _fd_points(params, 61, 4, field)
     single = [fd_crosscheck(field, params, [p], 1e-4) for p in points]
     assert fd_crosscheck(field, params, points, 1e-4) == max(single)
-    errors, outside = fd_point_errors(field, params, [p.coords() for p in points], 1e-4)
-    assert errors.tolist() == single and not outside.any()
+    # the check on all the points as one batch gives each its own gap
+    check, _ = fd_check(field, params, 1e-4)
+    coords = np.array([p.coords() for p in points])
+    ((gaps, scale),) = check(coords, field.evaluate_many(params, coords))
+    assert gaps.tolist() == single and scale == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("h", [1e-4, 1e-2, 2.0])
+def test_stencil_table_steps_as_the_scatter_add_did(d, h):
+    # the reference: the base point repeated, then one signed step of h
+    # added at each (row, axis) of the stencil
+    steps = []
+    for i in range(d):
+        steps += [(1 + 2 * i, i, 1.0), (2 + 2 * i, i, -1.0)]
+    row = 1 + 2 * d
+    for i, j in itertools.combinations(range(d), 2):
+        for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
+            steps += [(row, i, si), (row, j, sj)]
+            row += 1
+    rows, axes, signs = (np.array(c) for c in zip(*steps))
+    points = np.random.default_rng(d).uniform(-2.0, 2.0, (50, d))
+    points[0] = [0.0, -0.0] + [1e-300] * (d - 2)
+    want = np.repeat(points[:, None, :], row, axis=1)
+    want[:, rows, axes] += signs * h
+    got = points[:, None, :] + h * _stencil(d)
+    assert got.tobytes() == want.tobytes()
 
 
 class _CountingField(ScalarField):
@@ -522,9 +548,14 @@ def test_fd_crosscheck_mixed_batch_of_overflow_and_domain_errors():
             fd_crosscheck(field, P2, points, 1e-4)
     assert fd_crosscheck(field, P2, [fine, over, fine], 1e-4) == math.inf
     assert fd_crosscheck(field, P2, [fine, fine], 1e-2) < 1e-10
-    errors, outside = fd_point_errors(field, P2, [p.coords() for p in (over, out, fine)], 1e-4)
-    assert outside.tolist() == [False, True, False]
-    assert errors[:2].tolist() == [math.inf] * 2 and errors[2] < 1e-4
+    # through one scan, the stencil that leaves the domain is set aside
+    # and the overflowed one is evaluated and not finite
+    check, values = fd_check(field, P2, 1e-4)
+    tally = Tally()
+    coords = np.array([p.coords() for p in (over, out, fine)])
+    scan(field, P2, coords, [check], [[tally]], values)
+    assert (tally.excluded, tally.evaluated, tally.gap) == (1, 2, math.inf)
+    assert tally.max_norm < 1e-4
 
 
 def test_within_tolerance_is_one_rule():
@@ -593,6 +624,13 @@ def test_tally_fails_closed_on_an_overflowed_row():
     overflowed.set_aside(np.zeros(2, dtype=bool), np.ones(2, dtype=bool))
     assert (overflowed.evaluated, overflowed.gap, overflowed.worst) == (2, math.inf, None)
     assert not overflowed.passed(math.inf)
+
+
+def test_tally_rms_counts_the_gaps_it_squared():
+    # an overflowed row has no gap: it counts as evaluated, not in the rms
+    tally = _tally([1.0])
+    tally.set_aside(np.zeros(3, dtype=bool), np.ones(3, dtype=bool))
+    assert (tally.evaluated, tally.rms) == (4, 1.0)
 
 
 def test_tally_caps_exclusions_at_half():
