@@ -17,8 +17,7 @@ import numpy as np
 
 from . import jet2
 from ._kernels import det
-from .errors import DimensionMismatch, DomainError
-from .fields import ProfileFunction
+from .errors import DimensionMismatch
 
 
 class ResidualKind(enum.Enum):
@@ -113,87 +112,6 @@ def diffusion_gcallback(params):
     return g
 
 
-def reduced_residuals(phi_jet, z):
-    """Residuals of the two-equation system for a profile phi(w1, w2).
-
-    first  = phi * (phi_11 + phi_22) - z * (phi_1**2 + phi_2**2)
-    second = phi_11 * phi_22 - phi_12**2
-    """
-    if phi_jet.dim != 2:
-        raise DimensionMismatch("reduced system expects a jet in 2 variables")
-    v = phi_jet.value
-    g = phi_jet.grad
-    h = phi_jet.hess
-    first = v * (h[0, 0] + h[1, 1]) - z * (g[0] * g[0] + g[1] * g[1])
-    second = h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]
-    return first, second
-
-
-def reduced_scale(phi_jet):
-    """Normalization (1 + max |jet entry|) ** 2 of the reduced residuals
-    of a jet in 2 variables."""
-    entries = max(
-        abs(phi_jet.value), float(np.max(np.abs(phi_jet.grad))),
-        float(np.max(np.abs(phi_jet.hess))),
-    )
-    return (1.0 + entries) ** 2
-
-
-class HarmonicPhi:
-    """Profile phi built from a holomorphic seed so that the first
-    reduced equation vanishes identically.
-
-    For a real-coefficient holomorphic f, the combination
-    phi_tilde(w1, w2) = 2 Re f(w1 + i w2) is harmonic.  The profile is
-    phi = phi_tilde ** (1 / (1 - z)) for z != 1 and phi = exp(phi_tilde)
-    for z = 1; either way the first reduced residual is zero wherever
-    the power is defined.  The second residual does not vanish in
-    general.
-
-    Supported seeds: ``poly`` and ``const`` profiles (real coefficients
-    applied to powers of w), and ``exp`` profiles a*exp(b*w).  ``sin``
-    seeds are rejected.
-    """
-
-    def __init__(self, f, z):
-        if not isinstance(f, ProfileFunction):
-            raise TypeError("f must be a ProfileFunction")
-        if f.kind == "sin":
-            raise DomainError("sin seeds do not keep real coefficients")
-        self.f = f
-        self.z = float(z)
-
-    def harmonic_jet(self, w1_jet, w2_jet):
-        """Jet of 2*Re f(w1 + i w2) in the (w1, w2) variables."""
-        f = self.f
-        if f.kind == "const":
-            return jet2.constant(w1_jet.dim, 2.0 * f.params[0])
-        if f.kind == "exp":
-            a, b = f.params
-            # 2 a e^{b w1} cos(b w2)
-            amp = jet2.exp(b * w1_jet) * (2.0 * a)
-            return amp * jet2.cos(b * w2_jet)
-        # poly: accumulate Re(w^k), Im(w^k) by the real recurrence.
-        total = jet2.constant(w1_jet.dim, 0.0)
-        re = jet2.constant(w1_jet.dim, 1.0)
-        im = jet2.constant(w1_jet.dim, 0.0)
-        for c in f.params:
-            if c != 0.0:
-                total = total + (2.0 * c) * re
-            re, im = re * w1_jet - im * w2_jet, re * w2_jet + im * w1_jet
-        return total
-
-    def jet(self, w1_jet, w2_jet):
-        tilde = self.harmonic_jet(w1_jet, w2_jet)
-        if self.z == 1.0:
-            return jet2.exp(tilde)
-        return jet2.power(tilde, 1.0 / (1.0 - self.z))
-
-    def at(self, w1_val, w2_val):
-        """Jet of phi at a concrete (w1, w2) point."""
-        return self.jet(jet2.seed(2, 0, w1_val), jet2.seed(2, 1, w2_val))
-
-
 def _general_invariant(jet, params):
     return general_residual(jet, params, diffusion_gcallback(params))
 
@@ -234,9 +152,6 @@ __all__ = [
     "diffusion_residual",
     "general_residual",
     "diffusion_gcallback",
-    "reduced_residuals",
-    "reduced_scale",
-    "HarmonicPhi",
     "evaluate_residual",
     "residual_scale",
 ]

@@ -266,6 +266,44 @@ class MAOnly:
         return x1 * self.phi.jet(*ratios)
 
 
+@dataclass(frozen=True)
+class Stationary:
+    """u = h(x)**(1/(1-z)), or exp(h) at z = 1, with h = 2 Re f(x1 + i x2)
+    harmonic; N = 2, any z.
+
+    u_t = 0 empties W1's first column, and the right side of the diffusion
+    residual is Laplacian(h) / (1 - z) (Laplacian(h) at z = 1), so u solves
+    it wherever the power is defined.  MA vanishes only where u is affine.
+    The seed f is a real ``poly``, ``const`` or ``exp`` (a*exp(b*w)).
+    """
+
+    spatial_dim = 2
+    designated = _DIFFUSION
+
+    f: ProfileFunction
+    z: float = 2.0
+
+    def __post_init__(self):
+        if self.f.kind == "sin":
+            raise ValueError("a sin seed is not supported; use poly, const or exp")
+
+    def jet(self, jt, jx):
+        x1, x2 = jx
+        if self.f.kind == "exp":
+            a, b = self.f.params
+            h = (2.0 * a) * jet2.exp(b * x1) * jet2.cos(b * x2)
+        else:
+            # poly and const: Re and Im of w**k by the real recurrence, begun
+            # from x1 so that a constant keeps the point axis of a batch
+            h, re, im = 0.0 * x1, x1**0, 0.0 * x2
+            for c in self.f.params:
+                h = h + (2.0 * c) * re
+                re, im = re * x1 - im * x2, re * x2 + im * x1
+        if self.z == 1.0:
+            return jet2.exp(h)
+        return jet2.power(h, 1.0 / (1.0 - self.z))
+
+
 def _check_family(fam, params):
     if params.spatial_dim != fam.spatial_dim:
         raise DimensionMismatch(
@@ -309,26 +347,6 @@ class SolutionField(ScalarField):
         return f"SolutionField({self.family!r})"
 
 
-def ansatz_profile(fam):
-    """The scale-invariant profile phi(w1, w2) of a conical family.
-
-    Evaluating the family along x = w * t**((n+1)/z) and stripping the
-    prefactor t**((n+1)/z) leaves a time-independent profile; it is
-    recovered here at t = 1.  Returns an object with ``at(w1, w2)``
-    giving the dim-2 jet in the profile variables.
-    """
-    if not isinstance(fam, GeneralZ):
-        raise TypeError("the ansatz profile applies to the general-z family")
-
-    class _Profile:
-        def at(self, w1, w2):
-            xj = jet2.seed(2, 0, w1) + fam.e1
-            yj = jet2.seed(2, 1, w2) + fam.e2
-            return _conical(fam.c, fam.z, xj, yj)
-
-    return _Profile()
-
-
 def default_params(fam):
     """The ModelParams a family is stated at: its N and its z."""
     return ModelParams(spatial_dim=fam.spatial_dim, z=fam.z)
@@ -370,6 +388,7 @@ DEFAULT_FAMILIES = {
             powers=((0, 0), (1, 0), (1, 1), (0, 2)), coeffs=(1.0, 1.0, 1.0, 0.5)
         ),
     ),
+    "stationary": Stationary(f=ProfileFunction("exp", (1.0, 0.5))),
 }
 
 
@@ -383,8 +402,8 @@ __all__ = [
     "Z0Linear",
     "GeneralYphi",
     "MAOnly",
+    "Stationary",
     "SolutionField",
-    "ansatz_profile",
     "default_params",
     "default_grid",
     "DEFAULT_FAMILIES",

@@ -20,18 +20,13 @@ from condsym.fields import (
     RandomPolynomialField,
     parse_profile,
 )
-from condsym.operators import (
-    HarmonicPhi,
-    monge_ampere,
-    reduced_residuals,
-    reduced_scale,
-)
+from condsym.operators import ResidualKind, monge_ampere
 from condsym.solutions import (
     DEFAULT_FAMILIES,
     GeneralZ,
     RadialZ1,
     SolutionField,
-    ansatz_profile,
+    Stationary,
     default_grid,
     default_params,
 )
@@ -52,7 +47,7 @@ from condsym.symmetry import (
     transform_point,
     xn_transport,
 )
-from condsym.verify import run_residual_suite
+from condsym.verify import GridSpec, run_residual_suite
 
 EPS_CYCLE = (0.02, -0.02, 0.013, -0.017, 0.008)
 
@@ -220,22 +215,20 @@ def test_criterion_4_commutator_table_with_exact_y_brackets():
 
 
 def test_criterion_5_reduction_chain():
+    # the ansatz u = s * phi(x / s), s = t**((n+1)/z), reduces the system to
+    # a profile phi(w1, w2); at n = -1 the general-z field is that profile
+    # itself, stationary, so both kinds check the two reduced equations
     worst_pair = 0.0
+    ok = True
     for z in (0.5, 2.0, 3.0):
-        fam = GeneralZ(0.8, 1.0, 0.0, 1, z)
-        prof = ansatz_profile(fam)
-        rng = np.random.default_rng(50)
-        for _ in range(40):
-            a = float(rng.uniform(0.3, 1.5))
-            b = float(rng.uniform(-0.6, 0.6))
-            try:
-                j = prof.at(a, b)
-            except DomainError:
-                continue
-            first, second = reduced_residuals(j, z)
-            scale = reduced_scale(j)
-            worst_pair = max(worst_pair, abs(first) / scale, abs(second) / scale)
+        fam = cli.parse_family(f"general-z:n=-1,e1=2,e2=0,z={z}")
+        for r in run_residual_suite(
+            SolutionField(fam), fam.designated, default_params(fam), default_grid(fam), 1e-8
+        ):
+            worst_pair = _worst(worst_pair, r.max_abs)
+            ok = ok and r.passed and r.points_evaluated >= 1000
 
+    # u = h**(1/(1-z)), or exp(h) at z = 1, with h = 2 Re f(x1 + i x2)
     worst_first = 0.0
     windows = {
         "poly:0,1": (0.3, 1.2, -0.7, 0.7),
@@ -244,25 +237,19 @@ def test_criterion_5_reduction_chain():
     }
     for z in (1.0, 2.0):
         for text, (lo1, hi1, lo2, hi2) in windows.items():
-            f = parse_profile(text)
-            phi = HarmonicPhi(f, z)
-            rng = np.random.default_rng(51)
-            for _ in range(40):
-                a = float(rng.uniform(lo1, hi1))
-                b = float(rng.uniform(lo2, hi2))
-                try:
-                    j = phi.at(a, b)
-                except DomainError:
-                    continue
-                first, _ = reduced_residuals(j, z)
-                scale = reduced_scale(j)
-                worst_first = max(worst_first, abs(first) / scale)
-    ok = worst_pair < 1e-8 and worst_first < 1e-8
+            fam = Stationary(parse_profile(text), z)
+            grid = GridSpec((0.5, 2.0, 3), ((lo1, hi1, 12), (lo2, hi2, 12)))
+            (r,) = run_residual_suite(
+                SolutionField(fam), (ResidualKind.DIFFUSION,), default_params(fam), grid, 1e-8
+            )
+            worst_first = _worst(worst_first, r.max_abs)
+            ok = ok and r.passed and r.points_excluded == 0
+    ok = ok and worst_pair < 1e-8 and worst_first < 1e-8
     _verdict(
         "criterion 5 (reduction chain)",
         ok,
-        f"ansatz residual pair {worst_pair:.3e}, harmonic first equation "
-        f"{worst_first:.3e} (tol 1e-08)",
+        f"ansatz profile (general-z at n = -1) residuals {worst_pair:.3e}, "
+        f"harmonic profile (stationary) diffusion {worst_first:.3e} (tol 1e-08)",
     )
 
 
@@ -306,8 +293,11 @@ def _fd_worst(field, params, rng, n_points, h):
 def test_criterion_6_finite_difference_crosscheck():
     worst = 0.0
     ok = True
+    # target idx draws from seed 600 + idx; a family added to the catalog
+    # after these seeds were fixed goes last, so no earlier target moves
+    later = ("stationary",)
     targets = []
-    for name in sorted(DEFAULT_FAMILIES):
+    for name in sorted(DEFAULT_FAMILIES.keys() - set(later)):
         fam = DEFAULT_FAMILIES[name]
         targets.append((name, SolutionField(fam), default_params(fam)))
     for seed in (1, 2, 3, 4, 5):
@@ -315,6 +305,9 @@ def test_criterion_6_finite_difference_crosscheck():
         targets.append(
             (f"random-{seed}", RandomPolynomialField(seed, params, 3), params)
         )
+    for name in later:
+        fam = DEFAULT_FAMILIES[name]
+        targets.append((name, SolutionField(fam), default_params(fam)))
     for idx, (name, field, params) in enumerate(targets):
         rng = np.random.default_rng(600 + idx)
         err, accepted = _fd_worst(field, params, rng, 100, 1e-4)

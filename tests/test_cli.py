@@ -127,6 +127,7 @@ _OVERRIDES = {
     "z0-linear": "psi1=sin:1,1,0,psi2=poly:0,1",
     "general-yphi": "c=2,e1=0.3,e2=0.2,z=3,phi1=const:1,phi2=sin:1,1,0",
     "ma-only": "N=2,phi=sin:1,1,0.5,z=3",
+    "stationary": "f=poly:2,0.5,0.5,z=3",
 }
 
 
@@ -239,7 +240,7 @@ def test_parse_kinds_and_range_and_field():
     with pytest.raises(CLIError, match="unknown residual kind"):
         parse_kinds("z0-diffusion")  # diffusion at z = 0, N = 2 is the same residual
     with pytest.raises(CLIError, match="unknown residual kind"):
-        parse_kinds("reduced-first")  # a residual of phi(w1, w2), not of a field
+        parse_kinds("reduced-first")  # diffusion on a stationary field is that residual
     with pytest.raises(CLIError, match="duplicate residual kind"):
         parse_kinds("diffusion,diffusion")
     with pytest.raises(CLIError, match="unknown residual kind"):
@@ -358,6 +359,21 @@ def test_transform_excludes_pole_samples(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [(r["points_evaluated"], r["points_excluded"]) for r in rows] == [(18, 9)] * 2
+
+
+def test_transform_of_a_solution_off_ma_zero_fails_for_the_conditional_xn(capsys):
+    # the stationary family solves diffusion with MA != 0, so only X_{-1}
+    # and X_0, the classical symmetries, carry it to a solution
+    code, out, _ = run_cli(capsys, "check", "--family", "stationary", "--kinds", "monge-ampere")
+    assert code == 1 and json.loads(out)[0]["points_excluded"] == 0
+    for n in (-2, -1, 0, 1, 2, 3):
+        code, out, err = run_cli(
+            capsys, "transform", "--family", "stationary", "--group", f"Xn:n={n},eps=0.02"
+        )
+        (row,) = json.loads(out)
+        assert code == (0 if n in (-1, 0) else 1), (n, row["max_abs"])
+        assert row["pass"] is (n in (-1, 0))
+        assert row["points_excluded"] == 0
 
 
 def test_transform_group_mismatch(capsys):

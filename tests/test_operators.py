@@ -1,4 +1,5 @@
-"""Determinant residuals, reduced system, harmonic profile builder."""
+"""Determinant residuals, and the diffusion residual on harmonic stationary
+profiles."""
 
 import math
 
@@ -10,21 +11,20 @@ from hypothesis import strategies as st
 from condsym import jet2
 from condsym._kernels import det
 from condsym.errors import DimensionMismatch, DomainError
-from condsym.fields import ModelParams, parse_profile, random_polynomial_function
+from condsym.cli import CLIError, parse_family
+from condsym.fields import ModelParams, Point, parse_profile, random_polynomial_function
 from condsym.operators import (
-    HarmonicPhi,
     ResidualKind,
     diffusion_gcallback,
     diffusion_residual,
     evaluate_residual,
     general_residual,
     monge_ampere,
-    reduced_residuals,
-    reduced_scale,
     residual_scale,
     w1,
     w1_matrix,
 )
+from condsym.solutions import SolutionField, Stationary, default_params
 
 P1 = ModelParams(1, 2.0)
 P2 = ModelParams(2, 2.0)
@@ -126,22 +126,14 @@ def test_diffusion_domain_error_on_negative_u():
         diffusion_residual(u, params)
 
 
-def test_reduced_residuals_on_paraboloid():
-    # phi = w1^2 + w2^2: phi*lap(phi) - z*|grad phi|^2 = 4*phi - 4*z*phi
-    z = 1.0
-    w1j = jet2.seed(2, 0, 0.6)
-    w2j = jet2.seed(2, 1, -0.8)
-    phi = jet2.add(jet2.mul(w1j, w1j), jet2.mul(w2j, w2j))
-    first, second = reduced_residuals(phi, z)
-    assert first == pytest.approx(0.0, abs=1e-14)
-    assert second == pytest.approx(4.0, abs=1e-14)
+def _stationary_jet(text, z, x1, x2):
+    """The jet of the stationary family with seed ``text`` at (1, x1, x2)."""
+    fam = Stationary(parse_profile(text), z)
+    return SolutionField(fam).evaluate(default_params(fam), Point(1.0, (x1, x2)))
 
 
-def test_reduced_residuals_need_two_variables():
-    with pytest.raises(Exception):
-        reduced_residuals(jet2.seed(3, 0, 1.0), 2.0)
-
-
+# on a stationary field at N = 2 the diffusion residual is -u**(-1-z) times
+# the first equation of the reduced profile system, u*Lap(u) - z*|grad u|**2
 @pytest.mark.parametrize("z", [1.0, 2.0, 0.5, 3.0])
 @pytest.mark.parametrize(
     "text,w_window",
@@ -152,53 +144,51 @@ def test_reduced_residuals_need_two_variables():
     ],
 )
 def test_harmonic_phi_kills_first_reduced_equation(z, text, w_window):
-    f = parse_profile(text)
-    phi = HarmonicPhi(f, z)
     lo1, hi1, lo2, hi2 = w_window
+    params = ModelParams(2, z)
     rng = np.random.default_rng(17)
     worst = 0.0
+    evaluated = 0
     for _ in range(25):
         a = float(rng.uniform(lo1, hi1))
         b = float(rng.uniform(lo2, hi2))
         try:
-            j = phi.at(a, b)
+            j = _stationary_jet(text, z, a, b)
+            residual = diffusion_residual(j, params)
         except DomainError:
             continue
-        first, _ = reduced_residuals(j, z)
-        scale = reduced_scale(j)
-        worst = max(worst, abs(first) / scale)
+        evaluated += 1
+        worst = max(worst, abs(residual) / residual_scale(ResidualKind.DIFFUSION, j, params))
+    assert evaluated >= 20
     assert worst < 1e-10
 
 
 def test_harmonic_phi_poly_is_real_part():
-    # f = w^2: real part of (w1 + i w2)^2 is w1^2 - w2^2, doubled
-    phi = HarmonicPhi(parse_profile("poly:0,0,1"), 1.0)
-    j = phi.harmonic_jet(jet2.seed(2, 0, 1.2), jet2.seed(2, 1, 0.5))
+    # f = w^2: at z = 0, u = h = 2 Re (x1 + i x2)^2 = 2 (x1^2 - x2^2)
+    j = _stationary_jet("poly:0,0,1", 0.0, 1.2, 0.5)
     assert j.value == pytest.approx(2 * (1.2**2 - 0.5**2), abs=1e-14)
-    lap = j.hess[0, 0] + j.hess[1, 1]
+    lap = j.hess[1, 1] + j.hess[2, 2]
     assert lap == pytest.approx(0.0, abs=1e-13)
 
 
 def test_harmonic_phi_exp_is_harmonic():
-    phi = HarmonicPhi(parse_profile("exp:1,0.5"), 2.0)
-    j = phi.harmonic_jet(jet2.seed(2, 0, 0.3), jet2.seed(2, 1, -0.9))
+    j = _stationary_jet("exp:1,0.5", 0.0, 0.3, -0.9)
     assert j.value == pytest.approx(
         2 * math.exp(0.5 * 0.3) * math.cos(0.5 * -0.9), abs=1e-13
     )
-    assert j.hess[0, 0] + j.hess[1, 1] == pytest.approx(0.0, abs=1e-13)
+    assert j.hess[1, 1] + j.hess[2, 2] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_harmonic_phi_rejects_sin():
-    with pytest.raises(DomainError):
-        HarmonicPhi(parse_profile("sin:1,1,0"), 2.0)
-    with pytest.raises(TypeError):
-        HarmonicPhi("poly:0,1", 2.0)
+    with pytest.raises(ValueError, match="sin seed"):
+        Stationary(parse_profile("sin:1,1,0"))
+    with pytest.raises(CLIError, match="bad family 'stationary'"):
+        parse_family("stationary:f=sin:1,1,0")
 
 
 def test_harmonic_phi_const_is_constant():
-    phi = HarmonicPhi(parse_profile("const:1.5"), 2.0)
-    j = phi.harmonic_jet(jet2.seed(2, 0, 0.3), jet2.seed(2, 1, -0.9))
-    assert (j.value, j.dim) == (3.0, 2)
+    j = _stationary_jet("const:1.5", 0.0, 0.3, -0.9)
+    assert (j.value, j.dim) == (3.0, 3)
     assert not j.grad.any() and not j.hess.any()
 
 
@@ -221,6 +211,6 @@ def test_evaluate_residual_dispatch():
     for kind in (ResidualKind.DIFFUSION, ResidualKind.MONGE_AMPERE):
         val = evaluate_residual(kind, j, P2)
         assert isinstance(val, float) and math.isfinite(val)
-    # the reduced residuals belong to a profile jet, not to a field jet
+    # a name that is no residual kind is refused
     with pytest.raises(ValueError):
         evaluate_residual("reduced-first", j, P2)

@@ -29,7 +29,6 @@ from condsym.solutions import (
     SolutionField,
     Z0Linear,
     Z0Sqrt,
-    ansatz_profile,
     default_grid,
     default_params,
 )
@@ -214,23 +213,18 @@ def test_shift_by_yphi_preserves_solutions():
     assert worst < 1e-10
 
 
-def test_ansatz_profile_matches_field():
-    # u(t, x) = t**s * phi(x * t**-s) with s = (n+1)/z; phi carries the
-    # constant offsets, the field the time-dependent ones, and the two
-    # agree because the cone is degree-1 homogeneous
-    fam = GeneralZ(0.7, 0.4, -0.1, 1, 2.0)
+@pytest.mark.parametrize("n", [-2, 0, 1, 3])
+def test_general_z_at_n_is_the_n_minus_1_profile_rescaled(n):
+    # u_n(t, x) = s * u_{-1}(1, x / s) with s = t**((n+1)/z): at n = -1 the
+    # shift e * t**0 is constant, and the cone is degree-1 homogeneous
+    fam = GeneralZ(0.7, 0.4, -0.1, n, 2.0)
+    profile = SolutionField(dataclasses.replace(fam, n=-1))
     params = default_params(fam)
-    prof = ansatz_profile(fam)
     t, x1, x2 = 1.2, 0.6, 0.3
-    s = t ** ((fam.n + 1) / fam.z)
+    s = t ** ((n + 1) / fam.z)
     direct = SolutionField(fam).evaluate(params, Point(t, (x1, x2)))
-    via_profile = s * prof.at(x1 / s, x2 / s).value
+    via_profile = s * profile.evaluate(params, Point(1.0, (x1 / s, x2 / s))).value
     assert via_profile == pytest.approx(direct.value, rel=1e-12)
-
-
-def test_ansatz_profile_only_for_general_z():
-    with pytest.raises(TypeError):
-        ansatz_profile(DEFAULT_FAMILIES["radial-z1"])
 
 
 def test_default_grids_are_admissible():

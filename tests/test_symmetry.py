@@ -92,6 +92,15 @@ def test_rot_moves_axes():
     assert q.x[1] == pytest.approx(1.0, abs=1e-15)
 
 
+def test_yphi_shifts_each_axis_by_its_profile():
+    # x'_a = x_a + e_a * phi_a(t), with phi_1 = sin(t) and phi_2 = 0.5 t
+    g = Yphi((parse_profile("sin:1,1,0"), parse_profile("poly:0,0.5")), (0.3, -0.2))
+    q, A = transform_point(g, P2, Point(1.3, (0.4, -0.7)))
+    assert (q.t, A) == (1.3, 1.0)
+    assert q.x[0] == pytest.approx(0.4 + 0.3 * math.sin(1.3), abs=1e-15)
+    assert q.x[1] == pytest.approx(-0.7 - 0.2 * 0.5 * 1.3, abs=1e-15)
+
+
 def test_element_dimension_checks():
     with pytest.raises(DimensionMismatch):
         transform_point(Yk(1, (0.5,)), P2, Point(1.0, (0.0, 0.0)))
