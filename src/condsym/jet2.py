@@ -348,27 +348,21 @@ def rpow(base, p):
     Same domain, but only an exact zero base is a pole (no near-zero
     guard), and integer powers use ``float ** int`` rather than repeated
     multiplication, so the last bits can differ from ``power(...).value``.
-    A batch is raised row by row with Python's ``**``, so each row is bit
-    for bit the float result; the rows where that overflows raise
-    OverflowError together, as a float does alone.
+    A float is raised with Python's ``**``.  A batch is raised by one
+    ``np.power`` call: each row is within 1 ulp of ``**`` on that float
+    and does not depend on its position in the batch; the rows that
+    overflow raise OverflowError together, as a float does alone.
     """
-    batched = isinstance(base, np.ndarray)
     if p == int(p):
         if p < 0.0:
             guard(base == 0.0, "negative power of zero")
         p = int(p)
     else:
         guard(base <= 0.0, f"fractional power {p!r} of a non-positive value")
-    if not batched:
+    if not isinstance(base, np.ndarray):
         return float(base) ** p
-    out = []
-    for b in base.tolist():
-        try:
-            out.append(b ** p)
-        except OverflowError:
-            out.append(math.inf)
-    out = np.array(out)
-    return _checked(out, base)
+    with np.errstate(over="ignore"):
+        return _checked(np.power(base, float(p)), base)
 
 
 def _ipow(v, k):

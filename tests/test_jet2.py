@@ -521,11 +521,20 @@ def test_batch_guard_message_is_short_and_rows_name_the_bad_points():
     assert info.value.rows.tolist() == (base <= 0.0).tolist()
 
 
-def test_batched_rpow_is_the_float_power_row_by_row():
-    base = np.array([0.3, 1.7, 2.9, 1e-3])
-    for p in (-3, -2, -1, 2, 3, 0.5, -1.5):
+def test_batched_rpow_is_one_power_within_an_ulp_of_the_float():
+    # a batch is one np.power call: each row is within 1 ulp of ``**`` on
+    # that float, and bit for bit the same base raised alone as a 1-row
+    # batch, so a report does not depend on how rows were batched.  The
+    # exponents are those of the diffusion residual, 2 - z - N and
+    # 1 - z - N, and the integer powers of residual_scale
+    base = np.exp(np.random.default_rng(27).uniform(math.log(1e-3), math.log(1e3), 10_000))
+    exponents = {e - z - n for e in (1, 2) for z in (0.5, 2, 3) for n in (1, 2, 3)}
+    for p in sorted(exponents | {2, 3, 4}):
         got = jet2.rpow(base, p)
-        assert got.tolist() == [jet2.rpow(b, p) for b in base.tolist()]
+        want = np.array([jet2.rpow(b, p) for b in base.tolist()])
+        assert (np.abs(got - want) <= np.spacing(want)).all(), p
+        alone = [jet2.rpow(base[i:i + 1], p)[0] for i in range(base.size)]
+        assert got.tolist() == alone, p
     with pytest.raises(DomainError) as info:
         jet2.rpow(np.array([1.0, 0.0, 2.0]), -1)
     assert info.value.rows.tolist() == [False, True, False]

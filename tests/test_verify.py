@@ -706,12 +706,12 @@ _PARITY_TRANSFORMS = {
                                (0.1, -0.1))),
     "rot": ("z0-sqrt", Rot(1, 2, 0.1)),
 }
-# built from + - * /, sqrt, sin, cos and integer powers only: the batch
-# gives each jet, and so each residual, bit for bit ("overflow" uses exp,
-# but every residual it keeps is an exact 0.0)
-_EXACT = {"one-dim-z1", "one-dim-generic", "radial-z1", "z0-sqrt", "ma-only",
-          "Xn", "Xn-branch", "rot", "half-plane", "nan-after-0", "nan-after-1",
-          "nan-after-many", "random", "overflow"}
+# jets built from + - * /, sqrt, sin, cos and integer powers only, whose
+# residuals the batch gives bit for bit on these grids, although jet2.rpow
+# raises a batch through numpy ("overflow" uses exp, but every residual it
+# keeps is an exact 0.0)
+_EXACT = {"one-dim-z1", "one-dim-generic", "ma-only", "rot", "half-plane",
+          "nan-after-0", "nan-after-1", "nan-after-many", "overflow"}
 
 
 def _parity_cases():
@@ -759,11 +759,14 @@ def test_residual_suite_matches_scalar_loop(name):
             assert _same_float(report.rms, rms), report.equation
             assert report.worst_point == worst, report.equation
         else:
-            # exp and atan2 of a batch go through numpy, whose last bit
-            # can differ from math's.  These residuals are rounding noise:
-            # over these grids the normalized max_abs moved by at most
-            # 6.3e-17 and rms by 4.6e-19, far below the 1e-8 tolerance,
-            # and the worst point can move among points whose residuals
-            # differ by rounding only
-            assert abs(report.max_abs - max_abs) <= 5e-16, report.equation
-            assert abs(report.rms - rms) <= 5e-16, report.equation
+            # exp, atan2 and the power that jet2.rpow raises a batch to go
+            # through numpy, whose last bit can differ from math's and from
+            # ``**``.  These residuals are rounding noise: over these grids
+            # the normalized max_abs moved by at most 6.3e-17 and rms by
+            # 4.3e-18, far below the 1e-8 tolerance, and the worst point
+            # can move among points whose residuals differ by rounding
+            # only.  The one residual that is no noise, the random
+            # polynomial's 32.1, moved by its last bit (7.1e-15): above 1
+            # the bound is read relative to the value
+            for got_v, want_v in ((report.max_abs, max_abs), (report.rms, rms)):
+                assert abs(got_v - want_v) <= 5e-16 * max(1.0, abs(want_v)), report.equation
