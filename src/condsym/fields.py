@@ -188,15 +188,14 @@ class ProfileFunction:
         p = self.params
         if self.kind == "const":
             return p[0], 0.0, 0.0
-        m = jet2.mathlib(t)
         if self.kind == "exp":
             a, b = p
             e = a * jet2.mexp(b * t)
             return e, b * e, b * b * e
         if self.kind == "sin":
             a, b, c = p
-            s = m.sin(b * t + c)
-            co = m.cos(b * t + c)
+            s = np.sin(b * t + c)
+            co = np.cos(b * t + c)
             return a * s, a * b * co, -a * b * b * s
         value = _horner(p, t)
         d1 = _horner([i * c for i, c in enumerate(p)][1:], t)

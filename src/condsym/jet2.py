@@ -11,18 +11,15 @@ float ``value``, a ``(dim,)`` gradient and a ``(dim, dim)`` Hessian; a
 batched jet has a leading point axis: ``value`` (P,), ``grad`` (P, dim)
 and ``hess`` (P, dim, dim).  Each combinator is written once over the
 trailing axes, so unbatched and batched jets mix freely and a batch
-gives, point for point, the unbatched result.  That holds bit for bit
-for ``+ - * /``, ``sqrt``, ``sin``, ``cos`` and integer powers.  ``exp``,
-``ln``, ``atan``, ``atan2_jet`` and fractional powers of a batch go
-through numpy, whose last bit can differ from ``math``'s.
+gives, point for point, the unbatched result, bit for bit: a point and a
+batch run the same numpy code, elementary functions included, and an
+unbatched value is stored as a Python float.
 
 Every combinator computes the value from values alone, so a jet in dim 0
 (``constant(0, v)``: a value with an empty gradient) carries, bit for
 bit, the value the same computation gives in any dim, and meets the same
 guards, at the cost of the value alone.
 """
-
-import math
 
 import numpy as np
 
@@ -31,12 +28,6 @@ from .errors import DimensionMismatch, DomainError
 # Relative threshold below which a denominator / log argument / radicand
 # is treated as singular rather than merely small.
 _GUARD = 1e-12
-
-
-def mathlib(v):
-    """``math`` for a float, numpy for a batch: unbatched results stay
-    bit for bit what ``math`` gives."""
-    return np if isinstance(v, np.ndarray) else math
 
 
 def guard(bad, message, error=DomainError):
@@ -63,17 +54,17 @@ def _error(error, message, bad):
 
 
 def _checked(result, arg):
-    """A numpy ``result`` at ``arg``, raising OverflowError at the rows
-    where a finite argument gave an infinite result, as ``math`` raises
-    on a float."""
-    if isinstance(result, np.ndarray):
-        guard(np.isinf(result) & np.isfinite(arg), "math range error", OverflowError)
+    """A numpy ``result`` at ``arg``, a float or a batch, raising
+    OverflowError where a finite argument gave an infinite result."""
+    guard(np.isinf(result) & np.isfinite(arg), "math range error", OverflowError)
     return result
 
 
 def mexp(v):
-    """``exp`` of a float or of a batch, overflowing as ``math.exp`` does."""
-    return _checked(mathlib(v).exp(v), v)
+    """``exp`` of a float or of a batch by one ``np.exp`` call, raising
+    OverflowError, with no RuntimeWarning, where a finite ``v`` overflows."""
+    with np.errstate(over="ignore"):
+        return _checked(np.exp(v), v)
 
 
 def _too_small(v, scale=1.0):
@@ -101,6 +92,8 @@ _set = object.__setattr__
 def _init(jet, value, grad, hess):
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
+    else:
+        value = float(value)
     grad.setflags(write=False)
     hess.setflags(write=False)
     _set(jet, "value", value)
@@ -219,6 +212,14 @@ def seed(dim, coord_index, value):
     return _make(value, g, np.zeros(g.shape + (dim,)))
 
 
+def coordinates(dim, coords):
+    """The jets of the columns of ``coords``, one point (n,) or rows
+    (P, n): their seeds in ``dim`` variables, or in dim 0 their values
+    alone."""
+    return [seed(dim, i, c) if dim else constant(0, c)
+            for i, c in enumerate(np.asarray(coords, dtype=float).T)]
+
+
 def constant(dim, value):
     """Jet of a constant: zero gradient and Hessian.  In dim 0 it is a
     value alone, which every combinator carries through as it would the
@@ -282,34 +283,32 @@ def exp(a):
 def ln(a):
     v = a.value
     guard((v < 0.0) | _too_small(v), "ln of a non-positive value")
-    return univariate(a, mathlib(v).log(v), 1.0 / v, -1.0 / (v * v))
+    return univariate(a, np.log(v), 1.0 / v, -1.0 / (v * v))
 
 
 def sqrt(a):
     v = a.value
     guard((v < 0.0) | _too_small(v), "sqrt of a non-positive value")
-    r = mathlib(v).sqrt(v)
+    r = np.sqrt(v)
     return univariate(a, r, 0.5 / r, -0.25 / (r * v))
 
 
 def sin(a):
-    m = mathlib(a.value)
-    s = m.sin(a.value)
-    c = m.cos(a.value)
+    s = np.sin(a.value)
+    c = np.cos(a.value)
     return univariate(a, s, c, -s)
 
 
 def cos(a):
-    m = mathlib(a.value)
-    s = m.sin(a.value)
-    c = m.cos(a.value)
+    s = np.sin(a.value)
+    c = np.cos(a.value)
     return univariate(a, c, -s, -c)
 
 
 def atan(a):
     v = a.value
     d = 1.0 + v * v
-    return univariate(a, mathlib(v).atan(v), 1.0 / d, -2.0 * v / (d * d))
+    return univariate(a, np.arctan(v), 1.0 / d, -2.0 * v / (d * d))
 
 
 def power(a, p):
@@ -334,10 +333,10 @@ def power(a, p):
         f1 = p * _ipow(v, k - 1)
         f2 = p * (p - 1.0) * _ipow(v, k - 2) if k != 1 else 0.0
     else:
-        m = mathlib(v)
-        f0 = _checked(m.pow(v, p), v)
-        f1 = p * _checked(m.pow(v, p - 1.0), v)
-        f2 = p * (p - 1.0) * _checked(m.pow(v, p - 2.0), v)
+        with np.errstate(over="ignore"):
+            f0 = _checked(np.power(v, p), v)
+            f1 = p * _checked(np.power(v, p - 1.0), v)
+            f2 = p * (p - 1.0) * _checked(np.power(v, p - 2.0), v)
     return univariate(a, f0, f1, f2)
 
 
@@ -346,21 +345,17 @@ def rpow(base, p):
     value-only twin of :func:`power`.
 
     Same domain, but only an exact zero base is a pole (no near-zero
-    guard), and integer powers use ``float ** int`` rather than repeated
+    guard), and integer powers use ``np.power`` rather than repeated
     multiplication, so the last bits can differ from ``power(...).value``.
-    A float is raised with Python's ``**``.  A batch is raised by one
-    ``np.power`` call: each row is within 1 ulp of ``**`` on that float
-    and does not depend on its position in the batch; the rows that
-    overflow raise OverflowError together, as a float does alone.
+    A float and a batch are raised by one ``np.power`` call, so a row is
+    bit for bit its base raised alone; the rows that overflow raise
+    OverflowError together, as a float does alone.
     """
     if p == int(p):
         if p < 0.0:
             guard(base == 0.0, "negative power of zero")
-        p = int(p)
     else:
         guard(base <= 0.0, f"fractional power {p!r} of a non-positive value")
-    if not isinstance(base, np.ndarray):
-        return float(base) ** p
     with np.errstate(over="ignore"):
         return _checked(np.power(base, float(p)), base)
 
@@ -398,7 +393,7 @@ def atan2_jet(y, x):
         + _scalers(th_yy)[1] * _outer(gy, gy)
         + _scalers(th_xy)[1] * (cross + cross.mT)
     )
-    return _make(mathlib(r2).atan2(yv, xv), grad, hess)
+    return _make(np.arctan2(yv, xv), grad, hess)
 
 
 def compose(outer, inner):

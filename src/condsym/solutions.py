@@ -8,9 +8,9 @@ grid) and ``jet`` (its second-order jet over arbitrary coordinate jets).
 setup.
 
 Every ``jet`` takes unbatched or batched coordinate jets alike, so
-:class:`SolutionField` seeds the jets of one row (floats, through
-``math``) or of rows (a batch, through numpy) and calls it once; for
-values alone it passes jets in no variables through the same ``jet``.
+:class:`SolutionField` seeds the jets of one row (floats) or of rows (a
+batch) and calls it once, through the same numpy code; for values alone
+it passes jets in no variables through the same ``jet``.
 Domain guards (radicands, sector boundaries, coordinate poles) go through
 ``jet2.guard`` and raise DomainError if any point is outside, so that
 grid runners can count exclusions.
@@ -339,8 +339,7 @@ class SolutionField(ScalarField):
         ``dim`` variables: the seeds of the N + 1 coordinates, or, in dim
         0, their values alone."""
         _check_family(self.family, params)
-        jets = [jet2.seed(dim, i, v) if dim else jet2.constant(0, v)
-                for i, v in enumerate(check_coords(params, coords).T)]
+        jets = jet2.coordinates(dim, check_coords(params, coords))
         return self.family.jet(jets[0], jets[1:])
 
     def __repr__(self):

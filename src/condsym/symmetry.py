@@ -17,11 +17,12 @@ parameter negated; ``g.check(params)`` rejects an element that does not
 fit the spatial dimension N.
 
 Each generator writes its vector field once, as
-``gen.coeffs(params, y) -> (xi, dxi)``: the coefficients at
-y = (t, x_1..x_N, u) and their Jacobian, which a :class:`Coefficients`
-table holds once per point.  :func:`commutator_gap` compares the bracket
-of two such fields with the structure-constant table of
-:func:`expected_commutator`, coefficient by coefficient.
+``gen.coeffs(params, y) -> (xi, dxi)``: the coefficients at the rows
+y = (t, x_1..x_N, u) of a (P, N + 2) array and their Jacobians, which a
+:class:`Coefficients` table holds once per generator.
+:func:`commutator_gap` compares the bracket of two such fields with the
+structure-constant table of :func:`expected_commutator`, coefficient by
+coefficient.
 
 Conventions:
 
@@ -181,8 +182,7 @@ def _act_on(g, params, coords, dim):
     array: the jets of the image coordinates and the factor A, a jet or,
     where it is constant, a float."""
     g.check(params)
-    t, *x = (jet2.seed(dim, i, c) if dim else jet2.constant(0, c)
-             for i, c in enumerate(np.asarray(coords, dtype=float).T))
+    t, *x = jet2.coordinates(dim, coords)
     t, x, a = g.act(params, t, x)
     return (t,) + x, a
 
@@ -364,16 +364,16 @@ def pushforward_identity_gap(tr):
 
 
 # ---------------------------------------------------------------------------
-# algebra generators: dxi[A, B] = d xi^A / d y^B
+# algebra generators, at P rows: dxi[:, A, B] = d xi^A / d y^B
 
 
-def _zero_field(params, *axes):
-    """Zero (xi, dxi) over (t, x_1..x_N, u), once every 1-based spatial
-    axis in ``axes`` is known to exist."""
+def _zero_field(params, rows, *axes):
+    """Zero (xi, dxi) over (t, x_1..x_N, u) at ``rows`` points, once every
+    1-based spatial axis in ``axes`` is known to exist."""
     n = params.spatial_dim
     if not all(1 <= a <= n for a in axes):
         raise DimensionMismatch(f"axes {axes} out of range for N={n}")
-    return np.zeros(n + 2), np.zeros((n + 2, n + 2))
+    return np.zeros((rows, n + 2)), np.zeros((rows, n + 2, n + 2))
 
 
 @dataclass(frozen=True)
@@ -386,16 +386,17 @@ class GenXn:
         return f"X({self.n})"
 
     def coeffs(self, params, y):
-        xi, dxi = _zero_field(params)
-        n, t = self.n, y[0]
+        xi, dxi = _zero_field(params, len(y))
+        n, t = self.n, y[:, :1]  # the time column, (P, 1)
         tn = jet2.rpow(t, n)
         tn1 = n * jet2.rpow(t, n - 1) if n != 0 else 0.0
-        xi[0] = params.z * jet2.rpow(t, n + 1)
-        dxi[0, 0] = params.z * (n + 1) * tn
+        xi[:, :1] = params.z * jet2.rpow(t, n + 1)
+        dxi[:, :1, 0] = params.z * (n + 1) * tn
         # the spatial slots and the u slot scale alike
-        xi[1:] = (n + 1) * tn * y[1:]
-        dxi[1:, 0] = (n + 1) * tn1 * y[1:]
-        np.fill_diagonal(dxi[1:, 1:], (n + 1) * tn)
+        xi[:, 1:] = (n + 1) * tn * y[:, 1:]
+        dxi[:, 1:, 0] = (n + 1) * tn1 * y[:, 1:]
+        diag = np.arange(1, y.shape[1])
+        dxi[:, diag, diag] = (n + 1) * tn
         return xi, dxi
 
 
@@ -410,10 +411,10 @@ class GenYk:
         return f"Y({self.k},axis={self.axis})"
 
     def coeffs(self, params, y):
-        xi, dxi = _zero_field(params, self.axis)
-        k, t = self.k, y[0]
-        xi[self.axis] = jet2.rpow(t, k)
-        dxi[self.axis, 0] = k * jet2.rpow(t, k - 1) if k != 0 else 0.0
+        xi, dxi = _zero_field(params, len(y), self.axis)
+        k, t = self.k, y[:, 0]
+        xi[:, self.axis] = jet2.rpow(t, k)
+        dxi[:, self.axis, 0] = k * jet2.rpow(t, k - 1) if k != 0 else 0.0
         return xi, dxi
 
 
@@ -433,26 +434,25 @@ class GenJab:
 
     def coeffs(self, params, y):
         a, b = self.a, self.b
-        xi, dxi = _zero_field(params, a, b)
-        xi[b] = y[a]
-        xi[a] = -y[b]
-        dxi[b, a] = 1.0
-        dxi[a, b] = -1.0
+        xi, dxi = _zero_field(params, len(y), a, b)
+        xi[:, b] = y[:, a]
+        xi[:, a] = -y[:, b]
+        dxi[:, b, a] = 1.0
+        dxi[:, a, b] = -1.0
         return xi, dxi
 
 
 class Coefficients(dict):
     """Generator -> its (xi, dxi) at the rows y = (t, x_1..x_N, u) of
-    ``ys``, stacked over the rows, evaluated on first use.  A generator
+    ``ys``, evaluated by one ``coeffs`` call on first use.  A generator
     whose ``coeffs`` raises is not stored, so each read of it raises."""
 
     def __init__(self, params, ys):
         super().__init__()
-        self.params, self.ys = params, [np.asarray(y, dtype=float) for y in ys]
+        self.params, self.ys = params, np.asarray(ys, dtype=float)
 
     def __missing__(self, gen):
-        xi, dxi = zip(*(gen.coeffs(self.params, y) for y in self.ys))
-        self[gen] = out = np.stack(xi), np.stack(dxi)
+        self[gen] = out = gen.coeffs(self.params, self.ys)
         return out
 
 

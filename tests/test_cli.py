@@ -717,8 +717,9 @@ def _identity_per_point(seed, z, spatial_dim, eps, points=50, tol=1e-8):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_identity_batch_matches_per_point_scan(capsys, seed):
     # identity transports the samples of an n in batches; per sample
-    # the counts and verdicts agree, and the gaps up to the last bits
-    # that numpy's pow and exp on a batch leave against math's
+    # the counts and verdicts agree, and the gaps up to the last bits in
+    # which this oracle, with Python's ``**``, its own sums and the
+    # pushforward evaluated at the images, differs from the batched laws
     excluding = 0
     for z in (0.0, 0.5, 2.0, 3.0):
         for spatial_dim in (1, 2, 3):
@@ -920,11 +921,11 @@ def test_commutators_build_no_jets(capsys, monkeypatch):
 def test_commutators_evaluate_each_generator_once_per_point(capsys, monkeypatch):
     # every generator that the table lists or that a structure constant
     # names, X(3) among them, is evaluated once at each of the two
-    # points
+    # points, by one call over both rows
     calls = []
     for kind in (cli.GenXn, cli.GenYk, cli.GenJab):
         def counted(self, params, y, coeffs=kind.coeffs):
-            calls.append(str(self))
+            calls.append((str(self), y.shape))
             return coeffs(self, params, y)
 
         monkeypatch.setattr(kind, "coeffs", counted)
@@ -943,7 +944,7 @@ def test_commutators_evaluate_each_generator_once_per_point(capsys, monkeypatch)
     distinct = {str(g) for g in listed} | named
     assert "X(3)" in distinct - {str(g) for g in listed}
     assert len(json.loads(out)) == 190
-    assert sorted(calls) == sorted(list(distinct) * 2)
+    assert sorted(calls) == sorted((gen, (2, 5)) for gen in distinct)
 
 
 def test_commutators_non_finite_gap_fails_closed(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Second-order forward-mode jets: arithmetic, composition, domains."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,23 +303,10 @@ def _curved(x, y, dim=2):
     return jx * jy + jx * jx * 0.5 + 1.5 - jy * 0.25, jx - jy * jy
 
 
-def _linear(x, y, dim=2):
-    """Jets with zero Hessian, so that each output entry is one product and
-    a last-bit difference in f0, f1 or f2 stays within a few ulps."""
-    jx, jy = _coordinates(x, y, dim)
-    return jx * 0.75 + jy * 0.25 + 0.125, jy * 0.5 - jx * 0.25
-
-
-def _pairs(rng, n=40):
-    x = rng.uniform(0.3, 1.7, n)
-    y = rng.uniform(-1.2, 1.2, n)
+def _pairs(rng):
+    x = rng.uniform(0.3, 1.7, 40)
+    y = rng.uniform(-1.2, 1.2, 40)
     return x, y
-
-
-def _ulps(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    diff = np.abs(a - b)
-    return float(np.max(np.where(diff == 0.0, 0.0, diff / np.spacing(np.abs(b)))))
 
 
 _BITWISE = {
@@ -331,19 +319,16 @@ _BITWISE = {
     "sqrt": lambda a, b: jet2.sqrt(a),
     "sin": lambda a, b: jet2.sin(b),
     "cos": lambda a, b: jet2.cos(b),
-    "power3": lambda a, b: jet2.power(b, 3),
-    "power-2": lambda a, b: jet2.power(a, -2),
-    "power0": lambda a, b: jet2.power(a, 0) * b,
-    "compose": lambda a, b: jet2.compose(jet2.mul(a, b), [a, b]),
-}
-
-_NUMPY_ELEMENTARY = {
     "exp": lambda a, b: jet2.exp(b),
     "ln": lambda a, b: jet2.ln(a),
     "atan": lambda a, b: jet2.atan(b),
     "atan2": lambda a, b: jet2.atan2_jet(b, a),
+    "power3": lambda a, b: jet2.power(b, 3),
+    "power-2": lambda a, b: jet2.power(a, -2),
+    "power0": lambda a, b: jet2.power(a, 0) * b,
     "power0.5": lambda a, b: jet2.power(a, 0.5),
     "power-1.5": lambda a, b: jet2.power(a, -1.5),
+    "compose": lambda a, b: jet2.compose(jet2.mul(a, b), [a, b]),
 }
 
 
@@ -367,21 +352,6 @@ def test_batched_combinator_is_pointwise_bitwise(name):
         values = op(a, b)
     assert values.grad.shape == (len(x), 0) and values.hess.shape == (len(x), 0, 0)
     assert np.array_equal(values.value, batch.value)
-
-
-@pytest.mark.parametrize("name", sorted(_NUMPY_ELEMENTARY))
-def test_batched_elementary_function_within_4_ulps(name):
-    # numpy's exp, log, arctan, arctan2 and fractional pow may differ from
-    # math's in the last bit; the unbatched path keeps math
-    op = _NUMPY_ELEMENTARY[name]
-    x, y = _pairs(np.random.default_rng(12), 400)
-    batch = op(*_linear(x, y))
-    scalar = [op(*_linear(xi, yi)) for xi, yi in zip(x, y)]
-    assert _ulps(batch.value, [s.value for s in scalar]) <= 4
-    assert _ulps(batch.grad, np.stack([s.grad for s in scalar])) <= 4
-    assert _ulps(batch.hess, np.stack([s.hess for s in scalar])) <= 4
-    # in dim 0 the batched values, bit for bit
-    assert np.array_equal(op(*_linear(x, y, dim=0)).value, batch.value)
 
 
 def test_unbatched_jets_keep_float_values():
@@ -522,19 +492,17 @@ def test_batch_guard_message_is_short_and_rows_name_the_bad_points():
 
 
 def test_batched_rpow_is_one_power_within_an_ulp_of_the_float():
-    # a batch is one np.power call: each row is within 1 ulp of ``**`` on
-    # that float, and bit for bit the same base raised alone as a 1-row
+    # a float and a batch are raised by one np.power call: each row is bit
+    # for bit its float raised alone and its base raised alone as a 1-row
     # batch, so a report does not depend on how rows were batched.  The
     # exponents are those of the diffusion residual, 2 - z - N and
     # 1 - z - N, and the integer powers of residual_scale
     base = np.exp(np.random.default_rng(27).uniform(math.log(1e-3), math.log(1e3), 10_000))
     exponents = {e - z - n for e in (1, 2) for z in (0.5, 2, 3) for n in (1, 2, 3)}
     for p in sorted(exponents | {2, 3, 4}):
-        got = jet2.rpow(base, p)
-        want = np.array([jet2.rpow(b, p) for b in base.tolist()])
-        assert (np.abs(got - want) <= np.spacing(want)).all(), p
-        alone = [jet2.rpow(base[i:i + 1], p)[0] for i in range(base.size)]
-        assert got.tolist() == alone, p
+        got = jet2.rpow(base, p).tolist()
+        assert got == [float(jet2.rpow(b, p)) for b in base.tolist()], p
+        assert got == [jet2.rpow(base[i:i + 1], p)[0] for i in range(base.size)], p
     with pytest.raises(DomainError) as info:
         jet2.rpow(np.array([1.0, 0.0, 2.0]), -1)
     assert info.value.rows.tolist() == [False, True, False]
@@ -544,10 +512,20 @@ def test_batched_rpow_is_one_power_within_an_ulp_of_the_float():
 
 
 def test_overflow_on_a_batch_names_the_rows_math_rejects():
-    # math.exp and float ** int raise OverflowError on a float; on a batch
-    # the rows where a finite argument overflows raise it together
-    with pytest.raises(OverflowError):
-        jet2.exp(jet2.seed(1, 0, 800.0))
+    # a float goes through the numpy call of a batch and overflows as math
+    # does, with an OverflowError and no RuntimeWarning; on a batch the
+    # rows where a finite argument overflows raise it together
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for overflow in (
+            lambda: jet2.exp(jet2.seed(1, 0, 800.0)),
+            lambda: jet2.power(jet2.seed(1, 0, 1e200), 2.5),
+            lambda: jet2.rpow(1e200, 2),
+            lambda: jet2.rpow(1e250, 1.5),
+        ):
+            with pytest.raises(OverflowError) as info:
+                overflow()
+            assert getattr(info.value, "rows", None) is None
     with np.errstate(over="ignore"):
         with pytest.raises(OverflowError) as info:
             jet2.exp(jet2.seed(1, 0, np.array([1.0, 800.0, np.inf])))

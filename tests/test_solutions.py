@@ -245,11 +245,6 @@ def test_solution_field_adapter():
     assert "radial" in repr(field).lower() or "RadialZ1" in repr(field)
 
 
-# families whose jets use only + - * /, sqrt, sin, cos and integer powers;
-# the others also call exp or atan2, which numpy may round differently
-_EXACT_FAMILIES = ("one-dim-z1", "one-dim-generic", "radial-z1", "z0-sqrt", "ma-only")
-
-
 def _interior_coords(fam, params, count, seed):
     rng = np.random.default_rng(seed)
     rows = []
@@ -277,14 +272,7 @@ def test_evaluate_many_matches_pointwise_evaluate(name):
         jet = SolutionField(fam).evaluate(params, Point(row[0], tuple(row[1:])))
         got = (batch.value[k], batch.grad[k], batch.hess[k])
         for a, b in zip(got, (jet.value, jet.grad, jet.hess)):
-            if name in _EXACT_FAMILIES:
-                assert np.array_equal(a, b)
-            else:
-                # a last-bit difference in exp or atan2 grows through the
-                # family's later steps (cos near the sector edge): measured
-                # up to 46 ulps of the largest entry over 3,000 points
-                scale = 1.0 + np.max(np.abs(b))
-                assert np.max(np.abs(a - b)) <= 1e-13 * scale
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(

@@ -285,13 +285,14 @@ def test_zero_z_general_branch_is_guarded():
 
 
 def test_apply_generator_oracles():
-    y = np.array([1.0, 1.0, 1.0, 1.0])
+    y = np.array([[1.0, 1.0, 1.0, 1.0]])  # one row
     grad_t = np.array([1.0, 0.0, 0.0, 0.0])
     grad_u = np.array([0.0, 0.0, 0.0, 1.0])
-    grad_r2 = 2.0 * y * [0.0, 1.0, 1.0, 0.0]  # of x1^2 + x2^2
+    grad_r2 = 2.0 * y[0] * [0.0, 1.0, 1.0, 0.0]  # of x1^2 + x2^2
 
     def apply(gen, grad):
-        return gen.coeffs(P2, y)[0] @ grad
+        (value,) = gen.coeffs(P2, y)[0] @ grad
+        return value
 
     # X_{-1} t = z; X_0 u = u; J_12 (x1^2 + x2^2) = 0
     assert apply(GenXn(-1), grad_t) == pytest.approx(2.0)
@@ -300,14 +301,27 @@ def test_apply_generator_oracles():
 
 
 def test_generator_jacobian_matches_central_differences():
-    y = np.array([1.3, 0.4, -0.7, 0.9])
+    # one row, and two distinct rows: a coefficient that read another row's
+    # time or coordinates would miss its own central difference, and each
+    # row of a batch is bit for bit that row alone
+    one = np.array([[1.3, 0.4, -0.7, 0.9]])
+    two = np.array([[1.3, 0.4, -0.7, 0.9], [0.6, -1.1, 0.8, 1.7]])
     h = 1e-6
-    for gen in (GenXn(-2), GenXn(0), GenXn(2), GenYk(-1, 2), GenYk(3, 1), GenJab(1, 2)):
-        _, dxi = gen.coeffs(P2, y)
-        for b in range(4):
-            step = h * np.eye(4)[b]
-            fd = (gen.coeffs(P2, y + step)[0] - gen.coeffs(P2, y - step)[0]) / (2 * h)
-            assert np.allclose(dxi[:, b], fd, rtol=1e-7, atol=1e-8), (gen, b)
+    for y in (one, two):
+        for gen in (GenXn(-2), GenXn(0), GenXn(2), GenYk(-1, 2), GenYk(3, 1), GenJab(1, 2)):
+            xi, dxi = gen.coeffs(P2, y)
+            assert xi.shape == (len(y), 4) and dxi.shape == (len(y), 4, 4)
+            for b in range(4):
+                fd = np.empty((len(y), 4))
+                for r in range(len(y)):
+                    step = np.zeros_like(y)
+                    step[r, b] = h
+                    fd[r] = (gen.coeffs(P2, y + step)[0][r]
+                             - gen.coeffs(P2, y - step)[0][r]) / (2 * h)
+                assert np.allclose(dxi[:, :, b], fd, rtol=1e-7, atol=1e-8), (gen, b)
+            for r in range(len(y)):
+                alone = gen.coeffs(P2, y[r:r + 1])
+                assert np.array_equal(xi[r], alone[0][0]) and np.array_equal(dxi[r], alone[1][0])
 
 
 def test_generator_labels():
@@ -424,7 +438,7 @@ def test_rotation_algebra_closes_in_3d():
 
 
 def test_generator_axis_bounds():
-    y = np.array([1.0, 0.0, 0.0, 0.0])
+    y = np.array([[1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(DimensionMismatch):
         GenYk(1, 3).coeffs(P2, y)
     with pytest.raises(DimensionMismatch):

@@ -706,14 +706,6 @@ _PARITY_TRANSFORMS = {
                                (0.1, -0.1))),
     "rot": ("z0-sqrt", Rot(1, 2, 0.1)),
 }
-# jets built from + - * /, sqrt, sin, cos and integer powers only, whose
-# residuals the batch gives bit for bit on these grids, although jet2.rpow
-# raises a batch through numpy ("overflow" uses exp, but every residual it
-# keeps is an exact 0.0)
-_EXACT = {"one-dim-z1", "one-dim-generic", "ma-only", "rot", "half-plane",
-          "nan-after-0", "nan-after-1", "nan-after-many", "overflow"}
-
-
 def _parity_cases():
     cases = {}
     for name, fam in DEFAULT_FAMILIES.items():
@@ -754,19 +746,8 @@ def test_residual_suite_matches_scalar_loop(name):
     for report, (ev, ex, max_abs, rms, worst, passed) in zip(got, want):
         assert (report.points_evaluated, report.points_excluded, report.passed) == (
             ev, ex, passed), report.equation
-        if name in _EXACT:
-            assert _same_float(report.max_abs, max_abs), report.equation
-            assert _same_float(report.rms, rms), report.equation
-            assert report.worst_point == worst, report.equation
-        else:
-            # exp, atan2 and the power that jet2.rpow raises a batch to go
-            # through numpy, whose last bit can differ from math's and from
-            # ``**``.  These residuals are rounding noise: over these grids
-            # the normalized max_abs moved by at most 6.3e-17 and rms by
-            # 4.3e-18, far below the 1e-8 tolerance, and the worst point
-            # can move among points whose residuals differ by rounding
-            # only.  The one residual that is no noise, the random
-            # polynomial's 32.1, moved by its last bit (7.1e-15): above 1
-            # the bound is read relative to the value
-            for got_v, want_v in ((report.max_abs, max_abs), (report.rms, rms)):
-                assert abs(got_v - want_v) <= 5e-16 * max(1.0, abs(want_v)), report.equation
+        # a point and a batch run the same numpy code, so every case agrees
+        # bit for bit
+        assert _same_float(report.max_abs, max_abs), report.equation
+        assert _same_float(report.rms, rms), report.equation
+        assert report.worst_point == worst, report.equation
