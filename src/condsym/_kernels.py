@@ -46,7 +46,9 @@ def poly_jet(powers, coeffs, coords):
     coords : (D,) float array, or (P, D) for P points
 
     Returns ``(value, grad, hess)`` with shapes ``()``, ``(D,)``,
-    ``(D, D)``, or ``(P,)``, ``(P, D)``, ``(P, D, D)`` for rows.  All
+    ``(D, D)``, or ``(P,)``, ``(P, D)``, ``(P, D, D)`` for rows: the
+    gradient and Hessian of rows are views of C-contiguous point-last
+    arrays (D, P) and (D, D, P), the storage of a jet.  All
     monomials of all points are evaluated at once, entry by entry, in a
     fixed float order: per monomial, each entry is the coefficient times
     the factors of the coordinates in ascending index order, and the sum
@@ -69,17 +71,17 @@ def poly_jet(powers, coeffs, coords):
     iu = np.triu_indices(D)
     leads = [(c, ())] + [(c * g[i], (i,)) for i in range(D)]
     leads += [(c * h[i] if i == j else c * g[i] * g[j], (i, j)) for i, j in zip(*iu)]
-    terms = np.empty((M,) + lead + (len(leads),))
+    terms = np.empty((M, len(leads)) + lead)
     for e, (term, skip) in enumerate(leads):
         for k in range(D):
             if k not in skip:
                 term = term * f[k]
-        terms[..., e] = term
+        terms[:, e] = term
 
     total = _sum_monomials(terms)
-    hess = np.empty(lead + (D, D))
-    hess[..., iu[0], iu[1]] = hess[..., iu[1], iu[0]] = total[..., 1 + D :]
-    return total[..., 0][()], total[..., 1 : 1 + D], hess
+    hess = np.empty((D, D) + lead)
+    hess[iu[0], iu[1]] = hess[iu[1], iu[0]] = total[1 + D :]
+    return total[0][()], total[1 : 1 + D].T, hess.transpose(*range(2, hess.ndim), 0, 1)
 
 
 def poly_value(powers, coeffs, coords):

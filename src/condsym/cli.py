@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -346,15 +347,38 @@ def _csv_cell(value):
     return str(value)
 
 
-def _json_value(value):
-    """``value`` with every non-finite float spelled as a JSON string."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+def _json_text(value, indent=""):
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, with every non-finite float spelled as a JSON string.  The stdlib
+    writes an indented document with its pure-Python encoder, whose
+    closures leave reference cycles behind on every call."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return '"NaN"' if math.isnan(value) else ('"Infinity"' if value > 0 else '"-Infinity"')
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_value(v) for v in value]
-    return value
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def emit(rows, fmt, out=None):
@@ -362,8 +386,7 @@ def emit(rows, fmt, out=None):
     "Infinity", "-Infinity" and "NaN"; CSV cells keep ``repr``."""
     out = sys.stdout if out is None else out
     if fmt == "json":
-        text = json.dumps(_json_value(rows), indent=2, sort_keys=True, allow_nan=False)
-        out.write(text + "\n")
+        out.write(_json_text(rows) + "\n")
         return
     fieldnames = sorted({key for row in rows for key in row})
     writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")

@@ -20,7 +20,6 @@ import numpy as np
 from . import jet2
 from ._kernels import poly_jet, poly_value
 from .errors import DimensionMismatch, DomainError
-from .jet2 import Jet2
 
 _PROFILE_ARITY = {"poly": None, "exp": 2, "sin": 3, "const": 1}
 
@@ -106,11 +105,7 @@ class ScalarField:
                 failed[k] = exc
         if failed:
             raise _batch_error(failed, len(coords))
-        return Jet2(
-            [j.value for j in jets],
-            np.stack([j.grad for j in jets]),
-            np.stack([j.hess for j in jets]),
-        )
+        return jet2.stack(jets)
 
     def values_many(self, params, coords):
         """The values of the field at ``coords``: a float for one row
@@ -297,7 +292,7 @@ class PolynomialFunction:
     def at(self, coords):
         """The jet in the ``dim`` coordinate slots at ``coords``, one point
         (dim,) or rows (P, dim), by one call of the kernel."""
-        return Jet2(*poly_jet(*self._arrays, self._checked(coords)))
+        return jet2.adopt(*poly_jet(*self._arrays, self._checked(coords)))
 
     def value_at(self, coords):
         """``at(coords).value``, bit for bit, by the value kernel alone."""

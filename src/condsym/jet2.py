@@ -9,17 +9,25 @@ every update writes identical floats to the (i, j) and (j, i) slots.
 A jet holds one point or a batch of P points.  An unbatched jet has a
 float ``value``, a ``(dim,)`` gradient and a ``(dim, dim)`` Hessian; a
 batched jet has a leading point axis: ``value`` (P,), ``grad`` (P, dim)
-and ``hess`` (P, dim, dim).  Each combinator is written once over the
-trailing axes, so unbatched and batched jets mix freely and a batch
-gives, point for point, the unbatched result, bit for bit: a point and a
-batch run the same numpy code, elementary functions included, and an
-unbatched value is stored as a Python float.
+and ``hess`` (P, dim, dim).  Those ``grad`` and ``hess`` are read-only
+views.  The storage keeps the point axis last, C-contiguous: a
+gradient is stored (dim, P) and a Hessian (dim, dim, P), or (dim, 1) and
+(dim, dim, 1) for one point.  So a (P,) value scales a gradient or a
+Hessian by plain broadcasting, every elementwise operation runs along P
+contiguous floats, and the trailing axis of length 1 lets a point
+broadcast against a batch.  Each combinator is written once, so
+unbatched and batched jets mix freely and a batch gives, point for
+point, the unbatched result, bit for bit: a point and a batch run the
+same numpy code, elementary functions included, and an unbatched value
+is stored as a Python float.
 
 Every combinator computes the value from values alone, so a jet in dim 0
 (``constant(0, v)``: a value with an empty gradient) carries, bit for
 bit, the value the same computation gives in any dim, and meets the same
 guards, at the cost of the value alone.
 """
+
+import functools
 
 import numpy as np
 
@@ -73,16 +81,14 @@ def _too_small(v, scale=1.0):
     return (m < _GUARD) | (m < _GUARD * abs(scale))
 
 
-def _scalers(v):
-    """``v`` shaped to scale a gradient and a Hessian: a float as it is,
-    a (P,) batch as (P, 1) and (P, 1, 1)."""
-    if isinstance(v, np.ndarray):
-        return v[:, None], v[:, None, None]
-    return v, v
-
-
 def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
+    # (dim, P) and (dim, P) stored gradients -> (dim, dim, P)
+    return a[:, None] * b[None, :]
+
+
+def _mirror(m):
+    """The transpose of a stored (dim, dim, P) Hessian."""
+    return m.transpose(1, 0, 2)
 
 
 _new = object.__new__
@@ -97,14 +103,49 @@ def _init(jet, value, grad, hess):
     grad.setflags(write=False)
     hess.setflags(write=False)
     _set(jet, "value", value)
-    _set(jet, "grad", grad)
-    _set(jet, "hess", hess)
+    _set(jet, "_grad", grad)
+    _set(jet, "_hess", hess)
     return jet
 
 
 def _make(value, grad, hess):
-    """A jet around arrays a combinator has just built: no copy, no checks."""
+    """A jet around point-last arrays a combinator has just built: no
+    copy, no checks."""
     return _init(_new(Jet2), value, grad, hess)
+
+
+def _point_last(a, batched):
+    """The point-last view of a point-first gradient or Hessian: the
+    point axis moved last, or a trailing axis of length 1 for one point."""
+    return a.transpose(*range(1, a.ndim), 0) if batched else a[..., None]
+
+
+@functools.cache
+def _lower(dim):
+    """The indices of the strict lower triangle of a (dim, dim) matrix."""
+    return np.tril_indices(dim, -1)
+
+
+def adopt(value, grad, hess):
+    """A jet around point-first ``grad`` and ``hess`` that the caller
+    hands over and never writes again, such as the views ``poly_jet``
+    returns: they are stored without a copy where they already view
+    C-contiguous point-last arrays."""
+    batched = isinstance(value, np.ndarray)
+    return _make(
+        value,
+        np.ascontiguousarray(_point_last(grad, batched)),
+        np.ascontiguousarray(_point_last(hess, batched)),
+    )
+
+
+def stack(jets):
+    """The batch of the unbatched ``jets``, one row each, in order."""
+    return _make(
+        np.array([j.value for j in jets]),
+        np.concatenate([j._grad for j in jets], axis=-1),
+        np.concatenate([j._hess for j in jets], axis=-1),
+    )
 
 
 def _as_value(value):
@@ -122,12 +163,12 @@ class Jet2:
     """Immutable (value, gradient, Hessian) triple in ``dim`` variables,
     at one point or with a leading axis of P points."""
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "_grad", "_hess")
 
     def __init__(self, value, grad, hess):
         value, shape = _as_value(value)
-        grad = np.array(grad, dtype=float)
-        hess = np.array(hess, dtype=float)
+        grad = np.asarray(grad, dtype=float)
+        hess = np.asarray(hess, dtype=float)
         if len(shape) > 1 or grad.ndim != len(shape) + 1 or grad.shape[:-1] != shape:
             raise DimensionMismatch(
                 f"gradient shape {grad.shape} does not fit value shape {shape}"
@@ -136,21 +177,45 @@ class Jet2:
             raise DimensionMismatch(
                 f"Hessian shape {hess.shape} does not match gradient shape {grad.shape}"
             )
-        _init(self, value, grad, hess)
+        batched = bool(shape)
+        _init(
+            self,
+            value,
+            np.array(_point_last(grad, batched), order="C"),
+            np.array(_point_last(hess, batched), order="C"),
+        )
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"Jet2 is immutable; cannot set {name!r}")
 
     @property
+    def grad(self):
+        """The gradient, (dim,) or (P, dim): a read-only view."""
+        g = self._grad
+        return g.T if isinstance(self.value, np.ndarray) else g[:, 0]
+
+    @property
+    def hess(self):
+        """The Hessian, (dim, dim) or (P, dim, dim): a read-only view."""
+        h = self._hess
+        return h.transpose(2, 0, 1) if isinstance(self.value, np.ndarray) else h[..., 0]
+
+    @property
     def dim(self):
-        return self.grad.shape[-1]
+        return self._grad.shape[0]
 
     def __repr__(self):
         return f"Jet2(value={self.value!r}, grad={self.grad.tolist()!r})"
 
     def take(self, rows):
-        """The batch of the rows ``rows`` (an index or boolean array)."""
-        return _make(self.value[rows], self.grad[rows], self.hess[rows])
+        """The point of the row ``rows`` (an int), unbatched, or the batch
+        of the rows ``rows`` (a slice, an index or a boolean array)."""
+        at = (..., rows, None) if isinstance(rows, (int, np.integer)) else (..., rows)
+        return _make(
+            self.value[rows],
+            np.ascontiguousarray(self._grad[at]),
+            np.ascontiguousarray(self._hess[at]),
+        )
 
     # arithmetic via the module-level combinators; NotImplemented for a non-number
     def __add__(self, other):
@@ -182,7 +247,7 @@ class Jet2:
         return other if other is NotImplemented else div(other, self)
 
     def __neg__(self):
-        return _make(-self.value, -self.grad, -self.hess)
+        return _make(-self.value, -self._grad, -self._hess)
 
     def __pow__(self, p):
         return power(self, p)
@@ -207,9 +272,9 @@ def seed(dim, coord_index, value):
     if not 0 <= coord_index < dim:
         raise DimensionMismatch(f"coord_index {coord_index} out of range for dim {dim}")
     value, shape = _as_value(value)
-    g = np.zeros(shape + (dim,))
-    g[..., coord_index] = 1.0
-    return _make(value, g, np.zeros(g.shape + (dim,)))
+    g = np.zeros((dim,) + (shape or (1,)))
+    g[coord_index] = 1.0
+    return _make(value, g, np.zeros((dim,) + g.shape))
 
 
 def coordinates(dim, coords):
@@ -227,32 +292,31 @@ def constant(dim, value):
     if dim < 0:
         raise DimensionMismatch("dim must not be negative")
     value, shape = _as_value(value)
-    shape += (dim,)
-    return _make(value, np.zeros(shape), np.zeros(shape + (dim,)))
+    shape = (dim,) + (shape or (1,))
+    return _make(value, np.zeros(shape), np.zeros((dim,) + shape))
 
 
 def add(a, b):
     _check_same_dim(a, b)
-    return _make(a.value + b.value, a.grad + b.grad, a.hess + b.hess)
+    return _make(a.value + b.value, a._grad + b._grad, a._hess + b._hess)
 
 
 def sub(a, b):
     _check_same_dim(a, b)
-    return _make(a.value - b.value, a.grad - b.grad, a.hess - b.hess)
+    return _make(a.value - b.value, a._grad - b._grad, a._hess - b._hess)
 
 
 def mul(a, b):
     _check_same_dim(a, b)
     # Product rule, in the float order of the unbatched form.
-    ag, ah = _scalers(a.value)
-    bg, bh = _scalers(b.value)
-    grad = ag * b.grad
-    grad += bg * a.grad
-    cross = _outer(a.grad, b.grad)
-    hess = ah * b.hess
-    hess += bh * a.hess
-    hess += cross + cross.mT
-    return _make(a.value * b.value, grad, hess)
+    av, bv = a.value, b.value
+    grad = av * b._grad
+    grad += bv * a._grad
+    cross = _outer(a._grad, b._grad)
+    hess = av * b._hess
+    hess += bv * a._hess
+    hess += cross + _mirror(cross)
+    return _make(av * bv, grad, hess)
 
 
 def div(a, b):
@@ -269,10 +333,9 @@ def univariate(a, f0, f1, f2):
     every point."""
     if isinstance(a.value, np.ndarray) and not isinstance(f0, np.ndarray):
         f0 = np.full(a.value.shape, f0)
-    g1, h1 = _scalers(f1)
-    hess = h1 * a.hess
-    hess += _scalers(f2)[1] * _outer(a.grad, a.grad)
-    return _make(f0, g1 * a.grad, hess)
+    hess = f1 * a._hess
+    hess += f2 * _outer(a._grad, a._grad)
+    return _make(f0, f1 * a._grad, hess)
 
 
 def exp(a):
@@ -382,16 +445,15 @@ def atan2_jet(y, x):
     th_xx = 2.0 * xv * yv / r4
     th_yy = -2.0 * xv * yv / r4
     th_xy = (yv * yv - xv * xv) / r4
-    gx, gy = x.grad, y.grad
-    (gth_x, hth_x), (gth_y, hth_y) = _scalers(th_x), _scalers(th_y)
-    grad = gth_x * gx + gth_y * gy
+    gx, gy = x._grad, y._grad
+    grad = th_x * gx + th_y * gy
     cross = _outer(gx, gy)
     hess = (
-        hth_x * x.hess
-        + hth_y * y.hess
-        + _scalers(th_xx)[1] * _outer(gx, gx)
-        + _scalers(th_yy)[1] * _outer(gy, gy)
-        + _scalers(th_xy)[1] * (cross + cross.mT)
+        th_x * x._hess
+        + th_y * y._hess
+        + th_xx * _outer(gx, gx)
+        + th_yy * _outer(gy, gy)
+        + th_xy * (cross + _mirror(cross))
     )
     return _make(np.arctan2(yv, xv), grad, hess)
 
@@ -404,6 +466,12 @@ def compose(outer, inner):
     a common source dimension.  Returns the jet of the composite in the
     source variables.  The Hessian is symmetrized by mirroring the upper
     triangle so exact symmetry survives the matrix products.
+
+    The matrix products run point-first, on C-order copies of the public
+    views: numpy hands each point's product to BLAS only where a matrix
+    has a unit stride, and its own loop sums in another float order.  The
+    result is stored point-last, and the terms of the inner Hessians are
+    added along the point axis.
     """
     inner = list(inner)
     if outer.dim != len(inner):
@@ -414,11 +482,20 @@ def compose(outer, inner):
     for j in inner:
         if j.dim != d:
             raise DimensionMismatch("inner jets must share one source dimension")
-    jac = np.array([j.grad for j in inner]).swapaxes(0, -2)  # (..., m, d)
-    grad = (jac.mT @ outer.grad[..., None])[..., 0]
-    quad = jac.mT @ outer.hess @ jac
-    hess = np.triu(quad) + np.triu(quad, 1).mT
-    # the rows of outer.grad.T are its components, at every point of a batch
-    for gi, j in zip(outer.grad.T, inner):
-        hess = hess + _scalers(gi)[1] * j.hess
-    return _make(outer.value, grad, hess)
+    jac = np.array(np.broadcast_arrays(*(j.grad for j in inner))).swapaxes(0, -2)  # (..., m, d)
+    grad = (jac.mT @ np.ascontiguousarray(outer.grad)[..., None])[..., 0]
+    quad = jac.mT @ np.ascontiguousarray(outer.hess) @ jac
+    batched = quad.ndim == 3
+    # each slot is its upper-triangle entry plus 0.0, so that a -0.0 reads
+    # 0.0 as in a sum of the two triangles, and both slots hold one float
+    quad = _point_last(quad, batched)
+    hess = np.add(quad, 0.0, out=np.empty(quad.shape))
+    lower = _lower(d)
+    hess[lower] = _mirror(hess)[lower]
+    # the rows of the stored outer gradient are its components, at every point
+    for gi, j in zip(outer._grad, inner):
+        hess += gi * j._hess
+    value = outer.value
+    if batched and not isinstance(value, np.ndarray):
+        value = np.full(len(grad), value)
+    return _make(value, np.ascontiguousarray(_point_last(grad, batched)), hess)

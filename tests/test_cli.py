@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condsym import cli, fields, jet2, verify
 from condsym.cli import (
@@ -748,6 +750,52 @@ def test_emit_json_is_strict():
     assert json.loads(out.getvalue()) == [
         {"a": "NaN", "b": ["-Infinity", 1.5], "c": {"d": "Infinity"}}
     ]
+
+
+def _spelled(value):
+    """``value`` with each non-finite float spelled as emit spells it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _spelled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_spelled(v) for v in value]
+    return value
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.text(), _JSON_VALUES, max_size=6), max_size=4))
+@example([])
+@example([{"é\n\"\\\u2028\x00": ["\U0001f600", {}, [], -0.0, 10**30, True, None]}, {}])
+def test_emit_json_writes_what_the_stdlib_indents(rows):
+    # non-ASCII and escaped strings, None, bools, ints, -0.0, nested dicts
+    # and lists and the empty list, as json.dumps writes them
+    out = io.StringIO()
+    cli.emit(rows, "json", out)
+    want = json.dumps(_spelled(rows), indent=2, sort_keys=True, allow_nan=False)
+    assert out.getvalue() == want + "\n"
+
+
+def test_warm_emit_leaves_no_garbage():
+    # the stdlib's indenting encoder left reference cycles behind on every
+    # call, for the next full collection to find
+    rows = [{"family": "z0-sqrt", "max_abs": 1e-17, "pass": True,
+             "worst_point": {"t": 0.5, "x": [0.25, float("nan")]}}] * 3
+    cli.emit(rows, "json", io.StringIO())
+    gc.collect()
+    gc.disable()
+    try:
+        cli.emit(rows, "json", io.StringIO())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_evaluates_field_once_per_point(capsys, monkeypatch):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from condsym import jet2
 from condsym.errors import DimensionMismatch, DomainError
+from condsym.fields import ModelParams, RandomPolynomialField, ScalarField
+from condsym.symmetry import Xn, pushforward_field
 
 
 def test_seed_and_constant():
@@ -533,3 +535,121 @@ def test_overflow_on_a_batch_names_the_rows_math_rejects():
     with pytest.raises(OverflowError) as info:
         jet2.rpow(np.array([2.0, 1e200, np.inf]), 2)
     assert info.value.rows.tolist() == [False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# mixed operands: a point broadcasts against a batch as the batch of that
+# point repeated would
+
+
+def _same(got, want):
+    assert type(got.value) is type(want.value)
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.grad, want.grad) and np.array_equal(got.hess, want.hess)
+
+
+_MIXED = {
+    "add": jet2.add,
+    "sub": jet2.sub,
+    "mul": jet2.mul,
+    "div": jet2.div,
+    "atan2": lambda a, b: jet2.atan2_jet(b, a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED))
+def test_a_point_combines_with_a_batch_as_the_batch_of_that_point(name):
+    op = _MIXED[name]
+    x, y = _pairs(np.random.default_rng(11))
+    k = 3
+    batch = _curved(x, y)
+    point = _curved(float(x[k]), float(y[k]))
+    repeated = _curved(np.full(len(x), x[k]), np.full(len(x), y[k]))
+    _same(op(batch[0], point[1]), op(batch[0], repeated[1]))
+    _same(op(point[0], batch[1]), op(repeated[0], batch[1]))
+
+
+def test_compose_mixes_points_and_batches():
+    x, y = _pairs(np.random.default_rng(11))
+    k = 5
+    (a, b), (pa, pb) = _curved(x, y), _curved(float(x[k]), float(y[k]))
+    ra, rb = _curved(np.full(len(x), x[k]), np.full(len(x), y[k]))
+    outer, point_outer, repeated_outer = a * b, pa * pb, ra * rb
+    _same(jet2.compose(outer, [pa, pb]), jet2.compose(outer, [ra, rb]))
+    _same(jet2.compose(point_outer, [a, b]), jet2.compose(repeated_outer, [a, b]))
+    _same(jet2.compose(outer, [a, pb]), jet2.compose(outer, [a, rb]))
+
+
+def test_take_an_int_gives_the_point_and_a_mask_the_rows():
+    x, y = _pairs(np.random.default_rng(11))
+    batch = jet2.mul(*_curved(x, y))
+    for k in (0, 7, -1):
+        one = batch.take(k)
+        _same(one, jet2.mul(*_curved(float(x[k]), float(y[k]))))
+        assert type(one.value) is float
+        assert one.grad.shape == (2,) and one.hess.shape == (2, 2)
+        assert not one.grad.flags.writeable and not one.hess.flags.writeable
+    mask = x > 1.0
+    rows = batch.take(mask)
+    assert rows.value.tolist() == batch.value[mask].tolist()
+    assert np.array_equal(rows.grad, batch.grad[mask])
+    assert np.array_equal(rows.hess, batch.hess[mask])
+    assert batch.take(np.flatnonzero(mask)).hess.tolist() == rows.hess.tolist()
+
+
+# ---------------------------------------------------------------------------
+# storage layout: the point axis last and C-contiguous, behind point-first
+# read-only views
+
+
+def _layouts():
+    """(jet, P or None) for the result of every combinator, batched and
+    unbatched, each with its name as the test id."""
+    x, y = _pairs(np.random.default_rng(11))
+    out = []
+    for batch, (xs, ys) in ((len(x), (x, y)), (None, (float(x[0]), float(y[0])))):
+        a, b = _curved(xs, ys)
+        results = {name: op(a, b) for name, op in _BITWISE.items()}
+        results["univariate"] = jet2.univariate(a, a.value, b.value, a.value)
+        results["seed"] = jet2.seed(2, 1, xs)
+        results["constant"] = jet2.constant(2, xs)
+        results["coordinates"] = jet2.coordinates(2, np.stack([xs, ys], axis=-1))[1]
+        results["Jet2"] = jet2.Jet2(a.value, a.grad, a.hess)
+        results["adopt"] = jet2.adopt(a.value, a.grad, a.hess)
+        kind = "point" if batch is None else "batch"
+        out += [pytest.param(jet, batch, id=f"{name}-{kind}") for name, jet in results.items()]
+    whole = jet2.mul(*_curved(x, y))
+    out += [
+        pytest.param(jet2.stack([whole.take(k) for k in range(len(x))]), len(x), id="stack"),
+        pytest.param(whole.take(4), None, id="take-int"),
+        pytest.param(whole.take(x > 1.0), int((x > 1.0).sum()), id="take-mask"),
+        pytest.param(whole.take(slice(None)), len(x), id="take-slice"),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("jet, batch", _layouts())
+def test_jets_store_the_point_axis_last_behind_point_first_views(jet, batch):
+    rows = (batch,) if batch is not None else ()
+    assert jet._grad.shape == (2, batch or 1) and jet._hess.shape == (2, 2, batch or 1)
+    assert jet._grad.flags.c_contiguous and jet._hess.flags.c_contiguous
+    assert jet.grad.shape == rows + (2,) and jet.hess.shape == rows + (2, 2)
+    for arr in (jet._grad, jet._hess, jet.grad, jet.hess):
+        assert not arr.flags.writeable
+    assert np.shares_memory(jet.grad, jet._grad) and np.shares_memory(jet.hess, jet._hess)
+
+
+def test_field_evaluations_store_the_point_axis_last():
+    params = ModelParams(z=0.5, spatial_dim=2)
+    field = RandomPolynomialField(3, params, 3)
+
+    class PointByPoint(ScalarField):
+        def evaluate(self, params, point):
+            return field.evaluate_many(params, point.coords())
+
+    coords = np.random.default_rng(2).uniform(0.5, 1.5, (7, 3))
+    for f in (field, PointByPoint(), pushforward_field(Xn(-1, 0.1), params, field)):
+        jet = f.evaluate_many(params, coords)
+        assert jet._grad.shape == (3, 7) and jet._hess.shape == (3, 3, 7)
+        assert jet._grad.flags.c_contiguous and jet._hess.flags.c_contiguous
+        assert jet.grad.shape == (7, 3) and jet.hess.shape == (7, 3, 3)
