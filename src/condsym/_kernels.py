@@ -2,10 +2,22 @@
 
 ``poly_jet`` gives the whole second-order jet of a polynomial, and
 ``poly_value`` its value alone, in the same float order, for callers
-that read values only (the finite-difference stencils).
+that read values only (the finite-difference stencils).  ``triu`` keeps
+the triangle indices that these loops and the jet layers index by.
 """
 
+import functools
+
 import numpy as np
+
+
+@functools.cache
+def triu(d, k=0):
+    """``np.triu_indices(d, k)``, built once per ``(d, k)``, read-only."""
+    iu = np.triu_indices(d, k)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
 
 
 def _operands(powers, coeffs, coords):
@@ -68,7 +80,7 @@ def poly_jet(powers, coeffs, coords):
     # f_k of the coordinates it skips, in ascending k: the value c, the
     # gradient c * g_i, the Hessian c * h_i on and c * g_i * g_j (i < j)
     # above the diagonal; the (j, i) slot copies the (i, j) sum
-    iu = np.triu_indices(D)
+    iu = triu(D)
     leads = [(c, ())] + [(c * g[i], (i,)) for i in range(D)]
     leads += [(c * h[i] if i == j else c * g[i] * g[j], (i, j)) for i, j in zip(*iu)]
     terms = np.empty((M, len(leads)) + lead)

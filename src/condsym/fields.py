@@ -275,19 +275,18 @@ class PolynomialFunction:
 
     def jet(self, *args):
         """Chain the polynomial through ``dim`` argument jets, unbatched or
-        batched: each term is its coefficient times its factors, and the
-        terms are added in row order starting from 0."""
+        batched: each term is its float coefficient times its factors, and
+        the terms are added in row order starting from 0.0."""
         if len(args) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} arguments, got {len(args)}")
-        d = args[0].dim
-        total = jet2.constant(d, 0.0)
+        total = 0.0
         for exps, coeff in zip(self.powers, self.coeffs):
-            term = jet2.constant(d, coeff)
+            term = coeff
             for e, a in zip(exps, args):
                 for _ in range(e):
-                    term = jet2.mul(term, a)
-            total = jet2.add(total, term)
-        return total
+                    term = term * a
+            total = total + term
+        return total if isinstance(total, jet2.Jet2) else jet2.constant(args[0].dim, total)
 
     def at(self, coords):
         """The jet in the ``dim`` coordinate slots at ``coords``, one point

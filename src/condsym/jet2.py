@@ -25,12 +25,20 @@ Every combinator computes the value from values alone, so a jet in dim 0
 (``constant(0, v)``: a value with an empty gradient) carries, bit for
 bit, the value the same computation gives in any dim, and meets the same
 guards, at the cost of the value alone.
-"""
 
-import functools
+A plain number (an ``int`` or a ``float``) stays a number: ``c * a``
+scales each entry by ``c`` (:func:`scale`), ``a + c`` shifts the value
+and shares ``a``'s gradient and Hessian, and ``a / c`` scales by
+``1.0 / c`` after ``div``'s guard, with no constant jet and no product
+rule.  The value is, bit for bit, what the combinator gives with
+``constant(dim, c)``, and so are the derivatives but for the sign of a
+zero (``c * 0.0`` where the product rule adds ``0.0``), and but for an
+infinite value, whose derivatives no ``inf * 0.0`` turns into NaN.
+"""
 
 import numpy as np
 
+from ._kernels import triu
 from .errors import DimensionMismatch, DomainError
 
 # Relative threshold below which a denominator / log argument / radicand
@@ -120,12 +128,6 @@ def _point_last(a, batched):
     return a.transpose(*range(1, a.ndim), 0) if batched else a[..., None]
 
 
-@functools.cache
-def _lower(dim):
-    """The indices of the strict lower triangle of a (dim, dim) matrix."""
-    return np.tril_indices(dim, -1)
-
-
 def adopt(value, grad, hess):
     """A jet around point-first ``grad`` and ``hess`` that the caller
     hands over and never writes again, such as the views ``poly_jet``
@@ -157,6 +159,10 @@ def _as_value(value):
     if value.ndim == 0:
         return float(value), ()
     return value, value.shape
+
+
+# the plain numbers a jet combines with, as a constant factor or shift
+_NUMBER = (int, float)
 
 
 class Jet2:
@@ -217,48 +223,48 @@ class Jet2:
             np.ascontiguousarray(self._hess[at]),
         )
 
-    # arithmetic via the module-level combinators; NotImplemented for a non-number
+    # arithmetic via the module-level combinators, where a plain number
+    # scales or shifts the jet; NotImplemented for anything else
     def __add__(self, other):
-        other = _coerce(other, self.dim)
-        return other if other is NotImplemented else add(self, other)
+        if isinstance(other, _NUMBER):
+            return _make(self.value + float(other), self._grad, self._hess)
+        return add(self, other) if isinstance(other, Jet2) else NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other, self.dim)
-        return other if other is NotImplemented else sub(self, other)
+        if isinstance(other, _NUMBER):
+            return _make(self.value - float(other), self._grad, self._hess)
+        return sub(self, other) if isinstance(other, Jet2) else NotImplemented
 
     def __rsub__(self, other):
-        other = _coerce(other, self.dim)
-        return other if other is NotImplemented else sub(other, self)
+        if isinstance(other, _NUMBER):
+            return _make(float(other) - self.value, -self._grad, -self._hess)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = _coerce(other, self.dim)
-        return other if other is NotImplemented else mul(self, other)
+        if isinstance(other, _NUMBER):
+            return scale(self, float(other))
+        return mul(self, other) if isinstance(other, Jet2) else NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other, self.dim)
-        return other if other is NotImplemented else div(self, other)
+        if isinstance(other, _NUMBER):
+            # by the reciprocal, as ``div`` multiplies by its value
+            return scale(self, 1.0 / _divisor(float(other)))
+        return div(self, other) if isinstance(other, Jet2) else NotImplemented
 
     def __rtruediv__(self, other):
-        other = _coerce(other, self.dim)
-        return other if other is NotImplemented else div(other, self)
+        if isinstance(other, _NUMBER):
+            return scale(_reciprocal(self), float(other))
+        return NotImplemented
 
     def __neg__(self):
         return _make(-self.value, -self._grad, -self._hess)
 
     def __pow__(self, p):
         return power(self, p)
-
-
-def _coerce(x, dim):
-    if isinstance(x, Jet2):
-        return x
-    if isinstance(x, (int, float)):
-        return constant(dim, x)
-    return NotImplemented
 
 
 def _check_same_dim(a, b):
@@ -319,12 +325,26 @@ def mul(a, b):
     return _make(av * bv, grad, hess)
 
 
+def scale(a, c):
+    """The jet of ``c * a`` for a float ``c``: each entry times ``c``, with
+    no product rule."""
+    return _make(a.value * c, c * a._grad, c * a._hess)
+
+
 def div(a, b):
     _check_same_dim(a, b)
-    v = b.value
+    return mul(a, _reciprocal(b))
+
+
+def _divisor(v):
+    """``v``, a float or a batch, once no value of it is (near-)zero."""
     guard(_too_small(v, v), "jet division by (near-)zero value", ZeroDivisionError)
-    recip = univariate(b, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-    return mul(a, recip)
+    return v
+
+
+def _reciprocal(b):
+    v = _divisor(b.value)
+    return univariate(b, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
 
 def univariate(a, f0, f1, f2):
@@ -490,7 +510,7 @@ def compose(outer, inner):
     # 0.0 as in a sum of the two triangles, and both slots hold one float
     quad = _point_last(quad, batched)
     hess = np.add(quad, 0.0, out=np.empty(quad.shape))
-    lower = _lower(d)
+    lower = triu(d, 1)[::-1]  # the strict lower triangle, (col, row) of the upper
     hess[lower] = _mirror(hess)[lower]
     # the rows of the stored outer gradient are its components, at every point
     for gi, j in zip(outer._grad, inner):

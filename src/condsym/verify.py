@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import triu
 from .errors import DimensionMismatch, DomainError
 from .fields import Point, check_coords
 from .operators import evaluate_residual, residual_scale
@@ -339,7 +340,7 @@ def fd_check(field, params, h):
     d = params.jet_dim
     steps = h * _stencil(d)
     n_rows = len(steps)
-    iu = np.triu_indices(d, 1)
+    iu = triu(d, 1)
 
     def deviations(points, jets):
         stencils = points[:, None, :] + steps

@@ -467,6 +467,27 @@ def test_identity_evaluates_each_jet_once(capsys, monkeypatch):
     assert kernel_rows == batches
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--family", "general-z"),
+    ("check", "--family", "z0-sqrt"),
+    ("transform", "--family", "radial-z1", "--group", "Xn:n=0,eps=0.1"),
+])
+def test_numbers_build_no_constant_jets(capsys, monkeypatch, argv):
+    # a float factor or shift in a family, a group element or a pushforward
+    # scales or shifts its jet; none becomes a constant jet
+    built = []
+    constant = jet2.constant
+
+    def counted(dim, value):
+        built.append(dim)
+        return constant(dim, value)
+
+    monkeypatch.setattr(jet2, "constant", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert built == []
+
+
 @pytest.mark.parametrize("argv, spatial_dim, elements", [
     (("--seed", "5", "--N", "3", "--points", "300", "--field", "random:deg=4,bound=2"), 3, 6),
     (("--seed", "3", "--n=1..3", "--eps", "0.3", "--points", "120"), 2, 3),

@@ -318,6 +318,7 @@ _BITWISE = {
     "mul": lambda a, b: a * b,
     "div": lambda a, b: a / b,
     "rdiv": lambda a, b: 2.0 / b,
+    "scale": lambda a, b: jet2.scale(b, -1.5),
     "sqrt": lambda a, b: jet2.sqrt(a),
     "sin": lambda a, b: jet2.sin(b),
     "cos": lambda a, b: jet2.cos(b),
@@ -598,6 +599,63 @@ def test_take_an_int_gives_the_point_and_a_mask_the_rows():
 
 
 # ---------------------------------------------------------------------------
+# numbers: a plain number scales or shifts a jet, and the value is, bit for
+# bit, what the combinator gives with the constant jet of that number
+
+
+_NUMBER_OPS = {
+    "c*a": (lambda a, c: c * a, lambda a, k: jet2.mul(k, a)),
+    "a*c": (lambda a, c: a * c, jet2.mul),
+    "a+c": (lambda a, c: a + c, jet2.add),
+    "c+a": (lambda a, c: c + a, lambda a, k: jet2.add(k, a)),
+    "a-c": (lambda a, c: a - c, jet2.sub),
+    "c-a": (lambda a, c: c - a, lambda a, k: jet2.sub(k, a)),
+    "a/c": (lambda a, c: a / c, jet2.div),
+    "c/a": (lambda a, c: c / a, lambda a, k: jet2.div(k, a)),
+}
+
+
+def _number_operands():
+    x, y = _pairs(np.random.default_rng(5))
+    for kind, xs, ys, dim in (
+        ("batch", x, y, 2), ("point", float(x[3]), float(y[3]), 2), ("dim0", x, y, 0)
+    ):
+        for c in (3, -1.5, np.float64(0.7)):
+            yield pytest.param(_curved(xs, ys, dim)[0], c, id=f"{kind}-{type(c).__name__}")
+
+
+@pytest.mark.parametrize("a, c", _number_operands())
+@pytest.mark.parametrize("name", sorted(_NUMBER_OPS))
+def test_a_number_operand_gives_the_constant_jets_value_bit_for_bit(name, a, c):
+    by_number, by_jet = _NUMBER_OPS[name]
+    got, want = by_number(a, c), by_jet(a, jet2.constant(a.dim, c))
+    assert type(got.value) is type(want.value)
+    assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+    # the derivatives differ at most in the sign of a zero
+    assert np.array_equal(got.grad, want.grad) and np.array_equal(got.hess, want.hess)
+
+
+def test_a_shift_shares_the_derivatives_of_its_operand():
+    a, _ = _curved(*_pairs(np.random.default_rng(5)))
+    for shifted in (a + 2.0, 2.0 + a, a - 2):
+        assert shifted._grad is a._grad and shifted._hess is a._hess
+
+
+def test_dividing_by_a_near_zero_number_raises_divs_error():
+    a, _ = _curved(0.7, -0.4)
+    for c in (0.0, 1e-13, -0.0):
+        with pytest.raises(ZeroDivisionError) as by_number:
+            a / c
+        with pytest.raises(ZeroDivisionError) as by_jet:
+            jet2.div(a, jet2.constant(2, c))
+        assert str(by_number.value) == str(by_jet.value)
+    with pytest.raises(ZeroDivisionError):
+        2.0 / jet2.seed(2, 0, 0.0)
+    with pytest.raises(TypeError):
+        a * "x"
+
+
+# ---------------------------------------------------------------------------
 # storage layout: the point axis last and C-contiguous, behind point-first
 # read-only views
 
@@ -611,6 +669,7 @@ def _layouts():
         a, b = _curved(xs, ys)
         results = {name: op(a, b) for name, op in _BITWISE.items()}
         results["univariate"] = jet2.univariate(a, a.value, b.value, a.value)
+        results["shift"] = a - 0.25
         results["seed"] = jet2.seed(2, 1, xs)
         results["constant"] = jet2.constant(2, xs)
         results["coordinates"] = jet2.coordinates(2, np.stack([xs, ys], axis=-1))[1]
