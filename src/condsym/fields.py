@@ -8,7 +8,9 @@ coords)``: one row (N + 1,) of coordinates gives an unbatched jet, rows
 (P, N + 1) a batch with a leading point axis.  ``evaluate(params,
 point)`` is the base class's reading of it at a :class:`Point`, and
 ``values_many(params, coords)`` the values alone, which a field may
-compute without the derivatives.
+compute without the derivatives.  Every library field writes
+``evaluate_many``; the base's default of it, which calls an ``evaluate``
+once per row, serves only test doubles and the benchmark's controls.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import jet2
 from ._kernels import poly_jet, poly_value
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch
 
 _PROFILE_ARITY = {"poly": None, "exp": 2, "sin": 3, "const": 1}
 
@@ -59,10 +61,11 @@ class Point:
 class ScalarField:
     """Anything that yields a second-order jet at space-time points.  A
     subclass defines ``evaluate_many``, which refuses coordinates of the
-    wrong shape (:func:`check_coords`), or else ``evaluate`` alone; it may
-    also define ``values_many``, for callers that read values only, which
-    must give bit for bit the values of ``evaluate_many`` and raise where
-    it raises.  The bare base is no field and cannot be built."""
+    wrong shape (:func:`check_coords`), or else ``evaluate`` alone, whose
+    error at any row then fails the whole batch.  It may also define
+    ``values_many``, for callers that read values only, which must give
+    bit for bit the values of ``evaluate_many`` and raise where it raises.
+    The bare base is no field and cannot be built."""
 
     def __new__(cls, *args, **kwargs):
         if cls is ScalarField:
@@ -84,28 +87,21 @@ class ScalarField:
         """The Jet2 of the field at ``coords``: one row (N + 1,) gives an
         unbatched jet, rows (P, N + 1) a batch.
 
-        This default reads :meth:`evaluate` row by row, in row order (no
+        This default calls :meth:`evaluate` once per row, in row order (no
         rows give an empty batch).  It serves only fields that define
         ``evaluate`` alone, such as test doubles and the benchmark's
-        negative controls.
-        Rows that raise DomainError, or else an ArithmeticError, raise it
-        once for the batch: the first such row's error, carrying all of them
-        as ``err.rows``, as a guard on a batch does.
+        negative controls.  An error from a row propagates as raised and
+        names no rows, so a scan sets aside every row left in the batch.
         """
         coords = check_coords(params, coords)
         if coords.ndim == 1:
             return self.evaluate(params, Point(coords[0], tuple(coords[1:])))
         if not len(coords):
             return jet2.constant(params.jet_dim, np.empty(0))
-        jets, failed = [], {}
-        for k, row in enumerate(coords):
-            try:
-                jets.append(self.evaluate(params, Point(row[0], tuple(row[1:]))))
-            except (DomainError, ArithmeticError) as exc:
-                failed[k] = exc
-        if failed:
-            raise _batch_error(failed, len(coords))
-        return jet2.stack(jets)
+        jets = [self.evaluate(params, Point(row[0], tuple(row[1:]))) for row in coords]
+        return jet2.Jet2(
+            [j.value for j in jets], [j.grad for j in jets], [j.hess for j in jets]
+        )
 
     def values_many(self, params, coords):
         """The values of the field at ``coords``: a float for one row
@@ -115,21 +111,6 @@ class ScalarField:
         skip the derivatives overrides it.
         """
         return self.evaluate_many(params, coords).value
-
-
-def _batch_error(failed, count):
-    """The error of a batch of ``count`` rows from its failed rows
-    (row -> error): the first DomainError, else the first ArithmeticError,
-    carrying every row of its kind.  ``failed`` is emptied, so that the
-    raising frame holds no error and makes no reference cycle."""
-    for kind in (DomainError, ArithmeticError):
-        bad = [k for k, exc in failed.items() if isinstance(exc, kind)]
-        if bad:
-            err = failed[bad[0]]
-            err.rows = np.zeros(count, dtype=bool)
-            err.rows[bad] = True
-            failed.clear()
-            return err
 
 
 def check_coords(params, coords):

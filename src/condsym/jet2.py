@@ -141,15 +141,6 @@ def adopt(value, grad, hess):
     )
 
 
-def stack(jets):
-    """The batch of the unbatched ``jets``, one row each, in order."""
-    return _make(
-        np.array([j.value for j in jets]),
-        np.concatenate([j._grad for j in jets], axis=-1),
-        np.concatenate([j._hess for j in jets], axis=-1),
-    )
-
-
 def _as_value(value):
     """(value, batch shape): a float and (), or a float copy of a batch
     and its shape."""

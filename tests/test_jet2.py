@@ -679,7 +679,7 @@ def _layouts():
         out += [pytest.param(jet, batch, id=f"{name}-{kind}") for name, jet in results.items()]
     whole = jet2.mul(*_curved(x, y))
     out += [
-        pytest.param(jet2.stack([whole.take(k) for k in range(len(x))]), len(x), id="stack"),
+        pytest.param(_stack([whole.take(k) for k in range(len(x))]), len(x), id="stack"),
         pytest.param(whole.take(4), None, id="take-int"),
         pytest.param(whole.take(x > 1.0), int((x > 1.0).sum()), id="take-mask"),
         pytest.param(whole.take(slice(None)), len(x), id="take-slice"),

@@ -1,7 +1,8 @@
 """A point and a batch take one numeric path: no module of the package
 picks ``math`` for a float and numpy for a batch, and the jet and field
 layers compute elementary functions through numpy alone, so that a batch
-row is bit for bit its own point."""
+row is bit for bit its own point.  Every library field writes
+``evaluate_many`` alone, so that no field evaluates point by point."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,68 @@ def test_the_scan_flags_each_second_path(tmp_path):
     assert imports_math(tmp_path / "jet2.py") and imports_math(tmp_path / "fields.py")
     (tmp_path / "numpy_only.py").write_text("import numpy as np\n")
     assert not imports_math(tmp_path / "numpy_only.py")
+
+
+def scalar_fields(src=SRC):
+    """{class name: (file name, names of its methods)} of each subclass of
+    ``ScalarField`` in the modules of ``src``, direct or through another."""
+    classes = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                classes[node.name] = (path.name, bases, methods)
+    fields = {"ScalarField"}
+    while new := {n for n, (_, bases, _) in classes.items() if bases & fields} - fields:
+        fields |= new
+    return {n: (classes[n][0], classes[n][2]) for n in fields - {"ScalarField"}}
+
+
+def field_faults(src=SRC):
+    """(file name, class name, fault) of each field in the modules of
+    ``src`` that defines ``evaluate``, or does not define ``evaluate_many``."""
+    out = []
+    for name, (file, methods) in scalar_fields(src).items():
+        if "evaluate" in methods:
+            out.append((file, name, "defines evaluate"))
+        if "evaluate_many" not in methods:
+            out.append((file, name, "lacks evaluate_many"))
+    return sorted(out)
+
+
+def test_library_fields_write_evaluate_many_only():
+    assert set(scalar_fields()) == {"PushforwardField", "RandomPolynomialField", "SolutionField"}
+    assert field_faults() == []
+
+
+def test_the_scan_flags_each_field_that_writes_evaluate(tmp_path):
+    # a negative control: a field that defines evaluate, one that defines
+    # neither method, and one that inherits a field, are flagged; a field
+    # that writes evaluate_many alone, and a class that is no field, are not
+    (tmp_path / "fields.py").write_text(
+        "class ScalarField:\n"
+        "    def evaluate(self, params, point): ...\n"
+        "    def evaluate_many(self, params, coords): ...\n"
+        "class Good(ScalarField):\n"
+        "    def evaluate_many(self, params, coords): ...\n"
+        "class Both(ScalarField):\n"
+        "    def evaluate(self, params, point): ...\n"
+        "    def evaluate_many(self, params, coords): ...\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "from . import fields\n"
+        "class PointOnly(fields.ScalarField):\n"
+        "    def evaluate(self, params, point): ...\n"
+        "class Derived(Good):\n"
+        "    pass\n"
+        "class NoField:\n"
+        "    def evaluate(self, params, point): ...\n"
+    )
+    assert set(scalar_fields(tmp_path)) == {"Good", "Both", "PointOnly", "Derived"}
+    assert field_faults(tmp_path) == [
+        ("fields.py", "Both", "defines evaluate"),
+        ("other.py", "Derived", "lacks evaluate_many"),
+        ("other.py", "PointOnly", "defines evaluate"),
+        ("other.py", "PointOnly", "lacks evaluate_many"),
+    ]

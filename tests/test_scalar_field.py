@@ -1,6 +1,10 @@
 """The ScalarField contract: a field writes ``evaluate_many`` once, for one
 row (N + 1,) or rows (P, N + 1), and ``evaluate`` reads it at a Point;
-a field that defines only ``evaluate`` gets a stacking ``evaluate_many``."""
+a field that defines only ``evaluate`` gets a default ``evaluate_many``
+that calls it once per row, and fails a whole batch at an error of any
+row."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from condsym import jet2
 from condsym.cli import parse_group
 from condsym.errors import DimensionMismatch, DomainError
 from condsym.fields import ModelParams, Point, RandomPolynomialField, ScalarField
+from condsym.operators import ResidualKind
 from condsym.solutions import (
     DEFAULT_FAMILIES,
     SolutionField,
@@ -16,6 +21,7 @@ from condsym.solutions import (
     default_params,
 )
 from condsym.symmetry import pushforward_field
+from condsym.verify import GridSpec, Tally, batches, run_residual_suite, scan
 
 # one element of each kind on a 2-D family it leaves mostly in the domain
 _TRANSFORMS = {
@@ -104,7 +110,7 @@ def test_a_point_of_the_wrong_dimension_is_refused(label, field, params, grid):
 
 
 def test_an_evaluate_only_field_refuses_a_point_of_the_wrong_dimension():
-    # its stacking evaluate_many checks the row, alone and under a pushforward
+    # its default evaluate_many checks the row, alone and under a pushforward
     params = ModelParams(2, 2.0)
     pushed = pushforward_field(parse_group("Xn:n=1,eps=0.05"), params, _Paraboloid())
     for x in ((0.5,), (0.5,) * 3):
@@ -220,9 +226,45 @@ def test_evaluate_only_field_values_through_the_default():
     rows = np.array([[1.0, 0.5, -0.5], [0.3, -1.0, 2.0], [0.2, 2.0, 1.0]])
     assert _RightHalf().values_many(params, rows[::2]).tolist() == [1.5, 5.2]
     assert _RightHalf().values_many(params, rows[2]) == 5.2
-    errors = []
+    # the error of the row, as evaluate raised it: it names no rows
     for evaluate in (_RightHalf().values_many, _RightHalf().evaluate_many):
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(DomainError, match="left half plane excluded") as info:
             evaluate(params, rows)
-        errors.append(info.value)
-    assert [e.rows.tolist() for e in errors] == [[False, True, False]] * 2
+        assert getattr(info.value, "rows", None) is None
+
+
+class _FailsAt(ScalarField):
+    """The paraboloid, defining only ``evaluate``, which raises ``error``
+    at the point of the row ``bad`` alone."""
+
+    def __init__(self, bad, error):
+        self.bad = Point(bad[0], tuple(bad[1:]))
+        self.error = error
+
+    def evaluate(self, params, point):
+        if point == self.bad:
+            raise self.error("refused at one row")
+        return _Paraboloid().evaluate(params, point)
+
+
+@pytest.mark.parametrize("error", [DomainError, OverflowError])
+def test_an_error_at_one_row_fails_the_whole_batch_of_the_default(error):
+    params = ModelParams(2, 2.0)
+    grid = GridSpec((0.5, 1.0, 5), ((0.5, 1.0, 7), (0.5, 1.0, 13)))
+    rows = grid.coords()
+    assert len(rows) == len(next(batches(params, rows))) == 455  # one batch
+    field = _FailsAt(rows[200], error)
+    assert len(field.evaluate_many(params, np.delete(rows, 200, axis=0)).value) == 454
+    (report,) = run_residual_suite(field, [ResidualKind.MONGE_AMPERE], params, grid, 1e-8)
+    if error is DomainError:
+        assert (report.points_evaluated, report.points_excluded) == (0, 455)
+    else:
+        assert (report.points_evaluated, report.points_excluded) == (455, 0)
+        tally = Tally()
+        scan(field, params, rows, [lambda points, jets: ((jets.value, 1.0),)], [[tally]])
+        assert (tally.evaluated, tally.gap) == (455, math.inf)
+    assert not report.passed
+    # a single row raises the error of evaluate itself
+    with pytest.raises(error, match="refused at one row") as info:
+        field.evaluate_many(params, rows[200])
+    assert getattr(info.value, "rows", None) is None

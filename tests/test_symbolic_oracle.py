@@ -1,0 +1,205 @@
+"""A symbolic oracle: the generators' coefficients and the catalog
+families' jets against closed forms written out and differentiated in
+sympy.  The module is skipped, through ``pytest.importorskip``, where
+sympy is not installed.
+
+Each comparison is relative: per row, the largest gap of a part (the
+coefficients, their Jacobian; the value, the gradient, the Hessian)
+over the largest magnitude of that part in the oracle.
+"""
+
+import numpy as np
+import pytest
+
+from condsym import jet2
+from condsym.errors import DomainError
+from condsym.fields import ModelParams
+from condsym.solutions import (
+    DEFAULT_FAMILIES,
+    SolutionField,
+    default_grid,
+    default_params,
+)
+from condsym.symmetry import GenJab, GenXn, GenYk
+
+sympy = pytest.importorskip("sympy")
+
+_TOL = 1e-12
+
+
+def _rel_gap(got, want):
+    """The worst over rows of max|got - want| / max|want|, each over the
+    entries of a row; a row whose oracle is all zero must match exactly."""
+    got, want = (np.asarray(a, dtype=float).reshape(len(a), -1) for a in (got, want))
+    gap = np.max(np.abs(got - want), axis=1)
+    scale = np.max(np.abs(want), axis=1)
+    return float(np.max(gap / np.maximum(scale, 1e-300)))
+
+
+# ---------------------------------------------------------------------------
+# the generators X_n, Y_k and J_ab over y = (t, x_1..x_N, u)
+
+
+def _symbolic_generators(N, z):
+    """(generator, xi over y as a sympy list) for X_n, n = -2..3, Y_k,
+    k = -1..2, on every axis, and J_ab, a < b, at N and z."""
+    z = sympy.nsimplify(z)
+    t, *xs, u = ys = sympy.symbols(f"t x1:{N + 1} u")
+    out = []
+    for n in range(-2, 4):
+        xi = [z * t ** (n + 1)] + [(n + 1) * t**n * v for v in xs + [u]]
+        out.append((GenXn(n), xi))
+    for k in range(-1, 3):
+        for axis in range(1, N + 1):
+            xi = [sympy.Integer(0)] * (N + 2)
+            xi[axis] = t**k
+            out.append((GenYk(k, axis), xi))
+    for a in range(1, N + 1):
+        for b in range(a + 1, N + 1):
+            xi = [sympy.Integer(0)] * (N + 2)
+            xi[b], xi[a] = ys[a], -ys[b]
+            out.append((GenJab(a, b), xi))
+    return ys, out
+
+
+def _generator_gaps(N, z, rows):
+    """(generator, gap of xi, gap of dxi) of each generator at N and z,
+    at ``rows`` of y."""
+    ys, gens = _symbolic_generators(N, z)
+    params = ModelParams(N, z)
+    out = []
+    for gen, xi in gens:
+        xi = sympy.Matrix(xi)
+        oracle = sympy.lambdify(ys, [list(xi), list(xi.jacobian(ys))], modules="math")
+        want_xi, want_dxi = (np.array(w) for w in zip(*(oracle(*r) for r in rows)))
+        got_xi, got_dxi = gen.coeffs(params, rows)
+        out.append((gen, _rel_gap(got_xi, want_xi), _rel_gap(got_dxi, want_dxi)))
+    return out
+
+
+def _y_rows(N, count=5):
+    rng = np.random.default_rng(N)
+    return np.column_stack(
+        (rng.uniform(0.5, 2.0, count), rng.uniform(-2.0, 2.0, (count, N + 1)))
+    )
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_generator_coefficients_match_the_symbolic_oracle(N, z):
+    gaps = _generator_gaps(N, z, _y_rows(N))
+    assert len(gaps) == 6 + 4 * N + N * (N - 1) // 2  # 138 over the nine cases
+    for gen, xi_gap, dxi_gap in gaps:
+        assert xi_gap <= _TOL and dxi_gap <= _TOL, (str(gen), xi_gap, dxi_gap)
+
+
+def test_the_generator_oracle_flags_a_moved_jacobian_slot(monkeypatch):
+    # a negative control: one slot of X_n's dxi moved by 1e-9
+    coeffs = GenXn.coeffs
+
+    def moved(self, params, y):
+        xi, dxi = coeffs(self, params, y)
+        dxi[:, 1, 1] += 1e-9
+        return xi, dxi
+
+    monkeypatch.setattr(GenXn, "coeffs", moved)
+    for gen, xi_gap, dxi_gap in _generator_gaps(2, 2.0, _y_rows(2)):
+        assert xi_gap <= _TOL
+        assert (dxi_gap > _TOL) is isinstance(gen, GenXn), str(gen)
+
+
+# ---------------------------------------------------------------------------
+# the default catalog families, written out from their stated parameters
+
+
+def _conical(c, z, X, Y):
+    """2c * r * cos((1-z)*theta)**(1/(1-z)), theta the polar angle of (X, Y)."""
+    r = sympy.sqrt(X**2 + Y**2)
+    return 2 * c * r * sympy.cos((1 - z) * sympy.atan2(Y, X)) ** (1 / (1 - z))
+
+
+def _closed_form(name, t, x):
+    """The family ``name`` of the default catalog as a sympy expression in
+    t and the spatial symbols ``x``."""
+    half = sympy.Rational(1, 2)
+    if name == "one-dim-z0":
+        return x[0] * sympy.exp(-t) + 2 + t
+    if name == "one-dim-z1":
+        return half * x[0] + 2 + half * t
+    if name == "one-dim-generic":
+        return 1 + t**2
+    if name == "radial-z1":
+        # X_1 = x_1 + e_1 t^((n+1)/z) with e_1 = 1/2, n = 1, z = 1
+        return sympy.sqrt((x[0] + half * t**2) ** 2 + x[1] ** 2)
+    if name == "general-z":
+        # X_1 = x_1 + t^((n+1)/z) with n = 1, z = 2
+        return _conical(1, sympy.Integer(2), x[0] + t, x[1])
+    if name == "z0-sqrt":
+        return sympy.sqrt(25 * x[0] ** 2 - 2 * t * (x[0] ** 2 + x[1] ** 2))
+    if name == "z0-linear":
+        return x[0] * sympy.exp(-t) + x[1] * sympy.sin(2 * t)
+    if name == "general-yphi":
+        X = x[0] + sympy.Rational(2, 5) * sympy.sin(t)
+        return _conical(1, sympy.Integer(2), X, x[1] + sympy.Rational(1, 4))
+    if name == "ma-only":
+        r1, r2 = x[0] / x[1], x[0] / x[2]
+        return x[0] * (1 + r1 + r1 * r2 + half * r2**2)
+    if name == "stationary":
+        # h = 2 Re(a exp(b w)), a = 1, b = 1/2; u = h^(1/(1-z)) at z = 2
+        return 1 / (2 * sympy.exp(half * x[0]) * sympy.cos(half * x[1]))
+    raise KeyError(name)
+
+
+def _rows_inside(field, params, rows, count=120):
+    """Up to ``count`` of ``rows``, spread over them, inside the domain."""
+    while True:
+        try:
+            field.values_many(params, rows)
+            break
+        except DomainError as exc:
+            rows = rows[~exc.rows]
+    return rows[:: max(1, len(rows) // count)]
+
+
+def _family_oracle(name, rows):
+    """(value, gradient, Hessian) of the closed form at ``rows``."""
+    fam = DEFAULT_FAMILIES[name]
+    t, *x = ys = sympy.symbols(f"t x1:{fam.spatial_dim + 1}")
+    u = _closed_form(name, t, x)
+    grad = [sympy.diff(u, y) for y in ys]
+    hess = [sympy.diff(g, y) for g in grad for y in ys]
+    oracle = sympy.lambdify(ys, [u, grad, hess], modules="math")
+    return [np.array(w, dtype=float) for w in zip(*(oracle(*r) for r in rows))]
+
+
+def _family_gaps(name, jets, rows):
+    want = _family_oracle(name, rows)
+    got = (jets.value, jets.grad, jets.hess)
+    return [_rel_gap(g, w) for g, w in zip(got, want)]
+
+
+def _family_jets(name):
+    fam = DEFAULT_FAMILIES[name]
+    params = default_params(fam)
+    field = SolutionField(fam)
+    rows = _rows_inside(field, params, default_grid(fam).coords())
+    return field.evaluate_many(params, rows), rows
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_FAMILIES))
+def test_family_jets_match_the_symbolic_oracle(name):
+    jets, rows = _family_jets(name)
+    assert len(rows) >= 100
+    value_gap, grad_gap, hess_gap = _family_gaps(name, jets, rows)
+    assert max(value_gap, grad_gap, hess_gap) <= _TOL, (value_gap, grad_gap, hess_gap)
+
+
+def test_the_family_oracle_flags_a_moved_hessian_entry():
+    # a negative control: Hessian entry (1, 2) and its mirror moved by 1e-9
+    jets, rows = _family_jets("radial-z1")
+    hess = jets.hess.copy()
+    hess[:, 1, 2] += 1e-9
+    hess[:, 2, 1] += 1e-9
+    moved = jet2.Jet2(jets.value, jets.grad, hess)
+    value_gap, grad_gap, hess_gap = _family_gaps("radial-z1", moved, rows)
+    assert max(value_gap, grad_gap) <= _TOL < hess_gap

@@ -15,6 +15,7 @@ from condsym.fields import (
     Point,
     RandomPolynomialField,
     ScalarField,
+    check_coords,
     parse_profile,
 )
 from condsym.operators import monge_ampere, w1
@@ -230,11 +231,9 @@ def test_identity_gap_small():
 class _Paraboloid(ScalarField):
     """u = t + x1^2 + x2^2: spatial Hessian determinant is 4 everywhere."""
 
-    def evaluate(self, params, point):
-        jt = jet2.seed(3, 0, point.t)
-        j1 = jet2.seed(3, 1, point.x[0])
-        j2 = jet2.seed(3, 2, point.x[1])
-        return jet2.add(jt, jet2.add(jet2.mul(j1, j1), jet2.mul(j2, j2)))
+    def evaluate_many(self, params, coords):
+        jt, j1, j2 = jet2.coordinates(3, check_coords(params, coords))
+        return jt + (j1 * j1 + j2 * j2)
 
 
 def test_obstruction_is_necessary():

@@ -15,6 +15,7 @@ from condsym.fields import (
     Point,
     RandomPolynomialField,
     ScalarField,
+    check_coords,
     parse_profile,
 )
 from condsym.operators import ResidualKind, evaluate_residual, residual_scale
@@ -45,37 +46,36 @@ P2 = ModelParams(2, 2.0)
 class _Paraboloid(ScalarField):
     """u = x1^2 + x2^2, no time dependence."""
 
-    def evaluate(self, params, point):
-        j1 = jet2.seed(3, 1, point.x[0])
-        j2 = jet2.seed(3, 2, point.x[1])
-        return jet2.add(jet2.mul(j1, j1), jet2.mul(j2, j2))
+    def evaluate_many(self, params, coords):
+        _, j1, j2 = jet2.coordinates(3, check_coords(params, coords))
+        return j1 * j1 + j2 * j2
 
 
 class _HalfPlane(ScalarField):
     """Defined only for x1 > 0."""
 
-    def evaluate(self, params, point):
-        if point.x[0] <= 0.0:
-            raise DomainError("left half plane excluded")
-        jt = jet2.seed(3, 0, point.t)
-        j1 = jet2.seed(3, 1, point.x[0])
-        return jet2.add(jet2.mul(jt, j1), jet2.ln(j1))
+    def evaluate_many(self, params, coords):
+        coords = check_coords(params, coords)
+        jet2.guard(coords[..., 1] <= 0.0, "left half plane excluded")
+        jt, j1, _ = jet2.coordinates(3, coords)
+        return jt * j1 + jet2.ln(j1)
 
 
 class _NaNAfter(ScalarField):
-    """``base`` for the first ``finite`` evaluations, all-NaN jets after."""
+    """``base`` for the first ``finite`` rows evaluated, counted across
+    calls, and all-NaN jets after."""
 
     def __init__(self, base, finite):
         self.base = base
         self.left = finite
 
-    def evaluate(self, params, point):
-        self.left -= 1
-        if self.left >= 0:
-            return self.base.evaluate(params, point)
-        nan = math.nan
-        d = params.jet_dim
-        return jet2.Jet2(nan, [nan] * d, [[nan] * d] * d)
+    def evaluate_many(self, params, coords):
+        jets = self.base.evaluate_many(params, coords)
+        value, grad, hess = (np.array(a) for a in (jets.value, jets.grad, jets.hess))
+        late = np.arange(value.size).reshape(value.shape) >= self.left
+        self.left -= value.size
+        value[late], grad[late], hess[late] = math.nan, math.nan, math.nan
+        return jet2.Jet2(value, grad, hess)
 
 
 def test_grid_spec_validation():
@@ -312,8 +312,8 @@ def test_fd_crosscheck_propagates_domain_errors():
 
 @pytest.mark.parametrize("finite", [1, 0])
 def test_fd_crosscheck_non_finite_is_inf(finite):
-    # _NaNAfter has only a scalar evaluate: its stencils go through the
-    # stacking default of evaluate_many, base row first
+    # _NaNAfter counts rows across the values of the stencils and the jets
+    # of their base points
     params = ModelParams(2, 2.0)
     field = _NaNAfter(RandomPolynomialField(6, params, 3), finite)
     pts = [Point(1.0, (0.3, -0.4))]
