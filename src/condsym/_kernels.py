@@ -60,7 +60,7 @@ def poly_jet(powers, coeffs, coords):
     Returns ``(value, grad, hess)`` with shapes ``()``, ``(D,)``,
     ``(D, D)``, or ``(P,)``, ``(P, D)``, ``(P, D, D)`` for rows: the
     gradient and Hessian of rows are views of C-contiguous point-last
-    arrays (D, P) and (D, D, P), the storage of a jet.  All
+    arrays (D, P) and (D, D, P), the layout ``Jet2`` copies into.  All
     monomials of all points are evaluated at once, entry by entry, in a
     fixed float order: per monomial, each entry is the coefficient times
     the factors of the coordinates in ascending index order, and the sum

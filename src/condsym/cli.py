@@ -291,7 +291,7 @@ def parse_grid(spec, spatial_dim):
     common = _parse_axis("x", kv.pop("x")) if "x" in kv else None
     axes = [common] * spatial_dim
     for key in list(kv):
-        m = re.fullmatch(r"x([0-9]+)", key)
+        m = re.fullmatch(r"x([1-9][0-9]*)", key)  # one key per axis: no leading 0
         if not m:
             raise CLIError(f"unknown grid axis {key!r}")
         idx = int(m.group(1))

@@ -272,7 +272,7 @@ class PolynomialFunction:
     def at(self, coords):
         """The jet in the ``dim`` coordinate slots at ``coords``, one point
         (dim,) or rows (P, dim), by one call of the kernel."""
-        return jet2.adopt(*poly_jet(*self._arrays, self._checked(coords)))
+        return jet2.Jet2(*poly_jet(*self._arrays, self._checked(coords)))
 
     def value_at(self, coords):
         """``at(coords).value``, bit for bit, by the value kernel alone."""

@@ -128,19 +128,6 @@ def _point_last(a, batched):
     return a.transpose(*range(1, a.ndim), 0) if batched else a[..., None]
 
 
-def adopt(value, grad, hess):
-    """A jet around point-first ``grad`` and ``hess`` that the caller
-    hands over and never writes again, such as the views ``poly_jet``
-    returns: they are stored without a copy where they already view
-    C-contiguous point-last arrays."""
-    batched = isinstance(value, np.ndarray)
-    return _make(
-        value,
-        np.ascontiguousarray(_point_last(grad, batched)),
-        np.ascontiguousarray(_point_last(hess, batched)),
-    )
-
-
 def _as_value(value):
     """(value, batch shape): a float and (), or a float copy of a batch
     and its shape."""

@@ -4,8 +4,8 @@ cross-validation.
 ``scan`` walks (P, N+1) coordinate rows in bounded batches: one
 ``evaluate_many`` of the field per batch, then each check (a residual
 kind, the laws of one Xn, or the FD comparison) on the stacked jets.  A
-guard that fails on a batch names its bad rows; those rows are counted as
-excluded (or as overflowed), and the others are evaluated again.  A
+guard that fails on a batch names its bad rows; ``Tally.set_aside`` counts
+them as excluded (or as overflowed), and the others are evaluated again.  A
 ``Tally`` reduces the gaps of each check to counts, a worst gap and a
 pass.  The FD check reads the values alone of the whole stencils of a
 batch's points, and the bound on a batch counts them.  Traversal and
@@ -117,13 +117,15 @@ class Tally:
         self.finite = True
         self._best = None  # (rows, normalized gaps) of the batch that set max_norm
 
-    def set_aside(self, excluded, overflowed):
-        """Count the rows of two boolean masks: outside the domain, and
-        past the float range, which count as evaluated and not finite."""
-        self.excluded += int(np.count_nonzero(excluded))
-        overflows = int(np.count_nonzero(overflowed))
-        self.evaluated += overflows
-        self.finite = self.finite and not overflows
+    def set_aside(self, error, count):
+        """Count ``count`` rows that ``error`` dropped: outside the domain
+        for a DomainError, else past the float range (an overflow, or a
+        division by a factor that underflowed), evaluated and not finite."""
+        if isinstance(error, DomainError):
+            self.excluded += count
+        else:
+            self.evaluated += count
+            self.finite = False
 
     def add(self, points, raw, scale=1.0):
         """Rows in sample order: coordinates (k, N+1), raw gaps and their
@@ -194,73 +196,62 @@ def batches(params, coords, values=0):
         yield coords[start : start + step]
 
 
-def field_jets(field, params, rows):
-    """``field.evaluate_many`` at ``rows``, or DimensionMismatch unless
-    the field returned jets in dimension N + 1."""
-    jets = field.evaluate_many(params, rows)
-    if jets.dim != params.jet_dim:
-        raise DimensionMismatch(f"field returned dim {jets.dim}, expected {params.jet_dim}")
-    return jets
-
-
-def _guarded(compute, count):
+def _guarded(compute, count, tallies):
     """``compute(keep)`` on the ``count`` rows of a batch, run again without
     the rows a failing guard names until none fails.  ``keep`` selects the
     rows: ``slice(None)`` at first, so that no row is copied, then an index
-    array.
+    array.  Each DomainError or ArithmeticError sets the rows it drops
+    aside in every tally of ``tallies``; an error that names no rows drops
+    every row left.
 
-    Returns (result, keep, excluded, overflowed), the last two boolean
-    (count,) masks of the rows dropped by DomainError and by an
-    ArithmeticError (an overflow, or a division by a factor that
-    underflowed).  An error that names no rows drops every row left;
-    the result is None when no row is left.  Each guard site fails at
-    most once, so there are at most as many retries as guard sites.
+    Returns (result, keep); the result is None when no row is left.  Each
+    guard site fails at most once, so there are at most as many retries as
+    guard sites.
     """
     keep, left = slice(None), np.arange(count)
-    excluded = np.zeros(count, dtype=bool)
-    overflowed = np.zeros(count, dtype=bool)
     while left.size:
         try:
-            return compute(keep), keep, excluded, overflowed
+            return compute(keep), keep
         except (DomainError, ArithmeticError) as exc:
             bad = getattr(exc, "rows", None)
-            if bad is None:
-                bad = np.ones(left.size, dtype=bool)
-            dropped = excluded if isinstance(exc, DomainError) else overflowed
-            dropped[left[bad]] = True
-            keep = left = left[~bad]
-    return None, left, excluded, overflowed
+            kept = left[:0] if bad is None else left[~bad]
+            for tally in tallies:
+                tally.set_aside(exc, left.size - kept.size)
+            keep = left = kept
+    return None, left
 
 
 def scan(field, params, coords, checks, tallies, values=0):
     """Walk the rows ``coords`` in batches and reduce each check's gaps.
 
-    Per batch, one ``field_jets``; a row that the field rejects counts in
+    Per batch, one ``field.evaluate_many``, or DimensionMismatch unless it
+    returns jets in dim N + 1; a row that the field rejects is set aside in
     every tally.  Then each ``checks[i](points, jets)`` runs on the rows
     left, and returns one (gaps, scales) pair for each tally in
-    ``tallies[i]``; a row that it rejects counts in those tallies only.
-    The checks read ``values`` numbers per row besides its jet, which the
-    bound on a batch counts.
+    ``tallies[i]``; a row that it rejects is set aside in those tallies
+    only.  The checks read ``values`` numbers per row besides its jet,
+    which the bound on a batch counts.
     """
+    def field_jets(rows):
+        jets = field.evaluate_many(params, rows)
+        if jets.dim != params.jet_dim:
+            raise DimensionMismatch(f"field returned dim {jets.dim}, expected {params.jet_dim}")
+        return jets
+
+    every = [tally for group in tallies for tally in group]
     # a non-finite value is counted in its tally, not raised as a warning
     with np.errstate(all="ignore"):
         for batch in batches(params, coords, values):
-            jets, keep, excluded, overflowed = _guarded(
-                lambda rows: field_jets(field, params, batch[rows]), len(batch)
-            )
-            points = batch[keep]
-            for tally in itertools.chain(*tallies) if len(points) < len(batch) else ():
-                tally.set_aside(excluded, overflowed)
+            jets, keep = _guarded(lambda rows: field_jets(batch[rows]), len(batch), every)
             if jets is None:
                 continue
+            points = batch[keep]
             for check, group in zip(checks, tallies):
-                out, rows, excluded, overflowed = _guarded(
-                    lambda rows: check(points[rows], jets.take(rows)), len(points)
+                out, rows = _guarded(
+                    lambda rows: check(points[rows], jets.take(rows)), len(points), group
                 )
-                kept = points[rows]
-                for tally in group if len(kept) < len(points) else ():
-                    tally.set_aside(excluded, overflowed)
                 if out is not None:
+                    kept = points[rows]
                     for tally, (gaps, scales) in zip(group, out, strict=True):
                         tally.add(kept, gaps, scales)
 
@@ -393,4 +384,4 @@ def fd_crosscheck(field, params, points, h):
 
 
 __all__ = ["GridSpec", "ResidualReport", "within_tolerance", "Tally", "batches",
-           "field_jets", "scan", "run_residual_suite", "fd_check", "fd_crosscheck"]
+           "scan", "run_residual_suite", "fd_check", "fd_crosscheck"]

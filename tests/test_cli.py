@@ -403,6 +403,9 @@ def test_usage_errors_print_one_line(capsys):
     (("check", "--family", "radial-z1", "--grid", "t=0.5:2:4,y=-1:1:4"),
      "unknown grid axis 'y'"),
     (("identity", "--seed", "3", "--n=1-3"), "bad range '1-3', expected A..B"),
+    # a second key for x1 with a leading zero does not replace the first
+    (("check", "--family", "radial-z1", "--grid", "t=0.5:2:3,x1=-1:1:3,x01=0:1:4,x2=-1:1:3"),
+     "unknown grid axis 'x01'"),
 ])
 def test_grammar_errors_print_one_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -506,9 +509,13 @@ def test_identity_runs_in_bounded_batches(capsys, monkeypatch, argv, spatial_dim
 
     guarded = verify._guarded
 
-    def counted(compute, count):
-        out = guarded(compute, count)
-        excluded.append(int(out[2].sum()))
+    def counted(compute, count, tallies):
+        before = [tally.excluded for tally in tallies]
+        out = guarded(compute, count, tallies)
+        # every tally that the call charges sets aside the same rows
+        added = {tally.excluded - b for tally, b in zip(tallies, before)}
+        assert len(added) == 1
+        excluded.append(added.pop())
         return out
 
     monkeypatch.setattr(cli, "RandomPolynomialField", Counted)
@@ -878,14 +885,61 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
+def _leaves(doc, path="$"):
+    """(path, leaf) of every leaf of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}.{key}")
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _leaves(value, f"{path}[{k}]")
+    else:
+        yield path, doc
+
+
+def _golden_diff(got, want, same_exit_and_stderr):
+    """What tells a golden's rounding on another BLAS kernel or SIMD path
+    from a regression: whether the exit code and stderr match, whether
+    every leaf but the floats matches, and each float that differs, with
+    its absolute difference."""
+    lines = ["exit and stderr " + ("match" if same_exit_and_stderr else "differ")]
+    try:
+        got, want = (dict(_leaves(json.loads(doc))) for doc in (got, want))
+    except json.JSONDecodeError as exc:
+        return "\n".join(lines + [f"stdout is not JSON: {exc}"])
+    floats = [p for p, v in want.items() if isinstance(v, float) and isinstance(got.get(p), float)]
+    others = got.keys() == want.keys() and all(
+        repr(got[p]) == repr(want[p]) for p in want.keys() - set(floats)
+    )
+    lines.append("non-float leaves " + ("match" if others else "differ"))
+    lines += [f"{p}: {got[p]!r} != {want[p]!r}, |diff| {abs(got[p] - want[p]):.3g}"
+              for p in floats if repr(got[p]) != repr(want[p])]
+    return "\n".join(lines)
+
+
+def test_golden_diff_tells_a_moved_float_from_a_moved_leaf():
+    want = '[{"gap": 1.5e-16, "n": 2, "pass": true}]'
+    moved = _golden_diff('[{"gap": 2e-16, "n": 2, "pass": true}]', want, True)
+    assert moved.splitlines() == [
+        "exit and stderr match",
+        "non-float leaves match",
+        "$[0].gap: 2e-16 != 1.5e-16, |diff| 5e-17",
+    ]
+    flipped = _golden_diff('[{"gap": 1.5e-16, "n": 2, "pass": false}]', want, False)
+    assert flipped.splitlines() == ["exit and stderr differ", "non-float leaves differ"]
+    assert _golden_diff("[]", want, True).splitlines()[1] == "non-float leaves differ"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_check_and_transform_match_goldens(capsys, name):
     # stdout byte for byte, exit code and stderr; a golden is the stdout of
-    # ``condsym <argv>`` saved as tests/golden/<name>.json
+    # ``condsym <argv>`` saved as tests/golden/<name>.json.  The message of a
+    # mismatch tells moved float tails from changed results.
     case = GOLDEN_CASES[name]
     code, out, err = run_cli(capsys, *case["argv"])
-    assert out == (GOLDEN / f"{name}.json").read_bytes().decode()
-    assert (code, err) == (case["exit"], case["stderr"])
+    want = (GOLDEN / f"{name}.json").read_bytes().decode()
+    same_exit_and_stderr = (code, err) == (case["exit"], case["stderr"])
+    assert out == want and same_exit_and_stderr, _golden_diff(out, want, same_exit_and_stderr)
 
 
 @pytest.mark.parametrize(

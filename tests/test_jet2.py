@@ -674,7 +674,6 @@ def _layouts():
         results["constant"] = jet2.constant(2, xs)
         results["coordinates"] = jet2.coordinates(2, np.stack([xs, ys], axis=-1))[1]
         results["Jet2"] = jet2.Jet2(a.value, a.grad, a.hess)
-        results["adopt"] = jet2.adopt(a.value, a.grad, a.hess)
         kind = "point" if batch is None else "batch"
         out += [pytest.param(jet, batch, id=f"{name}-{kind}") for name, jet in results.items()]
     whole = jet2.mul(*_curved(x, y))

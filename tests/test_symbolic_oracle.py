@@ -1,7 +1,7 @@
-"""A symbolic oracle: the generators' coefficients and the catalog
-families' jets against closed forms written out and differentiated in
-sympy.  The module is skipped, through ``pytest.importorskip``, where
-sympy is not installed.
+"""A symbolic oracle: the generators' coefficients, the catalog families'
+jets and their pushforwards against closed forms written out and
+differentiated in sympy.  The module is skipped, through
+``pytest.importorskip``, where sympy is not installed.
 
 Each comparison is relative: per row, the largest gap of a part (the
 coefficients, their Jacobian; the value, the gradient, the Hessian)
@@ -13,14 +13,14 @@ import pytest
 
 from condsym import jet2
 from condsym.errors import DomainError
-from condsym.fields import ModelParams
+from condsym.fields import ModelParams, ProfileFunction
 from condsym.solutions import (
     DEFAULT_FAMILIES,
     SolutionField,
     default_grid,
     default_params,
 )
-from condsym.symmetry import GenJab, GenXn, GenYk
+from condsym.symmetry import GenJab, GenXn, GenYk, Rot, Xn, Yk, Yphi, pushforward_field
 
 sympy = pytest.importorskip("sympy")
 
@@ -161,15 +161,26 @@ def _rows_inside(field, params, rows, count=120):
     return rows[:: max(1, len(rows) // count)]
 
 
+def _jet_oracle(u, ys, rows):
+    """(value, gradient, Hessian) of the expression ``u`` in the symbols
+    ``ys`` at ``rows``; each mixed partial is differentiated once, for
+    the upper triangle, and mirrored."""
+    d = len(ys)
+    grad = [sympy.diff(u, y) for y in ys]
+    upper = [sympy.diff(grad[i], ys[j]) for i in range(d) for j in range(i, d)]
+    oracle = sympy.lambdify(ys, [u, grad, upper], modules="math", cse=True)
+    value, grad, upper = (np.array(w, dtype=float) for w in zip(*(oracle(*r) for r in rows)))
+    hess = np.empty((len(rows), d, d))
+    iu = np.triu_indices(d)
+    hess[:, iu[0], iu[1]] = hess[:, iu[1], iu[0]] = upper
+    return value, grad, hess
+
+
 def _family_oracle(name, rows):
     """(value, gradient, Hessian) of the closed form at ``rows``."""
     fam = DEFAULT_FAMILIES[name]
     t, *x = ys = sympy.symbols(f"t x1:{fam.spatial_dim + 1}")
-    u = _closed_form(name, t, x)
-    grad = [sympy.diff(u, y) for y in ys]
-    hess = [sympy.diff(g, y) for g in grad for y in ys]
-    oracle = sympy.lambdify(ys, [u, grad, hess], modules="math")
-    return [np.array(w, dtype=float) for w in zip(*(oracle(*r) for r in rows))]
+    return _jet_oracle(_closed_form(name, t, x), ys, rows)
 
 
 def _family_gaps(name, jets, rows):
@@ -203,3 +214,94 @@ def test_the_family_oracle_flags_a_moved_hessian_entry():
     moved = jet2.Jet2(jets.value, jets.grad, hess)
     value_gap, grad_gap, hess_gap = _family_gaps("radial-z1", moved, rows)
     assert max(value_gap, grad_gap) <= _TOL < hess_gap
+
+
+# ---------------------------------------------------------------------------
+# pushforwards: the family's closed form at the closed-form inverse map,
+# divided by the inverse's factor
+
+
+def _profile(prof, t):
+    """The profile ``prof`` as a sympy expression in t."""
+    p = [sympy.nsimplify(c) for c in prof.params]
+    if prof.kind == "sin":
+        return p[0] * sympy.sin(p[1] * t + p[2])
+    if prof.kind == "exp":
+        return p[0] * sympy.exp(p[1] * t)
+    raise KeyError(prof.kind)
+
+
+def _inverse_map(g, z, t, x):
+    """(t, x, A) of g⁻¹ at the query point (t, x) in sympy: the source
+    point and the factor by which the inverse scales the field."""
+    if isinstance(g, Xn):
+        n, eps = g.n, sympy.nsimplify(g.eps)
+        if n == -1:
+            return t - z * eps, x, 1
+        if n == 0:
+            a = sympy.exp(-eps)
+            return t * sympy.exp(-z * eps), [v * a for v in x], a
+        s = 1 + z * n * eps * t**n
+        a = s ** (-(n + 1) / (z * n))
+        return t * s ** sympy.Rational(-1, n), [v * a for v in x], a
+    if isinstance(g, Yk):
+        return t, [v - sympy.nsimplify(c) * t**g.k for v, c in zip(x, g.v)], 1
+    if isinstance(g, Yphi):
+        shifted = zip(x, g.e, g.profiles)
+        return t, [v - sympy.nsimplify(c) * _profile(p, t) for v, c, p in shifted], 1
+    if isinstance(g, Rot):
+        c, s = sympy.cos(sympy.nsimplify(g.angle)), sympy.sin(sympy.nsimplify(g.angle))
+        x = list(x)
+        xa, xb = x[g.a - 1], x[g.b - 1]
+        x[g.a - 1], x[g.b - 1] = c * xa + s * xb, -s * xa + c * xb
+        return t, x, 1
+    raise TypeError(g)
+
+
+_EPS = 0.05
+_SIN, _EXP = ProfileFunction("sin", (1.0, 1.0, 0.5)), ProfileFunction("exp", (2.0, -0.5))
+_PUSHFORWARDS = (
+    [("general-z", Xn(n, _EPS)) for n in range(-2, 4)]
+    + [("z0-linear", Xn(n, _EPS)) for n in (-1, 0)]
+    + [("general-z", Yk(k, (0.3, -0.2))) for k in (-1, 0, 2)]
+    + [("z0-linear", Yphi((_SIN, _EXP), (0.3, -0.2))), ("z0-sqrt", Rot(1, 2, 0.4))]
+)
+
+
+def _pushforward_gaps(name, g, count=10):
+    """(value, gradient, Hessian) gaps of g's pushforward of the family
+    ``name`` at about ``count`` default-grid rows inside its domain."""
+    fam = DEFAULT_FAMILIES[name]
+    params = default_params(fam)
+    field = pushforward_field(g, params, SolutionField(fam))
+    rows = _rows_inside(field, params, default_grid(fam).coords(), count)
+    t, *x = ys = sympy.symbols(f"t x1:{fam.spatial_dim + 1}")
+    ts, xs, a = _inverse_map(g, sympy.nsimplify(params.z), t, x)
+    want = _jet_oracle(_closed_form(name, ts, xs) / a, ys, rows)
+    jets = field.evaluate_many(params, rows)
+    got = (jets.value, jets.grad, jets.hess)
+    return len(rows), [_rel_gap(part, w) for part, w in zip(got, want)]
+
+
+def _case_id(case):
+    name, g = case
+    label = {Xn: "n", Yk: "k"}.get(type(g))
+    return f"{name}-{type(g).__name__}" + (f"({label}={getattr(g, label)})" if label else "")
+
+
+@pytest.mark.parametrize("name, g", _PUSHFORWARDS, ids=map(_case_id, _PUSHFORWARDS))
+def test_pushforward_jets_match_the_symbolic_oracle(name, g):
+    count, gaps = _pushforward_gaps(name, g)
+    assert count >= 8
+    assert max(gaps) <= _TOL, gaps
+
+
+def test_the_pushforward_oracle_flags_a_shift_by_e_over_phi(monkeypatch):
+    # a negative control: Yphi.act shifting by e/phi(t) rather than e*phi(t)
+    def divided(self, params, t, x):
+        shifted = zip(x, self.e, self.profiles)
+        return t, tuple(v + c / prof.jet(t) for v, c, prof in shifted), 1.0
+
+    monkeypatch.setattr(Yphi, "act", divided)
+    _, (value_gap, grad_gap, hess_gap) = _pushforward_gaps(*_PUSHFORWARDS[-2])
+    assert min(value_gap, grad_gap, hess_gap) > _TOL

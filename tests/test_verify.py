@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from condsym import jet2
-from condsym.errors import DimensionMismatch, DomainError
+from condsym.errors import BranchError, DimensionMismatch, DomainError, ZeroDynamicalExponent
 from condsym.fields import (
     ModelParams,
     Point,
@@ -572,7 +572,7 @@ def _tally(*batches, excluded=0):
     for gaps in batches:
         gaps = np.array(gaps, dtype=float)
         tally.add(np.zeros((len(gaps), 3)), gaps)
-    tally.set_aside(np.ones(excluded, dtype=bool), np.zeros(0, dtype=bool))
+    tally.set_aside(DomainError("outside"), excluded)
     return tally
 
 
@@ -616,12 +616,12 @@ def test_tally_fails_closed_on_a_non_finite_gap(bad):
 
 def test_tally_fails_closed_on_an_overflowed_row():
     tally = _tally([0.1, 0.2])
-    tally.set_aside(np.array([False, False]), np.array([False, True]))
+    tally.set_aside(OverflowError("math range error"), 1)
     assert (tally.evaluated, tally.excluded) == (3, 0)
     assert tally.max_norm == 0.2 and tally.gap == math.inf
     assert not tally.passed(math.inf)
     overflowed = Tally()
-    overflowed.set_aside(np.zeros(2, dtype=bool), np.ones(2, dtype=bool))
+    overflowed.set_aside(OverflowError("math range error"), 2)
     assert (overflowed.evaluated, overflowed.gap, overflowed.worst) == (2, math.inf, None)
     assert not overflowed.passed(math.inf)
 
@@ -629,7 +629,7 @@ def test_tally_fails_closed_on_an_overflowed_row():
 def test_tally_rms_counts_the_gaps_it_squared():
     # an overflowed row has no gap: it counts as evaluated, not in the rms
     tally = _tally([1.0])
-    tally.set_aside(np.zeros(3, dtype=bool), np.ones(3, dtype=bool))
+    tally.set_aside(OverflowError("math range error"), 3)
     assert (tally.evaluated, tally.rms) == (4, 1.0)
 
 
@@ -637,6 +637,28 @@ def test_tally_caps_exclusions_at_half():
     assert _tally([0.1, 0.2], excluded=2).passed(1.0)
     assert not _tally([0.1, 0.2], excluded=3).passed(1.0)
     assert not _tally(excluded=1).passed(1.0)  # nothing evaluated is no pass
+
+
+@pytest.mark.parametrize("error, excluded", [
+    (DomainError("outside"), True),
+    (BranchError("off branch"), True),
+    (ZeroDynamicalExponent("z = 0"), True),
+    (OverflowError("math range error"), False),
+    (ZeroDivisionError("division by zero"), False),
+    (FloatingPointError("underflow"), False),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_tally_set_aside_maps_an_error_to_a_count(error, excluded):
+    # a DomainError sets rows aside as excluded; any other error counts
+    # them as evaluated, with no gap, and makes the gap inf
+    tally = _tally([0.1, 0.2])
+    tally.set_aside(error, 3)
+    if excluded:
+        assert (tally.evaluated, tally.excluded, tally.gap) == (2, 3, 0.2)
+        assert not tally.passed(1.0)  # 3 of 5 excluded is more than half
+    else:
+        assert (tally.evaluated, tally.excluded, tally.gap) == (5, 0, math.inf)
+        assert not tally.passed(math.inf)
+    assert (tally.max_norm, tally.rms) == (0.2, math.sqrt((0.1 * 0.1 + 0.2 * 0.2) / 2))
 
 
 def _residual_suite_scalar_loop(field, kinds, params, grid, tol):
