@@ -396,13 +396,17 @@ def emit(rows, fmt, out=None):
 
 
 def _summarize(rows, what):
+    """The stderr line of the subcommand ``what`` and its exit code."""
+    if what == "catalog":
+        print(f"catalog: {len(rows)} entries", file=sys.stderr)
+        return 0
     ok = sum(1 for r in rows if r.get("pass"))
     print(f"{what}: {ok}/{len(rows)} passed", file=sys.stderr)
     return 0 if ok == len(rows) else 1
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report rows, which ``main`` writes
 
 
 def cmd_check(args):
@@ -421,9 +425,7 @@ def cmd_check(args):
         field = pushforward_field(element, params, field)
         family_id = f"{args.family} via {args.group}"
     reports = run_residual_suite(field, kinds, params, grid, args.tol, family_id=family_id)
-    rows = [r.to_dict() for r in reports]
-    emit(rows, args.format)
-    return _summarize(rows, "check" if element is None else "transform")
+    return [r.to_dict() for r in reports]
 
 
 def _identity_samples(seed, n_points, spatial_dim):
@@ -457,7 +459,7 @@ def cmd_identity(args):
     # out-of-branch rows are excluded, and overflowed rows make every gap inf
     tallies = [(Tally(), Tally(), Tally()) for _ in elements]
     scan(field, params, coords, [functools.partial(laws, e) for e in elements], tallies)
-    rows = [
+    return [
         {
             "n": element.n,
             "z": args.z,
@@ -471,8 +473,6 @@ def cmd_identity(args):
         }
         for element, (identity, law, obstruction) in zip(elements, tallies)
     ]
-    emit(rows, args.format)
-    return _summarize(rows, "identity")
 
 
 def _commutator_points(spatial_dim):
@@ -515,8 +515,7 @@ def cmd_commutators(args):
                     "pass": within_tolerance(gap, args.tol),
                 }
             )
-    emit(rows, args.format)
-    return _summarize(rows, "commutators")
+    return rows
 
 
 def cmd_fd_check(args):
@@ -552,7 +551,7 @@ def cmd_fd_check(args):
             f"could not find {args.points} interior points "
             f"(accepted {tally.evaluated} of {attempts} candidates)"
         )
-    rows = [
+    return [
         {
             "target": args.family if args.family is not None else args.field,
             "h": args.h,
@@ -562,8 +561,6 @@ def cmd_fd_check(args):
             "pass": within_tolerance(tally.gap, args.tol),
         }
     ]
-    emit(rows, args.format)
-    return _summarize(rows, "fd-check")
 
 
 def cmd_catalog(args):
@@ -595,9 +592,7 @@ def cmd_catalog(args):
     ):
         rows.append({"kind": "group", "name": name, "spec": grammar})
     rows.append({"kind": "field", "name": "random", "spec": "random:deg=3[,bound=B]"})
-    emit(rows, args.format)
-    print(f"catalog: {len(rows)} entries", file=sys.stderr)
-    return 0
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +700,9 @@ def main(argv=None):
                 setattr(args, key, convert(f"--{key}", getattr(args, key)))
         # a non-finite value is reported in its row, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            rows = args.func(args)
+        emit(rows, args.format)
+        return _summarize(rows, args.command)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

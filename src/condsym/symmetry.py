@@ -154,8 +154,11 @@ class Rot:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
+        for axis in ("a", "b"):
+            value = getattr(self, axis)
+            if value != int(value):
+                raise ValueError(f"{axis} must be an integer")
+            object.__setattr__(self, axis, int(value))
         object.__setattr__(self, "angle", float(self.angle))
         if self.a < 1 or self.b < 1 or self.a == self.b:
             raise DimensionMismatch("need distinct 1-based axes a != b")

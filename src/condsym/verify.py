@@ -289,22 +289,15 @@ def run_residual_suite(field, kinds, params, grid, tol, family_id=None):
     ]
 
 
-def _rel(a, b):
-    """Relative deviations; inf where either side is not finite."""
-    err = np.abs(a - b) / (1.0 + np.abs(b))
-    err[~np.isfinite(err)] = math.inf
-    return err
-
-
 @functools.lru_cache
 def _stencil(d):
     """The FD stencil in dimension d: a read-only (rows, d) table of steps
-    in units of h.  Row 0 is the base point, then come +1 and -1 on each
-    axis, then the (++, +-, --, -+) corners of each axis pair in
-    ``np.triu_indices`` order.  Its zeros are -0.0, so that p + h * step
-    keeps every coordinate that is not stepped bit for bit."""
+    in units of h: +1 and -1 on each axis, then the (++, +-, --, -+)
+    corners of each axis pair in ``np.triu_indices`` order; the base point
+    is not a row.  Its zeros are -0.0, so that p + h * step keeps every
+    coordinate that is not stepped bit for bit."""
     eye = np.eye(d)
-    steps = [np.zeros(d)] + [sign * eye[i] for i in range(d) for sign in (1.0, -1.0)]
+    steps = [sign * eye[i] for i in range(d) for sign in (1.0, -1.0)]
     steps += [si * eye[i] + sj * eye[j] for i, j in itertools.combinations(range(d), 2)
               for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0))]
     offsets = np.array(steps)
@@ -319,12 +312,13 @@ def fd_check(field, params, h):
 
     Its gap at a point is the max relative deviation of the jet's
     derivatives from central differences, with denominator 1 + |jet
-    entry|, and inf where a stencil value or jet entry is not finite.
-    First derivatives use (f(p+h) - f(p-h)) / 2h; second derivatives the
-    standard three-point and four-point (mixed) second-order stencils.
-    One ``values_many`` call reads the whole stencils of the points,
-    base rows included; a guard that names stencil rows names the points
-    they belong to.  ValueError unless ``h`` is positive and finite.
+    entry|, and not finite (inf in ``Tally.gap``) where a stencil value or
+    jet entry is not.  First derivatives use (f(p+h) - f(p-h)) / 2h; second
+    derivatives the standard three-point and four-point (mixed) stencils,
+    with f(p) the jet's value.  One ``values_many`` call reads the stencils
+    of the points, 2(N+1)^2 values each; a guard that names stencil rows
+    names the points they belong to.  ValueError unless ``h`` is positive
+    and finite.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be positive and finite, got {h}")
@@ -343,9 +337,9 @@ def fd_check(field, params, h):
                 exc.rows = bad.reshape(-1, n_rows).any(axis=1)
             raise
         f = values.reshape(-1, n_rows)
-        f0 = f[:, :1]
-        plus, minus = f[:, 1 : 2 * d + 1 : 2], f[:, 2 : 2 * d + 2 : 2]
-        fpp, fpm, fmm, fmp = np.moveaxis(f[:, 2 * d + 1 :].reshape(len(f), -1, 4), 2, 0)
+        f0 = jets.value[:, None]
+        plus, minus = f[:, : 2 * d : 2], f[:, 1 : 2 * d : 2]
+        fpp, fpm, fmm, fmp = np.moveaxis(f[:, 2 * d :].reshape(len(f), -1, 4), 2, 0)
         fd = np.concatenate((
             (plus - minus) / (2.0 * h),
             (plus - 2.0 * f0 + minus) / (h * h),
@@ -355,7 +349,7 @@ def fd_check(field, params, h):
         exact = np.concatenate(
             (grad, np.diagonal(hess, axis1=1, axis2=2), hess[:, iu[0], iu[1]]), axis=1
         )
-        return ((_rel(fd, exact).max(axis=1), 1.0),)
+        return ((np.max(np.abs(fd - exact) / (1.0 + np.abs(exact)), axis=1), 1.0),)
 
     return deviations, n_rows
 

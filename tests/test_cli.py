@@ -1178,6 +1178,41 @@ def test_catalog_lists_everything(capsys):
             parse_group(row["spec"])
 
 
+_DRIVER_CALLS = [
+    ("check", "--family", "radial-z1"),
+    ("transform", "--family", "radial-z1", "--group", "Xn:n=1,eps=0.05"),
+    ("identity", "--seed", "3", "--points", "5"),
+    ("commutators", "--N", "1"),
+    ("fd-check", "--family", "radial-z1", "--points", "3"),
+    ("catalog",),
+]
+
+
+@pytest.mark.parametrize("argv", _DRIVER_CALLS, ids=[a[0] for a in _DRIVER_CALLS])
+def test_drivers_return_their_rows_and_main_writes_them(capsys, argv):
+    args = cli.build_parser().parse_args(argv)
+    for key, convert in cli._NUMBER_FLAGS.items():
+        if hasattr(args, key):
+            setattr(args, key, convert(f"--{key}", getattr(args, key)))
+    rows = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert rows and all(isinstance(row, dict) for row in rows)
+    # main writes those rows and the summary line of its command
+    code, out, err = run_cli(capsys, *argv)
+    report = io.StringIO()
+    cli.emit(rows, "json", report)
+    assert out == report.getvalue()
+    assert code == cli._summarize(rows, argv[0])
+    assert capsys.readouterr().err == err
+
+
+def test_every_driver_is_called_on_parsed_arguments():
+    drivers = {name for name in vars(cli) if name.startswith("cmd_")}
+    parser = cli.build_parser()
+    called = {parser.parse_args(argv).func.__name__ for argv in _DRIVER_CALLS}
+    assert called == drivers
+
+
 def test_byte_determinism(capsys):
     args = ["identity", "--seed", "11", "--n=0..2", "--points", "15"]
     _, out1, _ = run_cli(capsys, *args)

@@ -1,6 +1,7 @@
 """A symbolic oracle: the generators' coefficients, the catalog families'
-jets and their pushforwards against closed forms written out and
-differentiated in sympy.  The module is skipped, through
+jets (at their defaults and at the ``_OVERRIDES`` specs of
+``test_cli.py``) and their pushforwards against closed forms written out
+and differentiated in sympy.  The module is skipped, through
 ``pytest.importorskip``, where sympy is not installed.
 
 Each comparison is relative: per row, the largest gap of a part (the
@@ -10,8 +11,10 @@ over the largest magnitude of that part in the oracle.
 
 import numpy as np
 import pytest
+from test_cli import _OVERRIDES
 
 from condsym import jet2
+from condsym.cli import parse_family
 from condsym.errors import DomainError
 from condsym.fields import ModelParams, ProfileFunction
 from condsym.solutions import (
@@ -150,6 +153,37 @@ def _closed_form(name, t, x):
     raise KeyError(name)
 
 
+def _override_form(name, t, x):
+    """The family ``name`` at its ``_OVERRIDES`` spec as a sympy expression
+    in t and the spatial symbols ``x``."""
+    R = sympy.Rational
+    if name == "one-dim-z0":
+        return 2 * x[0] * sympy.exp(-t) + 1 + 2 * t
+    if name == "one-dim-z1":
+        return R(3, 2) * x[0] + sympy.exp(-t)
+    if name == "one-dim-generic":
+        return 2 + t**2
+    if name == "radial-z1":
+        # X_a = x_a + e_a t^((n+1)/z) with n = 2, z = 1
+        return 2 * sympy.sqrt((x[0] + R(1, 4) * t**3) ** 2 + (x[1] + R(1, 10) * t**3) ** 2)
+    if name == "general-z":
+        # X_a = x_a + e_a t^((n+1)/z) with n = 2, z = 3
+        return _conical(2, sympy.Integer(3), x[0] + R(1, 2) * t, x[1] + R(1, 10) * t)
+    if name == "z0-sqrt":
+        return sympy.sqrt(16 * x[0] ** 2 - 2 * t * (x[0] ** 2 + x[1] ** 2))
+    if name == "z0-linear":
+        return x[0] * sympy.sin(t) + x[1] * t
+    if name == "general-yphi":
+        X, Y = x[0] + R(3, 10), x[1] + R(1, 5) * sympy.sin(t)
+        return _conical(2, sympy.Integer(3), X, Y)
+    if name == "ma-only":
+        return x[0] * sympy.sin(x[0] / x[1] + R(1, 2))
+    if name == "stationary":
+        # f(w) = 2 + w/2 + w^2/2, h = 2 Re f(x1 + i x2); u = h^(1/(1-z)) at z = 3
+        return (4 + x[0] + x[0] ** 2 - x[1] ** 2) ** R(-1, 2)
+    raise KeyError(name)
+
+
 def _rows_inside(field, params, rows, count=120):
     """Up to ``count`` of ``rows``, spread over them, inside the domain."""
     while True:
@@ -176,21 +210,16 @@ def _jet_oracle(u, ys, rows):
     return value, grad, hess
 
 
-def _family_oracle(name, rows):
-    """(value, gradient, Hessian) of the closed form at ``rows``."""
-    fam = DEFAULT_FAMILIES[name]
-    t, *x = ys = sympy.symbols(f"t x1:{fam.spatial_dim + 1}")
-    return _jet_oracle(_closed_form(name, t, x), ys, rows)
-
-
-def _family_gaps(name, jets, rows):
-    want = _family_oracle(name, rows)
+def _family_gaps(name, jets, rows, form=_closed_form):
+    """(value, gradient, Hessian) gaps of ``jets`` at ``rows`` from the
+    closed form ``form(name, t, x)``."""
+    t, *x = ys = sympy.symbols(f"t x1:{jets.dim}")
+    want = _jet_oracle(form(name, t, x), ys, rows)
     got = (jets.value, jets.grad, jets.hess)
     return [_rel_gap(g, w) for g, w in zip(got, want)]
 
 
-def _family_jets(name):
-    fam = DEFAULT_FAMILIES[name]
+def _family_jets(fam):
     params = default_params(fam)
     field = SolutionField(fam)
     rows = _rows_inside(field, params, default_grid(fam).coords())
@@ -199,15 +228,23 @@ def _family_jets(name):
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_FAMILIES))
 def test_family_jets_match_the_symbolic_oracle(name):
-    jets, rows = _family_jets(name)
+    jets, rows = _family_jets(DEFAULT_FAMILIES[name])
     assert len(rows) >= 100
     value_gap, grad_gap, hess_gap = _family_gaps(name, jets, rows)
     assert max(value_gap, grad_gap, hess_gap) <= _TOL, (value_gap, grad_gap, hess_gap)
 
 
+@pytest.mark.parametrize("name", sorted(_OVERRIDES))
+def test_overridden_family_jets_match_the_symbolic_oracle(name):
+    jets, rows = _family_jets(parse_family(f"{name}:{_OVERRIDES[name]}"))
+    assert len(rows) >= 100
+    value_gap, grad_gap, hess_gap = _family_gaps(name, jets, rows, _override_form)
+    assert max(value_gap, grad_gap, hess_gap) <= _TOL, (value_gap, grad_gap, hess_gap)
+
+
 def test_the_family_oracle_flags_a_moved_hessian_entry():
     # a negative control: Hessian entry (1, 2) and its mirror moved by 1e-9
-    jets, rows = _family_jets("radial-z1")
+    jets, rows = _family_jets(DEFAULT_FAMILIES["radial-z1"])
     hess = jets.hess.copy()
     hess[:, 1, 2] += 1e-9
     hess[:, 2, 1] += 1e-9

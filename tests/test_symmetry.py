@@ -124,6 +124,17 @@ def test_element_labels_and_profiles_are_checked():
         Yphi(("const:1",), (1.0,))
 
 
+def test_rot_refuses_a_non_integer_axis_and_keeps_an_integral_float():
+    # a truncated axis would rotate a plane nobody asked for
+    with pytest.raises(ValueError, match="a must be an integer"):
+        Rot(1.5, 2, 0.1)
+    with pytest.raises(ValueError, match="b must be an integer"):
+        Rot(1, 2.9, 0.1)
+    g = Rot(1.0, 2.0, 0.1)
+    assert (g.a, g.b) == (1, 2) and type(g.a) is type(g.b) is int
+    assert g == Rot(1, 2, 0.1)
+
+
 @pytest.mark.parametrize("g", [
     Xn(1, 0.01), Yk(1, (0.5, 0.5)), Yphi((parse_profile("const:1"),) * 2, (1.0, 2.0)),
     Rot(1, 2, 0.1),

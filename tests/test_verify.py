@@ -419,12 +419,12 @@ def test_fd_crosscheck_of_many_points_is_the_worst_single_point(name):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("h", [1e-4, 1e-2, 2.0])
 def test_stencil_table_steps_as_the_scatter_add_did(d, h):
-    # the reference: the base point repeated, then one signed step of h
-    # added at each (row, axis) of the stencil
+    # the reference: the point repeated, one signed step of h added at
+    # each (row, axis) of the stencil; the point itself is no row
     steps = []
     for i in range(d):
-        steps += [(1 + 2 * i, i, 1.0), (2 + 2 * i, i, -1.0)]
-    row = 1 + 2 * d
+        steps += [(2 * i, i, 1.0), (1 + 2 * i, i, -1.0)]
+    row = 2 * d
     for i, j in itertools.combinations(range(d), 2):
         for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
             steps += [(row, i, si), (row, j, sj)]
@@ -461,31 +461,32 @@ class _CountingField(ScalarField):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_fd_crosscheck_batches_whole_stencils_of_many_points(N):
-    # the values of whole stencils and the jets of their base points only,
-    # under one bound on the entries of a batch
+    # the values of whole stencils and the jets of their points only, under
+    # one bound on the entries of a batch; a point's value is its jet's
     params = ModelParams(N, 2.0)
     field = _CountingField(RandomPolynomialField(3, params, 3))
     rng = np.random.default_rng(5)
-    count, h = 331, 1e-4  # a prime, so no batch size divides it
+    count, h = 691, 1e-4  # a prime, so no batch size divides it
     coords = np.column_stack(
         (rng.uniform(0.6, 1.9, count), rng.uniform(-0.9, 0.9, (count, N)))
     )
     fd_crosscheck(field, params, [Point(r[0], tuple(r[1:])) for r in coords], h)
     d = N + 1
-    stencil = 1 + 2 * d + 2 * d * (d - 1)
+    stencil = 2 * d * d
     per_batch = _BATCH_ENTRIES // (stencil + d * d)
     assert per_batch * (stencil + d * d) <= _BATCH_ENTRIES
     assert (per_batch + 1) * (stencil + d * d) > _BATCH_ENTRIES
     assert len(field.value_calls) == len(field.jet_calls) == -(-count // per_batch) >= 2
     assert max(len(points) for points in field.jet_calls) == per_batch
-    # every point once, in order, as the base row of its own stencil
+    # every point once, in order, and its stencil around it, without it
     assert np.array_equal(np.concatenate(field.jet_calls), coords)
     for rows, points in zip(field.value_calls, field.jet_calls):
         stencils = rows.reshape(len(points), stencil, d)
-        assert np.array_equal(stencils[:, 0], points)
+        assert not (stencils == points[:, None]).all(axis=2).any()
+        assert stencils.tobytes() == (points[:, None] + h * _stencil(d)).tobytes()
         steps = stencils - points[:, None]
-        assert (np.count_nonzero(steps, axis=2) == [0] + [1] * 2 * d
-                + [2] * (stencil - 1 - 2 * d)).all()
+        assert (np.count_nonzero(steps, axis=2) == [1] * 2 * d
+                + [2] * (stencil - 2 * d)).all()
         assert np.allclose(np.abs(steps[steps != 0.0]), h, rtol=1e-6)
 
 
