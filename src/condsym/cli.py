@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
@@ -39,7 +40,6 @@ from .solutions import (
     default_params,
 )
 from .symmetry import (
-    Coefficients,
     GenJab,
     GenXn,
     GenYk,
@@ -47,6 +47,7 @@ from .symmetry import (
     Xn,
     Yk,
     Yphi,
+    coefficients,
     commutator_gap,
     derivative_law_gap,
     expected_commutator,
@@ -132,7 +133,7 @@ def _to_points(key, value):
     return points
 
 
-# number flags that argparse leaves as text; ``main`` reads them, so that a
+# number flags that argparse leaves as text; ``parse_args`` reads them, so that a
 # bad value is one "error:" line like every other usage error
 _NUMBER_FLAGS = {
     "h": _to_float, "eps": _to_float, "z": _to_float, "tol": _to_tol, "seed": _to_seed,
@@ -485,36 +486,28 @@ def cmd_commutators(args):
     n_lo, n_hi = parse_range(args.n)
     k_lo, k_hi = parse_range(args.k)
     params = ModelParams(args.N, args.z)
+    axes = range(1, args.N + 1)
     gens = [GenXn(n) for n in range(n_lo, n_hi + 1)]
-    gens += [
-        GenYk(k, axis)
-        for k in range(k_lo, k_hi + 1)
-        for axis in range(1, args.N + 1)
-    ]
-    gens += [
-        GenJab(a, b)
-        for a in range(1, args.N + 1)
-        for b in range(a + 1, args.N + 1)
-    ]
-    coeffs = Coefficients(params, _commutator_points(args.N))
+    gens += [GenYk(k, axis) for k in range(k_lo, k_hi + 1) for axis in axes]
+    gens += [GenJab(a, b) for a, b in itertools.combinations(axes, 2)]
+    coeffs = coefficients(params, _commutator_points(args.N))
     rows = []
-    for i, g1 in enumerate(gens):
-        for g2 in gens[i + 1 :]:
-            try:
-                expected = expected_commutator(g1, g2, params)
-                gap = commutator_gap(g1, g2, expected, coeffs)
-            except ArithmeticError:  # a structure constant or a coefficient overflowed
-                gap = math.inf
-            # fails closed: a non-finite gap is inf
-            gap = gap if math.isfinite(gap) else math.inf
-            rows.append(
-                {
-                    "g1": str(g1),
-                    "g2": str(g2),
-                    "gap": gap,
-                    "pass": within_tolerance(gap, args.tol),
-                }
-            )
+    for g1, g2 in itertools.combinations(gens, 2):
+        try:
+            expected = expected_commutator(g1, g2, params)
+            gap = commutator_gap(g1, g2, expected, coeffs)
+        except ArithmeticError:  # a structure constant or a coefficient overflowed
+            gap = math.inf
+        # fails closed: a non-finite gap is inf
+        gap = gap if math.isfinite(gap) else math.inf
+        rows.append(
+            {
+                "g1": str(g1),
+                "g2": str(g2),
+                "gap": gap,
+                "pass": within_tolerance(gap, args.tol),
+            }
+        )
     return rows
 
 
@@ -536,20 +529,18 @@ def cmd_fd_check(args):
     lo, hi = [0.6] + [-0.9] * n, [1.9] + [0.9] * n
     check, values = fd_check(field, params, args.h)
     tally = Tally()
-    attempts = 0
     limit = 200 * args.points
-    while tally.evaluated < args.points and attempts < limit:
-        # as many candidates as points are still needed, so that every
-        # candidate drawn counts as an attempt; a row (t, x) reads the
-        # generator's doubles in the order one point after another does
-        count = min(args.points - tally.evaluated, limit - attempts)
+    # every candidate drawn is either evaluated or excluded in the tally
+    while tally.evaluated < args.points and (drawn := tally.evaluated + tally.excluded) < limit:
+        # as many candidates as points are still needed; a row (t, x) reads
+        # the generator's doubles in the order one point after another does
+        count = min(args.points - tally.evaluated, limit - drawn)
         candidates = rng.uniform(lo, hi, size=(count, n + 1))
         scan(field, params, candidates, [check], [[tally]], values)
-        attempts += count
     if tally.evaluated < args.points:
         raise CLIError(
             f"could not find {args.points} interior points "
-            f"(accepted {tally.evaluated} of {attempts} candidates)"
+            f"(accepted {tally.evaluated} of {tally.evaluated + tally.excluded} candidates)"
         )
     return [
         {
@@ -677,32 +668,35 @@ def build_parser():
 def _parser(build):
     """The parser ``build`` returns, built on first use and then shared.
 
-    Keyed by the builder, which ``main`` looks up at call time: a
+    Keyed by the builder, which ``parse_args`` looks up at call time: a
     replaced ``build_parser`` builds once and its parser is reused, and
     restoring the original builds afresh.  Sharing is safe because
-    ``parse_args`` keeps its state on a fresh namespace per call.
+    argparse keeps the state of each call on a fresh namespace.
     """
     return build()
 
 
+def parse_args(argv=None):
+    """``argv`` parsed by the shared parser, with every number flag
+    converted: the arguments a ``cmd_*`` driver takes.  A usage error
+    raises SystemExit, a bad number CLIError."""
+    args = _parser(build_parser).parse_args(argv)
+    for key, convert in _NUMBER_FLAGS.items():
+        if hasattr(args, key):
+            setattr(args, key, convert(f"--{key}", getattr(args, key)))
+    return args
+
+
 def main(argv=None):
-    parser = _parser(build_parser)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code in (None, 0):
-            return 0
-        return 2
-    try:
-        for key, convert in _NUMBER_FLAGS.items():
-            if hasattr(args, key):
-                setattr(args, key, convert(f"--{key}", getattr(args, key)))
+        args = parse_args(argv)
         # a non-finite value is reported in its row, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows = args.func(args)
         emit(rows, args.format)
         return _summarize(rows, args.command)
+    except SystemExit as exc:
+        return 0 if exc.code in (None, 0) else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

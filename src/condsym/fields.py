@@ -26,6 +26,21 @@ from .errors import DimensionMismatch
 _PROFILE_ARITY = {"poly": None, "exp": 2, "sin": 3, "const": 1}
 
 
+def integral(record, *names):
+    """Store the fields ``names`` of the frozen dataclass ``record`` as
+    ints: the one rule for every integer label and dimension.  An integral
+    float is taken; any other value raises ValueError."""
+    for name in names:
+        value = getattr(record, name)
+        try:
+            whole = int(value)
+        except (OverflowError, ValueError):  # inf, NaN
+            whole = None
+        if whole != value:
+            raise ValueError(f"{name} must be an integer")
+        object.__setattr__(record, name, whole)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Problem parameters: spatial dimension N >= 1 and exponent z."""
@@ -34,6 +49,7 @@ class ModelParams:
     z: float
 
     def __post_init__(self):
+        integral(self, "spatial_dim")
         if self.spatial_dim < 1:
             raise DimensionMismatch("spatial_dim must be at least 1")
         object.__setattr__(self, "z", float(self.z))
@@ -381,6 +397,7 @@ class RandomPolynomialField(ScalarField):
 
 
 __all__ = [
+    "integral",
     "ModelParams",
     "Point",
     "ScalarField",

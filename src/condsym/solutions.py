@@ -26,6 +26,7 @@ from .fields import (
     ProfileFunction,
     ScalarField,
     check_coords,
+    integral,
 )
 from .operators import ResidualKind
 from .verify import GridSpec
@@ -42,12 +43,6 @@ _BOTH = (ResidualKind.DIFFUSION, ResidualKind.MONGE_AMPERE)
 def _check_positive_c(fam):
     if fam.c <= 0.0:
         raise ValueError("c must be positive")
-
-
-def _normalize_n(fam):
-    if fam.n != int(fam.n):
-        raise ValueError("n must be an integer")
-    object.__setattr__(fam, "n", int(fam.n))
 
 
 def _normalize_conical_z(fam):
@@ -138,7 +133,7 @@ class RadialZ1:
 
     def __post_init__(self):
         _check_positive_c(self)
-        _normalize_n(self)
+        integral(self, "n")
 
     def jet(self, jt, jx):
         sx = _power_shift(jt, self.e1, self.e2, self.n, 1.0, jx)
@@ -165,7 +160,7 @@ class GeneralZ:
 
     def __post_init__(self):
         _check_positive_c(self)
-        _normalize_n(self)
+        integral(self, "n")
         _normalize_conical_z(self)
 
     def jet(self, jt, jx):
@@ -248,6 +243,7 @@ class MAOnly:
     z: float = 2.0
 
     def __post_init__(self):
+        integral(self, "spatial_dim")
         if self.spatial_dim < 2:
             raise DimensionMismatch("needs at least two spatial dimensions")
         if self.phi.dim != self.spatial_dim - 1:

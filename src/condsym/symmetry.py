@@ -19,7 +19,7 @@ fit the spatial dimension N.
 Each generator writes its vector field once, as
 ``gen.coeffs(params, y) -> (xi, dxi)``: the coefficients at the rows
 y = (t, x_1..x_N, u) of a (P, N + 2) array and their Jacobians, which a
-:class:`Coefficients` table holds once per generator.
+:func:`coefficients` table holds once per generator.
 :func:`commutator_gap` compares the bracket of two such fields with the
 structure-constant table of :func:`expected_commutator`, coefficient by
 coefficient.
@@ -35,6 +35,7 @@ Conventions:
 * Generator coefficients use the weight-1 normalization throughout.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import jet2
 from .errors import BranchError, DimensionMismatch
-from .fields import Point, ProfileFunction, ScalarField, check_coords
+from .fields import Point, ProfileFunction, ScalarField, check_coords, integral
 from .jet2 import Jet2
 from .operators import monge_ampere, w1
 
@@ -60,9 +61,7 @@ class Xn:
     eps: float
 
     def __post_init__(self):
-        if self.n != int(self.n):
-            raise ValueError("n must be an integer")
-        object.__setattr__(self, "n", int(self.n))
+        integral(self, "n")
         object.__setattr__(self, "eps", float(self.eps))
 
     def inverse(self):
@@ -100,9 +99,7 @@ class Yk:
     v: tuple[float, ...]
 
     def __post_init__(self):
-        if self.k != int(self.k):
-            raise ValueError("k must be an integer")
-        object.__setattr__(self, "k", int(self.k))
+        integral(self, "k")
         object.__setattr__(self, "v", tuple(float(c) for c in self.v))
 
     def inverse(self):
@@ -154,11 +151,7 @@ class Rot:
     angle: float
 
     def __post_init__(self):
-        for axis in ("a", "b"):
-            value = getattr(self, axis)
-            if value != int(value):
-                raise ValueError(f"{axis} must be an integer")
-            object.__setattr__(self, axis, int(value))
+        integral(self, "a", "b")
         object.__setattr__(self, "angle", float(self.angle))
         if self.a < 1 or self.b < 1 or self.a == self.b:
             raise DimensionMismatch("need distinct 1-based axes a != b")
@@ -385,6 +378,9 @@ class GenXn:
 
     n: int
 
+    def __post_init__(self):
+        integral(self, "n")
+
     def __str__(self):
         return f"X({self.n})"
 
@@ -410,6 +406,9 @@ class GenYk:
     k: int
     axis: int  # 1-based spatial axis
 
+    def __post_init__(self):
+        integral(self, "k", "axis")
+
     def __str__(self):
         return f"Y({self.k},axis={self.axis})"
 
@@ -429,6 +428,7 @@ class GenJab:
     b: int
 
     def __post_init__(self):
+        integral(self, "a", "b")
         if self.a < 1 or self.b < 1 or self.a == self.b:
             raise DimensionMismatch("need distinct 1-based axes a != b")
 
@@ -445,23 +445,17 @@ class GenJab:
         return xi, dxi
 
 
-class Coefficients(dict):
+def coefficients(params, ys):
     """Generator -> its (xi, dxi) at the rows y = (t, x_1..x_N, u) of
-    ``ys``, evaluated by one ``coeffs`` call on first use.  A generator
-    whose ``coeffs`` raises is not stored, so each read of it raises."""
-
-    def __init__(self, params, ys):
-        super().__init__()
-        self.params, self.ys = params, np.asarray(ys, dtype=float)
-
-    def __missing__(self, gen):
-        self[gen] = out = gen.coeffs(self.params, self.ys)
-        return out
+    ``ys``, evaluated by one ``coeffs`` call on first use.  A call that
+    raises is not kept, so each read of that generator raises."""
+    ys = np.asarray(ys, dtype=float)
+    return functools.cache(lambda gen: gen.coeffs(params, ys))
 
 
 def commutator_gap(g1, g2, expected, coeffs):
     """Largest coefficient of [g1, g2] - expected over the rows of the
-    :class:`Coefficients` table ``coeffs``.
+    :func:`coefficients` table ``coeffs``.
 
     The bracket of two vector fields is the vector field
     [xi1, xi2] = dxi2 . xi1 - dxi1 . xi2 (Olver, *Applications of Lie
@@ -470,11 +464,11 @@ def commutator_gap(g1, g2, expected, coeffs):
     no t slot and its dxi only a t column, so a [Y, Y] gap is a maximum
     of exact zeros.  A NaN coefficient gives a NaN gap.
     """
-    xi1, dxi1 = coeffs[g1]
-    xi2, dxi2 = coeffs[g2]
+    xi1, dxi1 = coeffs(g1)
+    xi2, dxi2 = coeffs(g2)
     gap = (dxi2 @ xi1[..., None] - dxi1 @ xi2[..., None])[..., 0]
     for coeff, gen in expected:
-        gap -= float(coeff) * coeffs[gen][0]
+        gap -= float(coeff) * coeffs(gen)[0]
     return float(np.max(np.abs(gap)))
 
 
@@ -550,7 +544,7 @@ __all__ = [
     "GenXn",
     "GenYk",
     "GenJab",
-    "Coefficients",
+    "coefficients",
     "commutator_gap",
     "expected_commutator",
 ]

@@ -37,15 +37,17 @@ class GridSpec:
     x_ranges: tuple
 
     def __post_init__(self):
-        t_range = tuple(self.t_range)
-        x_ranges = tuple(tuple(r) for r in self.x_ranges)
-        for lo, hi, count in (t_range,) + x_ranges:
-            if int(count) < 2:
+        ranges = []
+        for lo, hi, count in (self.t_range, *self.x_ranges):
+            if count != int(count):
+                raise ValueError("axis counts must be integers")
+            if count < 2:
                 raise ValueError("axis counts must be at least 2")
             if not lo < hi:
                 raise ValueError("axis ranges need lo < hi")
-        object.__setattr__(self, "t_range", t_range)
-        object.__setattr__(self, "x_ranges", x_ranges)
+            ranges.append((lo, hi, int(count)))
+        object.__setattr__(self, "t_range", ranges[0])
+        object.__setattr__(self, "x_ranges", tuple(ranges[1:]))
 
     @property
     def spatial_dim(self):
@@ -53,15 +55,12 @@ class GridSpec:
 
     @property
     def total_points(self):
-        total = int(self.t_range[2])
-        for r in self.x_ranges:
-            total *= int(r[2])
-        return total
+        return math.prod(count for _, _, count in (self.t_range, *self.x_ranges))
 
     def axes(self):
         return [
-            np.linspace(lo, hi, int(count))
-            for lo, hi, count in (self.t_range,) + self.x_ranges
+            np.linspace(lo, hi, count)
+            for lo, hi, count in (self.t_range, *self.x_ranges)
         ]
 
     def coords(self):
@@ -87,18 +86,11 @@ class ResidualReport:
     passed: bool
 
     def to_dict(self):
+        row = dict(vars(self))
+        row["pass"] = row.pop("passed")
         wp = self.worst_point
-        return {
-            "equation": self.equation,
-            "family": self.family,
-            "points_evaluated": self.points_evaluated,
-            "points_excluded": self.points_excluded,
-            "max_abs": self.max_abs,
-            "rms": self.rms,
-            "worst_point": None if wp is None else {"t": wp.t, "x": list(wp.x)},
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        row["worst_point"] = None if wp is None else {"t": wp.t, "x": list(wp.x)}
+        return row
 
 
 def within_tolerance(gap, tol):

@@ -31,7 +31,6 @@ from condsym.solutions import (
     default_params,
 )
 from condsym.symmetry import (
-    Coefficients,
     GenJab,
     GenXn,
     GenYk,
@@ -39,6 +38,7 @@ from condsym.symmetry import (
     Xn,
     Yk,
     Yphi,
+    coefficients,
     commutator_gap,
     derivative_law_gap,
     expected_commutator,
@@ -184,7 +184,7 @@ def test_criterion_4_commutator_table_with_exact_y_brackets():
         ]
         for z in (1.0, 2.0):
             params = ModelParams(spatial_dim, z)
-            tables = [Coefficients(params, [y]) for y in points]
+            tables = [coefficients(params, [y]) for y in points]
             gens = [GenXn(n) for n in range(-2, 3)]
             gens += [
                 GenYk(k, axis)

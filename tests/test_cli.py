@@ -1190,10 +1190,7 @@ _DRIVER_CALLS = [
 
 @pytest.mark.parametrize("argv", _DRIVER_CALLS, ids=[a[0] for a in _DRIVER_CALLS])
 def test_drivers_return_their_rows_and_main_writes_them(capsys, argv):
-    args = cli.build_parser().parse_args(argv)
-    for key, convert in cli._NUMBER_FLAGS.items():
-        if hasattr(args, key):
-            setattr(args, key, convert(f"--{key}", getattr(args, key)))
+    args = cli.parse_args(argv)
     rows = args.func(args)
     assert capsys.readouterr() == ("", "")
     assert rows and all(isinstance(row, dict) for row in rows)

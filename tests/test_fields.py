@@ -1,11 +1,12 @@
 """Model parameters, time profiles, polynomial fields."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from condsym import jet2
+from condsym import fields, jet2, solutions, symmetry
 from condsym.errors import DimensionMismatch
 from condsym.fields import (
     ModelParams,
@@ -25,6 +26,51 @@ def test_model_params():
     assert p.jet_dim == 3
     with pytest.raises(DimensionMismatch):
         ModelParams(0, 1.0)
+
+
+# a sample of every record in ``fields``, ``symmetry`` and ``solutions``
+# with an ``int`` field, where each such field may be set to 2
+_INT_RECORDS = [
+    ModelParams(3, 2.0),
+    symmetry.Xn(1, 0.01),
+    symmetry.Yk(1, (0.5, 0.0)),
+    symmetry.Rot(1, 3, 0.3),
+    symmetry.GenXn(1),
+    symmetry.GenYk(1, 1),
+    symmetry.GenJab(1, 3),
+    solutions.DEFAULT_FAMILIES["radial-z1"],
+    solutions.DEFAULT_FAMILIES["general-z"],
+    solutions.MAOnly(spatial_dim=2, phi=parse_profile("poly:1,1")),
+]
+
+
+def _int_fields(record):
+    return [f.name for f in dataclasses.fields(record) if f.type is int]
+
+
+def test_every_record_with_an_int_field_has_a_sample():
+    records = {
+        cls
+        for module in (fields, symmetry, solutions)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == module.__name__ and _int_fields(cls)
+    }
+    assert records == {type(sample) for sample in _INT_RECORDS}
+
+
+@pytest.mark.parametrize(
+    "sample, name",
+    [(sample, name) for sample in _INT_RECORDS for name in _int_fields(sample)],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_an_int_field_refuses_a_fraction_and_keeps_an_integral_float(sample, name):
+    for bad in (1.5, math.inf, math.nan, "2"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            dataclasses.replace(sample, **{name: bad})
+    record = dataclasses.replace(sample, **{name: 2.0})
+    assert getattr(record, name) == 2 and type(getattr(record, name)) is int
+    assert record == dataclasses.replace(sample, **{name: 2})
 
 
 def test_point_coords_order():

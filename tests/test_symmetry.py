@@ -1,5 +1,6 @@
 """Finite transformations, derivative laws, generators, commutators."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -21,7 +22,6 @@ from condsym.fields import (
 from condsym.operators import monge_ampere, w1
 from condsym.solutions import DEFAULT_FAMILIES, SolutionField, default_params
 from condsym.symmetry import (
-    Coefficients,
     GenJab,
     GenXn,
     GenYk,
@@ -29,6 +29,7 @@ from condsym.symmetry import (
     Xn,
     Yk,
     Yphi,
+    coefficients,
     commutator_gap,
     derivative_law_gap,
     expected_commutator,
@@ -346,19 +347,58 @@ def test_commutator_x0_x1_oracle():
     y = np.array([1.0, 1.0, 0.5, 1.0])
     expected = expected_commutator(GenXn(0), GenXn(1), P2)
     assert expected == ((2.0, GenXn(1)),)
-    assert commutator_gap(GenXn(0), GenXn(1), expected, Coefficients(P2, [y])) < 1e-13
+    assert commutator_gap(GenXn(0), GenXn(1), expected, coefficients(P2, [y])) < 1e-13
     # a wrong table entry is detected
     wrong = ((2.0, GenXn(0)),)
-    assert commutator_gap(GenXn(0), GenXn(1), wrong, Coefficients(P2, [y])) > 1e-3
+    assert commutator_gap(GenXn(0), GenXn(1), wrong, coefficients(P2, [y])) > 1e-3
 
 
 def test_commutator_gap_propagates_nan():
-    table = Coefficients(P2, [np.array([1.0, math.nan, 0.5, 1.0])])
+    table = coefficients(P2, [np.array([1.0, math.nan, 0.5, 1.0])])
     assert math.isnan(commutator_gap(GenXn(0), GenXn(1), ((2.0, GenXn(1)),), table))
 
 
+@dataclasses.dataclass(frozen=True)
+class _Counted:
+    """A generator that counts its ``coeffs`` calls in ``calls`` and raises
+    on the first ``fails`` of them."""
+
+    name: str
+    calls: list = dataclasses.field(default_factory=list, hash=False, compare=False)
+    fails: int = 0
+
+    def coeffs(self, params, y):
+        self.calls.append(y)
+        if len(self.calls) <= self.fails:
+            raise OverflowError("coefficient overflowed")
+        return GenXn(0).coeffs(params, y)
+
+
+def test_coefficients_calls_coeffs_once_per_generator_per_table():
+    gen = _Counted("g")
+    ys = [[1.2, 0.7, -0.4, 0.9], [0.8, 0.1, 0.3, 1.1]]
+    table = coefficients(P2, ys)
+    first = table(gen)
+    assert table(gen) is first and table(_Counted("g")) is first
+    assert len(gen.calls) == 1 and gen.calls[0].tolist() == ys
+    # a second table calls again, on its own rows
+    coefficients(P2, ys[:1])(gen)
+    assert len(gen.calls) == 2 and gen.calls[1].tolist() == ys[:1]
+
+
+def test_coefficients_keep_no_call_that_raised():
+    gen = _Counted("g", fails=2)
+    table = coefficients(P2, [[1.2, 0.7, -0.4, 0.9]])
+    for calls in (1, 2):
+        with pytest.raises(OverflowError):
+            table(gen)
+        assert len(gen.calls) == calls
+    first = table(gen)
+    assert table(gen) is first and len(gen.calls) == 3
+
+
 def test_y_brackets_vanish_exactly():
-    table = Coefficients(P2, [np.array([1.2, 0.7, -0.4, 0.9])])
+    table = coefficients(P2, [np.array([1.2, 0.7, -0.4, 0.9])])
     for k1 in (-1, 0, 1, 2):
         for k2 in (-1, 0, 1, 2):
             for a1 in (1, 2):
@@ -383,7 +423,7 @@ def test_the_massless_algebra_at_n1_z2_contains_sch1():
             for c, gen in terms
         }
 
-    coeffs = Coefficients(params, _commutator_points(1))
+    coeffs = coefficients(params, _commutator_points(1))
     for g1, g2 in itertools.combinations(span, 2):
         expected = expected_commutator(g1, g2, params)
         assert all(gen in span for _, gen in expected), (g1, g2)
@@ -444,7 +484,7 @@ def test_rotation_algebra_closes_in_3d():
     )
     y = np.array([1.1, 0.4, -0.3, 0.6, 0.9])
     expected = expected_commutator(GenJab(1, 2), GenJab(2, 3), params)
-    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, Coefficients(params, [y])) < 1e-13
+    assert commutator_gap(GenJab(1, 2), GenJab(2, 3), expected, coefficients(params, [y])) < 1e-13
 
 
 def test_generator_axis_bounds():
@@ -452,7 +492,7 @@ def test_generator_axis_bounds():
     with pytest.raises(DimensionMismatch):
         GenYk(1, 3).coeffs(P2, y)
     with pytest.raises(DimensionMismatch):
-        commutator_gap(GenJab(1, 3), GenJab(1, 2), (), Coefficients(P2, [y]))
+        commutator_gap(GenJab(1, 3), GenJab(1, 2), (), coefficients(P2, [y]))
 
 
 def test_pushforward_batch_matches_pointwise_and_names_branch_rows():

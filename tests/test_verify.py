@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from condsym import jet2
+from condsym import jet2, verify
 from condsym.errors import BranchError, DimensionMismatch, DomainError, ZeroDynamicalExponent
 from condsym.fields import (
     ModelParams,
@@ -87,6 +87,18 @@ def test_grid_spec_validation():
         GridSpec((0.5, 2.0, 4), ((-1.0, -1.0, 4),))
 
 
+def test_grid_counts_are_integers():
+    # a fractional count would be truncated by linspace, but not by total_points
+    with pytest.raises(ValueError, match="axis counts must be integers"):
+        GridSpec((0.5, 2.0, 10.5), ((-1.0, 1.0, 4),))
+    with pytest.raises(ValueError, match="axis counts must be integers"):
+        GridSpec((0.5, 2.0, 10), ((-1.0, 1.0, 4.7),))
+    grid = GridSpec((0.5, 2.0, 10.0), ((-1.0, 1.0, 4.0),))
+    assert grid == GridSpec((0.5, 2.0, 10), ((-1.0, 1.0, 4),))
+    assert type(grid.t_range[2]) is type(grid.x_ranges[0][2]) is int
+    assert grid.total_points == len(grid.coords()) == 40
+
+
 def test_grid_points_order_and_count():
     grid = GridSpec((0.0, 1.0, 2), ((0.0, 1.0, 2), (0.0, 1.0, 2)))
     rows = grid.coords()
@@ -141,6 +153,26 @@ def test_report_serializes_every_field():
     (report,) = run_residual_suite(_Paraboloid(), [ResidualKind.MONGE_AMPERE], P2, grid, 1e-8)
     names = [f.name for f in dataclasses.fields(ResidualReport)]
     assert [{"passed": "pass"}.get(name, name) for name in names] == list(report.to_dict())
+
+
+@pytest.mark.parametrize("worst", [None, Point(0.5, (0.25, -1.0))])
+def test_report_dict_is_its_fields_with_pass_and_a_plain_worst_point(worst):
+    report = ResidualReport("diffusion", "fam", 7, 2, 1e-9, 5e-10, worst, 1e-8, True)
+    d = report.to_dict()
+    assert d == {
+        "equation": "diffusion",
+        "family": "fam",
+        "points_evaluated": 7,
+        "points_excluded": 2,
+        "max_abs": 1e-9,
+        "rms": 5e-10,
+        "worst_point": None if worst is None else {"t": 0.5, "x": [0.25, -1.0]},
+        "tolerance": 1e-8,
+        "pass": True,
+    }
+    if worst is not None:
+        assert type(d["worst_point"]["x"]) is list
+    assert report.worst_point is worst  # the report itself is left as it was
 
 
 def test_domain_errors_count_as_exclusions():
@@ -400,9 +432,30 @@ def test_fd_crosscheck_matches_scalar_loop_bitwise(which):
         assert got == _fd_crosscheck_scalar_loop(field, params, points, h), h
 
 
+def _interior_coords(field, params, count, seed):
+    """The first ``count`` rows of a seeded draw whose FD stencils stay in
+    the field's domain, sorted out by one scan."""
+    check, values = fd_check(field, params, 1e-4)
+    kept = []
+
+    def recording(points, jets):
+        out = check(points, jets)
+        kept.append(points)
+        return out
+
+    n = params.spatial_dim
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform([0.6] + [-0.9] * n, [1.9] + [0.9] * n, (20 * count, n + 1))
+    scan(field, params, coords, [recording], [[Tally()]], values)
+    interior = np.concatenate(kept)
+    assert len(interior) >= count
+    return interior[:count]
+
+
 @pytest.mark.parametrize("name", sorted(DEFAULT_FAMILIES))
 def test_fd_crosscheck_of_many_points_is_the_worst_single_point(name):
-    # 61 points: a prime, so no batch size (56, 11 or 3 points) divides it
+    # 61 points fit in one batch, which holds the stencils of 341, 151 or
+    # 85 points at N = 1, 2 or 3
     fam = DEFAULT_FAMILIES[name]
     params = default_params(fam)
     field = SolutionField(fam)
@@ -410,10 +463,17 @@ def test_fd_crosscheck_of_many_points_is_the_worst_single_point(name):
     single = [fd_crosscheck(field, params, [p], 1e-4) for p in points]
     assert fd_crosscheck(field, params, points, 1e-4) == max(single)
     # the check on all the points as one batch gives each its own gap
-    check, _ = fd_check(field, params, 1e-4)
+    check, values = fd_check(field, params, 1e-4)
     coords = np.array([p.coords() for p in points])
     ((gaps, scale),) = check(coords, field.evaluate_many(params, coords))
     assert gaps.tolist() == single and scale == 1.0
+    # 349 points, a prime: 2, 3 or 5 batches at N = 1, 2 or 3, and the
+    # worst of them is the worst of their one-batch gaps
+    coords = _interior_coords(field, params, 349, 4)
+    assert len(list(verify.batches(params, coords, values))) >= 2
+    ((gaps, _),) = check(coords, field.evaluate_many(params, coords))
+    points = [Point(row[0], tuple(row[1:])) for row in coords]
+    assert fd_crosscheck(field, params, points, 1e-4) == gaps.max()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
