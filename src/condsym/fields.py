@@ -350,8 +350,9 @@ def monomial_table(dim, degree):
 
 
 def random_polynomial_function(seed, dim, degree, coeff_bound=1.0):
-    """Seeded random polynomial in ``dim`` variables, coefficients in ±bound."""
-    if not 0.0 <= 2.0 * coeff_bound < math.inf:
+    """Seeded random polynomial in ``dim`` variables, coefficients in
+    ±bound; the bound must be positive and finite."""
+    if not 0.0 < 2.0 * coeff_bound < math.inf:
         raise ValueError(f"coefficient bound {coeff_bound!r} is out of range")
     if degree < 0:
         raise ValueError(f"polynomial degree {degree!r} is negative")
@@ -361,17 +362,21 @@ def random_polynomial_function(seed, dim, degree, coeff_bound=1.0):
     return PolynomialFunction(powers, coeffs)
 
 
+@dataclass(frozen=True)
 class RandomPolynomialField(ScalarField):
     """Random polynomial in (t, x_1..x_N) with reproducible coefficients."""
 
-    def __init__(self, seed, params, degree, coeff_bound=1.0):
-        self.seed = int(seed)
-        self.degree = int(degree)
-        self.coeff_bound = float(coeff_bound)
-        self.spatial_dim = params.spatial_dim
-        self._poly = random_polynomial_function(
-            self.seed, params.spatial_dim + 1, self.degree, self.coeff_bound
-        )
+    seed: int
+    params: ModelParams
+    degree: int
+    coeff_bound: float = 1.0
+
+    def __post_init__(self):
+        integral(self, "seed", "degree")
+        object.__setattr__(self, "coeff_bound", float(self.coeff_bound))
+        object.__setattr__(self, "_poly", random_polynomial_function(
+            self.seed, self.params.jet_dim, self.degree, self.coeff_bound
+        ))
 
     def evaluate_many(self, params, coords):
         """One row or rows of ``coords`` by one call of the ``poly_jet`` kernel."""
@@ -382,18 +387,12 @@ class RandomPolynomialField(ScalarField):
         return self._poly.value_at(self._coords(params, coords))
 
     def _coords(self, params, coords):
-        if params.spatial_dim != self.spatial_dim:
+        if params.spatial_dim != self.params.spatial_dim:
             raise DimensionMismatch(
-                f"field built for N={self.spatial_dim}, params have "
+                f"field built for N={self.params.spatial_dim}, params have "
                 f"N={params.spatial_dim}"
             )
         return check_coords(params, coords)
-
-    def __repr__(self):
-        return (
-            f"RandomPolynomialField(seed={self.seed}, N={self.spatial_dim}, "
-            f"degree={self.degree}, coeff_bound={self.coeff_bound!r})"
-        )
 
 
 __all__ = [

@@ -313,11 +313,11 @@ def _check_family(fam, params):
         )
 
 
+@dataclass(frozen=True)
 class SolutionField(ScalarField):
     """ScalarField adapter around a solution family."""
 
-    def __init__(self, family):
-        self.family = family
+    family: object
 
     def evaluate_many(self, params, coords):
         """The family's jet over the seed jets of one row of ``coords``
@@ -337,9 +337,6 @@ class SolutionField(ScalarField):
         _check_family(self.family, params)
         jets = jet2.coordinates(dim, check_coords(params, coords))
         return self.family.jet(jets[0], jets[1:])
-
-    def __repr__(self):
-        return f"SolutionField({self.family!r})"
 
 
 def default_params(fam):

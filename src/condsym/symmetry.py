@@ -202,6 +202,7 @@ def transform_point(g, params, p):
     return Point(t, x), a_val
 
 
+@dataclass(frozen=True)
 class PushforwardField(ScalarField):
     """Field transported by a group element.
 
@@ -212,14 +213,12 @@ class PushforwardField(ScalarField):
     (the forward factor at the source points).
     """
 
-    def __init__(self, element, base):
-        self.element = element
-        self.inverse = element.inverse()
-        self.base = base
+    element: object
+    base: ScalarField
 
     def evaluate_many(self, params, coords):
         coords = check_coords(params, coords)
-        source, a_inv = _act_on(self.inverse, params, coords, params.jet_dim)
+        source, a_inv = _act_on(self.element.inverse(), params, coords, params.jet_dim)
         return self.pull(self.base.evaluate_many(params, _values(source)), source, a_inv)
 
     @staticmethod

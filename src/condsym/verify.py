@@ -39,7 +39,7 @@ class GridSpec:
     def __post_init__(self):
         ranges = []
         for lo, hi, count in (self.t_range, *self.x_ranges):
-            if count != int(count):
+            if not (math.isfinite(count) and count == int(count)):
                 raise ValueError("axis counts must be integers")
             if count < 2:
                 raise ValueError("axis counts must be at least 2")

@@ -166,7 +166,8 @@ def test_parse_family_refuses_non_finite_numbers(capsys, spec):
     [("identity", "--field", "random:deg=3,bound=inf", "--seed", "1"),
      ("fd-check", "--field", "random:deg=3,bound=1e308", "--seed", "1"),
      ("identity", "--field", "random:deg=3,bound=nan", "--seed", "1"),
-     ("identity", "--field", "random:deg=3,bound=-1", "--seed", "1")],
+     ("identity", "--field", "random:deg=3,bound=-1", "--seed", "1"),
+     ("identity", "--field", "random:deg=3,bound=0", "--seed", "1")],
 )
 def test_random_field_bound_out_of_range_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,5 +1,6 @@
 """Every name a module exports is reached: from the library itself, or
-as the package's own API; and every module-level private name is read."""
+as the package's own API; every module-level private name is read; and
+a class leaves its constructor and repr to the dataclass that it is."""
 
 import ast
 from pathlib import Path
@@ -83,6 +84,23 @@ def dead_private_names(src=SRC):
     return out
 
 
+# a validating constructor, and an accumulator that starts empty
+_HAND_WRITTEN = {"Jet2", "Tally"}
+
+
+def hand_written_dunders(src=SRC):
+    """(module, class, name) for each ``__init__`` or ``__repr__`` that the
+    body of a class of ``src`` defines, outside ``_HAND_WRITTEN``."""
+    return [
+        (module, node.name, name)
+        for module, tree in _trees(src).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name not in _HAND_WRITTEN
+        for stmt in node.body
+        for name in sorted(_bound(stmt) & {"__init__", "__repr__"})
+    ]
+
+
 def test_every_exported_name_is_reached():
     assert unreachable_exports() == []
 
@@ -120,3 +138,28 @@ def test_the_private_name_scan_flags_a_helper_left_behind(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _shared\n\nX = _shared()\n")
     assert dead_private_names(tmp_path) == [("a", "_UNREAD"), ("a", "_rel")]
+
+
+def test_classes_leave_constructor_and_repr_to_the_dataclass():
+    assert hand_written_dunders() == []
+
+
+def test_the_dunder_scan_flags_a_hand_written_constructor_or_repr(tmp_path):
+    # a negative control: a hand-written __init__, a __repr__ bound by
+    # assignment and one in a nested class are flagged; a dataclass with a
+    # __post_init__, a module-level function named __init__ and the
+    # exempt Tally are not
+    (tmp_path / "__init__.py").write_text('__version__ = "1"\n')
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "class Field:\n    def __init__(self, base):\n        self.base = base\n\n"
+        "class Named:\n    __repr__ = object.__repr__\n\n"
+        "    class Inner:\n        def __repr__(self):\n            return 'inner'\n\n"
+        "@dataclass(frozen=True)\nclass Record:\n    seed: int\n\n"
+        "    def __post_init__(self):\n        pass\n\n"
+        "def __init__():\n    pass\n\n"
+        "class Tally:\n    def __init__(self):\n        self.count = 0\n"
+    )
+    assert hand_written_dunders(tmp_path) == [
+        ("a", "Field", "__init__"), ("a", "Named", "__repr__"), ("a", "Inner", "__repr__"),
+    ]

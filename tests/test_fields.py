@@ -41,6 +41,7 @@ _INT_RECORDS = [
     solutions.DEFAULT_FAMILIES["radial-z1"],
     solutions.DEFAULT_FAMILIES["general-z"],
     solutions.MAOnly(spatial_dim=2, phi=parse_profile("poly:1,1")),
+    fields.RandomPolynomialField(3, ModelParams(2, 2.0), 3),
 ]
 
 

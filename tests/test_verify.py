@@ -93,6 +93,9 @@ def test_grid_counts_are_integers():
         GridSpec((0.5, 2.0, 10.5), ((-1.0, 1.0, 4),))
     with pytest.raises(ValueError, match="axis counts must be integers"):
         GridSpec((0.5, 2.0, 10), ((-1.0, 1.0, 4.7),))
+    for count in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="axis counts must be integers"):
+            GridSpec((0.5, 2.0, count), ((-1.0, 1.0, 4),))
     grid = GridSpec((0.5, 2.0, 10.0), ((-1.0, 1.0, 4.0),))
     assert grid == GridSpec((0.5, 2.0, 10), ((-1.0, 1.0, 4),))
     assert type(grid.t_range[2]) is type(grid.x_ranges[0][2]) is int
@@ -145,6 +148,23 @@ def test_report_dict_shape():
     assert isinstance(d["pass"], bool)
     assert set(d["worst_point"]) == {"t", "x"}
     json.dumps(d)  # plain types only
+
+
+def test_default_family_of_a_pushforward_is_its_reproducible_repr():
+    # without a family id a report names the field by its repr, which holds
+    # its records and no memory address: two equal fields built apart
+    # report the same family
+    fam = DEFAULT_FAMILIES["radial-z1"]
+    params, grid = default_params(fam), GridSpec((0.5, 1.0, 2), ((-1.0, 1.0, 2),) * 2)
+    families = []
+    for _ in range(2):
+        field = pushforward_field(Xn(1, 0.05), params, SolutionField(fam))
+        (report,) = run_residual_suite(field, [ResidualKind.DIFFUSION], params, grid, 1e-8)
+        assert report.family == repr(field) and "0x" not in report.family
+        families.append(report.family)
+    assert families[0] == families[1] == (
+        f"PushforwardField(element=Xn(n=1, eps=0.05), base=SolutionField(family={fam!r}))"
+    )
 
 
 def test_report_serializes_every_field():
